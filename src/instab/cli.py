@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 usage/parameter errors (including orbit classes a
-computation does not support), 3 computation failures (no sign change, no
-convergence, junction mismatch, threshold not found).
+Exit codes: 0 success, 2 usage/parameter errors (including non-finite
+numbers and orbit classes a computation does not support), 3 computation
+failures (no sign change, no convergence, junction mismatch, threshold not
+found).
 
 Output is JSON (``"schema": 1``) or CSV (mandatory header, 17 significant
 digits, LF line endings) depending on --format; table-like subcommands
@@ -61,6 +62,18 @@ def _parse_pair(text: str) -> tuple[int, int]:
         raise UsageError(f"expected integers in {text!r}") from None
 
 
+def _finite_float(text: str) -> float:
+    # the type of every float flag: nan or inf is a usage error, not an input
+    # to chase to the depth cap
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
 def _max_workers() -> int:
     env = os.environ.get("INSTAB_THREADS")
     if env is None:
@@ -83,7 +96,7 @@ def _emit_text(text: str, output: str | None) -> None:
 
 
 def _emit_json(obj: dict, output: str | None) -> None:
-    _emit_text(json.dumps(obj, indent=2) + "\n", output)
+    _emit_text(json.dumps(obj, indent=2, allow_nan=False) + "\n", output)
 
 
 def _emit_csv(header: list[str], rows: list[tuple], output: str | None) -> None:
@@ -270,8 +283,9 @@ def _cmd_eigvec(args) -> int:
             "lambda": result.lam,
             "window": result.window,
             "residual": result.residual,
-            "decay_rate": result.decay_rate,
-            "decay_r2": result.decay_r2,
+            # NaN when neither side has enough live entries to fit
+            "decay_rate": result.decay_rate if math.isfinite(result.decay_rate) else None,
+            "decay_r2": result.decay_r2 if math.isfinite(result.decay_r2) else None,
             "sign_ok": result.sign_ok,
             "n": ns,
             "w": [result.w[n] for n in ns],
@@ -464,10 +478,10 @@ def _add_flow_args(sp, *, q_required: bool = True) -> None:
                     help="forcing wavevector (integers, e.g. 3,1)")
     sp.add_argument("--q", required=q_required, metavar="X,Y",
                     help="perturbation wavevector; use --q=-1,2 for negatives")
-    sp.add_argument("--nu", type=float, default=None, help="viscosity")
-    sp.add_argument("--alpha", type=float, default=None,
+    sp.add_argument("--nu", type=_finite_float, default=None, help="viscosity")
+    sp.add_argument("--alpha", type=_finite_float, default=None,
                     help="regularization length (required for non-ns models)")
-    sp.add_argument("--gamma", type=float, default=None,
+    sp.add_argument("--gamma", type=_finite_float, default=None,
                     help="explicit steady amplitude (default: normalized scale)")
 
 
@@ -494,56 +508,56 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("classify", parents=[], help="orbit classification")
     sp.add_argument("--p", required=True, metavar="X,Y")
     sp.add_argument("--q", default=None, metavar="X,Y")
-    sp.add_argument("--radius", type=float, default=None,
+    sp.add_argument("--radius", type=_finite_float, default=None,
                     help="classify every orbit with a representative in this disk")
     _add_output_args(sp, "csv")
     sp.set_defaults(func=_cmd_classify)
 
     sp = sub.add_parser("root", help="positive dispersion root (growth rate)")
     _add_flow_args(sp)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--lambda-cap", type=float, default=None)
+    sp.add_argument("--tol", type=_finite_float, default=1e-10)
+    sp.add_argument("--lambda-cap", type=_finite_float, default=None)
     _add_depth_args(sp)
     _add_output_args(sp, "json")
     sp.set_defaults(func=_cmd_root)
 
     sp = sub.add_parser("nu0", help="largest viscosity with a zero-crossing at lambda=0")
     _add_flow_args(sp)
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--nu-cap", type=float, default=100.0)
+    sp.add_argument("--tol", type=_finite_float, default=1e-8)
+    sp.add_argument("--nu-cap", type=_finite_float, default=100.0)
     _add_depth_args(sp)
     _add_output_args(sp, "json")
     sp.set_defaults(func=_cmd_nu0)
 
     sp = sub.add_parser("eigvec", help="certified eigenvector on a window")
     _add_flow_args(sp)
-    sp.add_argument("--lam", type=float, default=None,
+    sp.add_argument("--lam", type=_finite_float, default=None,
                     help="eigenvalue candidate (default: solve for the root first)")
     sp.add_argument("--window", "-N", type=int, default=64)
-    sp.add_argument("--tol", type=float, default=1e-12)
-    sp.add_argument("--match-tol", type=float, default=None)
+    sp.add_argument("--tol", type=_finite_float, default=1e-12)
+    sp.add_argument("--match-tol", type=_finite_float, default=None)
     _add_depth_args(sp)
     _add_output_args(sp, "csv")
     sp.set_defaults(func=_cmd_eigvec)
 
     sp = sub.add_parser("det", help="perturbation determinant samples or root")
     _add_flow_args(sp)
-    sp.add_argument("--lam", type=float, default=None)
-    sp.add_argument("--lambda-min", type=float, default=None)
-    sp.add_argument("--lambda-max", type=float, default=None)
-    sp.add_argument("--step", type=float, default=None)
+    sp.add_argument("--lam", type=_finite_float, default=None)
+    sp.add_argument("--lambda-min", type=_finite_float, default=None)
+    sp.add_argument("--lambda-max", type=_finite_float, default=None)
+    sp.add_argument("--step", type=_finite_float, default=None)
     sp.add_argument("--root-bracket", default=None, metavar="LO,HI",
                     help="bisect the determinant zero inside this bracket")
     sp.add_argument("--window", "-N", type=int, default=128)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=_finite_float, default=1e-10)
     _add_output_args(sp, "csv")
     sp.set_defaults(func=_cmd_det)
 
     sp = sub.add_parser("simulate", help="growth rate from time integration")
     _add_flow_args(sp)
     sp.add_argument("--window", "-N", type=int, default=16)
-    sp.add_argument("--t-final", type=float, default=40.0)
-    sp.add_argument("--dt", type=float, default=None,
+    sp.add_argument("--t-final", type=_finite_float, default=40.0)
+    sp.add_argument("--dt", type=_finite_float, default=None,
                     help="time step (default: the explicit stability bound)")
     sp.add_argument("--seed", type=int, default=0)
     _add_output_args(sp, "json")
@@ -552,12 +566,12 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("curve", help="dispersion tables over a lambda or nu grid")
     _add_flow_args(sp)
     sp.add_argument("--scan", choices=["lambda", "nu"], default="lambda")
-    sp.add_argument("--lambda-min", type=float, default=None)
-    sp.add_argument("--lambda-max", type=float, default=None)
-    sp.add_argument("--nu-min", type=float, default=None)
-    sp.add_argument("--nu-max", type=float, default=None)
-    sp.add_argument("--step", type=float, default=0.01)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--lambda-min", type=_finite_float, default=None)
+    sp.add_argument("--lambda-max", type=_finite_float, default=None)
+    sp.add_argument("--nu-min", type=_finite_float, default=None)
+    sp.add_argument("--nu-max", type=_finite_float, default=None)
+    sp.add_argument("--step", type=_finite_float, default=0.01)
+    sp.add_argument("--tol", type=_finite_float, default=1e-10)
     _add_depth_args(sp)
     _add_output_args(sp, "csv")
     sp.set_defaults(func=_cmd_curve)
@@ -565,9 +579,9 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("verify", help="cross-check a root against matrix and determinant oracles")
     _add_flow_args(sp)
     sp.add_argument("--window", "-N", type=int, default=128)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--agree-tol", type=float, default=1e-8)
-    sp.add_argument("--det-tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=_finite_float, default=1e-10)
+    sp.add_argument("--agree-tol", type=_finite_float, default=1e-8)
+    sp.add_argument("--det-tol", type=_finite_float, default=1e-6)
     _add_depth_args(sp)
     sp.add_argument("--format", choices=["text", "json"], default="text")
     sp.add_argument("--output", default=None, metavar="PATH")

@@ -58,8 +58,7 @@ class TailSpec:
     def coeffs(self, depth: int) -> np.ndarray:
         """Recurrence coefficients a_{s*1..s*depth}, s the direction sign."""
         n = self.direction.value * np.arange(1, depth + 1, dtype=np.int64)
-        return np.asarray(CoefficientStream(self.params).coeff(n, self.lam),
-                          dtype=np.float64)
+        return CoefficientStream(self.params).coeff(n, self.lam)
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ class DispersionSpec:
 
 def _value_info(lam, spec, tol, depth, max_depth, start_depth=2):
     # returns (value, deepest tail depth used)
-    a0 = CoefficientStream(spec.params).coeff(0, lam)
+    a0 = float(CoefficientStream(spec.params).coeff(0, lam))
     total = a0
     deepest = 0
     for direction in spec.tails:
@@ -108,7 +108,7 @@ class RootResult:
 def default_lambda_cap(params: FlowParams, window: int = 8) -> float:
     """Scale past which the center coefficient dominates both tails."""
     cs = CoefficientStream(params)
-    c_max = max(cs.c(n) for n in range(-window, window + 1))
+    c_max = int(cs.c(range(-window, window + 1)).max())
     return 10.0 * (params.p_norm_sq + params.nu * c_max)
 
 

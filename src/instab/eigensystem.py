@@ -43,9 +43,11 @@ class EigenvectorResult:
     """Eigenvector on the window [-N, N] with its quality measures.
 
     ``decay_rate`` is the fitted delta in |w_n| ~ C exp(-delta*|n|) over the
-    window slice |n| in [N/2, 3N/4]; the two sides decay at slightly
-    different rates, so each side is fitted separately and the conservative
-    (minimum) slope and R^2 are reported.
+    slice |n| in [M/2, 3M/4] of each side, M the last |n| on that side whose
+    entry has not underflowed (M = N when none has); the two sides decay at
+    slightly different rates, so each side is fitted separately and the
+    conservative (minimum) slope and R^2 are reported.  Both are NaN when
+    neither side has enough entries to fit.
     """
 
     lam: float
@@ -61,31 +63,57 @@ class EigenvectorResult:
         return all(v == 0.0 for v in self.w.values())
 
 
-def _forward_side(lam, params, N, tol, max_depth):
-    # u_N = a_N + [a_{N+1}; a_{N+2}; ...], then march down to u_0
-    cs = CoefficientStream(params)
-
+def _forward_side(lam, cs, N, tol, max_depth):
+    # u_N = a_N + [a_{N+1}; a_{N+2}; ...], then march down: u_0..u_N
     def tail(k):
         return cs.coeff(np.arange(N + 1, N + 1 + k, dtype=np.int64), lam)
 
-    seed = cs.coeff(N, lam) + eval_adaptive_coeffs(tail, tol, max_depth).value
-    u = {N: seed}
+    a = cs.coeff(np.arange(N + 1), lam).tolist()
+    u = a[:N] + [a[N] + eval_adaptive_coeffs(tail, tol, max_depth).value]
     for n in range(N - 1, -1, -1):
-        u[n] = cs.coeff(n, lam) + 1.0 / u[n + 1]
-    return u
+        u[n] += 1.0 / u[n + 1]
+    return np.array(u)
 
 
-def _backward_side(lam, params, N, tol, max_depth):
-    # u_{-N} = -[a_{-N-1}; a_{-N-2}; ...], then march up to u_0
-    cs = CoefficientStream(params)
-
+def _backward_side(lam, cs, N, tol, max_depth):
+    # u_{-N} = -[a_{-N-1}; a_{-N-2}; ...], then march up: u_{-N}..u_0
     def tail(k):
         return cs.coeff(-np.arange(N + 1, N + 1 + k, dtype=np.int64), lam)
 
-    u = {-N: -eval_adaptive_coeffs(tail, tol, max_depth).value}
-    for n in range(-N, 0):
-        u[n + 1] = -1.0 / (cs.coeff(n, lam) - u[n])
-    return u
+    u = [-eval_adaptive_coeffs(tail, tol, max_depth).value]
+    for a_n in cs.coeff(np.arange(-N, 0), lam).tolist():
+        u.append(-1.0 / (a_n - u[-1]))
+    return np.array(u)
+
+
+def _ratios(lam, params, N, tol, match_tol, max_depth):
+    # (u_0..u_N or None, u_{-N}..u_0 or None), checked at the junction
+    if N < 1:
+        raise ValueError("window N must be at least 1")
+    cls = params.point_class
+    if cls not in (PointClass.TYPE_I0, PointClass.TYPE_I_PLUS, PointClass.TYPE_I_MINUS):
+        raise ValueError(f"eigenvector construction needs class I0/I+/I-, not {cls.value}")
+    if match_tol is None:
+        match_tol = 100.0 * tol
+    cs = CoefficientStream(params)
+    fwd = bwd = None
+    if cls is not PointClass.TYPE_I_PLUS:
+        fwd = _forward_side(lam, cs, N, tol, max_depth)
+    if cls is not PointClass.TYPE_I_MINUS:
+        bwd = _backward_side(lam, cs, N, tol, max_depth)
+    if cls is PointClass.TYPE_I0:
+        what, mismatch = "u0 forward/backward mismatch", abs(fwd[0] - bwd[-1])
+    elif cls is PointClass.TYPE_I_PLUS:
+        what, mismatch = "u0 vs a0 mismatch", abs(bwd[-1] - float(cs.coeff(0, lam)))
+    else:
+        what, mismatch = "|u0| = |a0 + f|", abs(fwd[0])
+    if not mismatch <= match_tol:
+        raise MatchFailure(
+            f"{what} {mismatch:.3e} exceeds {match_tol:.3e}; "
+            f"lambda={lam!r} is not certified as a root",
+            mismatch=mismatch, tol=match_tol,
+        )
+    return fwd, bwd
 
 
 def build_u(lam: float, params: FlowParams, N: int, *,
@@ -102,95 +130,22 @@ def build_u(lam: float, params: FlowParams, N: int, *,
     I+ builds only n <= 0, I- only n >= 0 (the other side's ratios involve
     the vanishing rho).
     """
-    if N < 1:
-        raise ValueError("window N must be at least 1")
-    if match_tol is None:
-        match_tol = 100.0 * tol
-    cls = params.point_class
-    cs = CoefficientStream(params)
-    a0 = cs.coeff(0, lam)
-
-    if cls is PointClass.TYPE_I0:
-        fwd = _forward_side(lam, params, N, tol, max_depth)
-        bwd = _backward_side(lam, params, N, tol, max_depth)
-        mismatch = abs(fwd[0] - bwd[0])
-        if not mismatch <= match_tol:
-            raise MatchFailure(
-                f"u0 forward/backward mismatch {mismatch:.3e} exceeds {match_tol:.3e}; "
-                f"lambda={lam!r} is not certified as a root",
-                mismatch=mismatch, tol=match_tol,
-            )
-        out = {n: v for n, v in bwd.items() if n <= 0}
-        out.update((n, v) for n, v in fwd.items() if n >= 1)
-        return out
-
-    if cls is PointClass.TYPE_I_PLUS:
-        bwd = _backward_side(lam, params, N, tol, max_depth)
-        mismatch = abs(bwd[0] - a0)
-        if not mismatch <= match_tol:
-            raise MatchFailure(
-                f"u0 vs a0 mismatch {mismatch:.3e} exceeds {match_tol:.3e}; "
-                f"lambda={lam!r} is not certified as a root",
-                mismatch=mismatch, tol=match_tol,
-            )
-        return bwd
-
-    if cls is PointClass.TYPE_I_MINUS:
-        fwd = _forward_side(lam, params, N, tol, max_depth)
-        mismatch = abs(fwd[0])
-        if not mismatch <= match_tol:
-            raise MatchFailure(
-                f"u0 = a0 + f = {fwd[0]:.3e} exceeds {match_tol:.3e}; "
-                f"lambda={lam!r} is not certified as a root",
-                mismatch=mismatch, tol=match_tol,
-            )
-        return fwd
-
-    raise ValueError(f"eigenvector construction needs class I0/I+/I-, not {cls.value}")
+    fwd, bwd = _ratios(lam, params, N, tol, match_tol, max_depth)
+    u = {} if fwd is None else dict(zip(range(N + 1), fwd.tolist()))
+    if bwd is not None:  # the backward u_0 is kept at the junction
+        u.update(zip(range(-N, 1), bwd.tolist()))
+    return u
 
 
-def _log_products_positive(u, N):
-    # log|z_n|, sign(z_n) for n = 1..N from z_n = 1/(u_1...u_n)
-    logs, signs = {}, {}
-    acc, sgn = 0.0, 1.0
-    for n in range(1, N + 1):
-        un = u[n]
-        if un == 0.0:
-            raise ArithmeticError("zero tail ratio on the forward side")
-        acc -= math.log(abs(un))
-        sgn *= math.copysign(1.0, un)
-        logs[n], signs[n] = acc, sgn
-    return logs, signs
-
-
-def _log_products_negative(u, N):
-    # log|z_{-m}|, sign for m = 1..N from z_{-m} = u_0 u_{-1} ... u_{-m+1}
-    logs, signs = {}, {}
-    acc, sgn = 0.0, 1.0
-    for m in range(1, N + 1):
-        un = u[-m + 1]
-        if un == 0.0:
-            # a genuinely zero ratio kills everything below it
-            for mm in range(m, N + 1):
-                logs[-mm], signs[-mm] = -math.inf, 1.0
-            return logs, signs
-        acc += math.log(abs(un))
-        sgn *= math.copysign(1.0, un)
-        logs[-m], signs[-m] = acc, sgn
-    return logs, signs
-
-
-def _fit_side(w, N, side, lo, hi):
-    xs, ys = [], []
-    for k in range(lo, hi + 1):
-        v = w.get(side * k, 0.0)
-        if abs(v) > _UNDERFLOW_GUARD:
-            xs.append(float(k))
-            ys.append(math.log(abs(v)))
-    if len(xs) < 3:
+def _fit_side(side, lo, hi):
+    # least-squares decay of log|w_k|, k in [lo, hi], over the live entries
+    k = np.arange(lo, hi + 1)
+    v = np.abs(side[lo - 1:hi])
+    live = v > _UNDERFLOW_GUARD
+    if np.count_nonzero(live) < 3:
         return None
-    x = np.asarray(xs)
-    y = np.asarray(ys)
+    x = k[live].astype(np.float64)
+    y = np.log(v[live])
     slope, intercept = np.polyfit(x, y, 1)
     pred = slope * x + intercept
     ss_res = float(np.sum((y - pred) ** 2))
@@ -201,56 +156,50 @@ def _fit_side(w, N, side, lo, hi):
 
 def _fit_decay(w, N):
     # Least-squares slope of log|w_n| vs |n| per side.  The fit window
-    # |n| in [N/2, 3N/4] sits where the decay has settled: for the plain
+    # |n| in [M/2, 3M/4] sits where the decay has settled: for the plain
     # model log|w_n| steepens like -2n log n (faster than exponential), so a
     # narrow late window is where a single exponential describes the data;
     # the fitted delta then certifies |w_n| <= C e^{-delta |n|} on the tail.
-    lo = max(1, math.ceil(N / 2))
-    hi = max(lo, math.floor(3 * N / 4))
+    # M is the last |n| above the underflow guard, so wide windows fit where
+    # the entries still carry information instead of in the zeros.
     rates, r2s = [], []
-    for side in (1, -1):
-        fit = _fit_side(w, N, side, lo, hi)
-        if fit is None:  # window too thin or side truncated/underflowed
-            fit = _fit_side(w, N, side, max(1, math.ceil(N / 4)), N)
-        if fit is None:
+    for side in (w[N + 1:], w[N - 1::-1]):  # w_{+k} and w_{-k}, k = 1..N
+        live = np.flatnonzero(np.abs(side) > _UNDERFLOW_GUARD)
+        if live.size == 0:  # side truncated or fully underflowed
             continue
-        rates.append(fit[0])
-        r2s.append(fit[1])
+        M = int(live[-1]) + 1
+        lo = max(1, math.ceil(M / 2))
+        fit = (_fit_side(side, lo, max(lo, math.floor(3 * M / 4)))
+               or _fit_side(side, max(1, math.ceil(M / 4)), M))
+        if fit is not None:
+            rates.append(fit[0])
+            r2s.append(fit[1])
     if not rates:
         return math.nan, math.nan
     return min(rates), min(r2s)
 
 
-def _sign_pattern_ok(w, N, cls):
-    # expected pattern up to global sign, anchored at the junction entries;
-    # entries that underflowed to zero on a decaying side are skipped
-    anchor = w.get(0, 0.0)
-    if anchor == 0.0:
+def _sign_pattern_ok(w, N):
+    # canonical signs up to a global flip, anchored at w_0: w_n > 0 for
+    # n >= 1; w_0, w_-1 < 0; alternating below.  Entries that are exactly
+    # zero (underflowed, or the cut side of I+/I-) are skipped.
+    if w[N] == 0.0:
         return False
-    flip = -math.copysign(1.0, anchor)  # w_0 < 0 in the canonical orientation
+    n = np.arange(-N, N + 1)
+    expect = np.where((n >= 1) | ((n <= -2) & (n % 2 == 0)), 1.0, -1.0)
+    nz = w != 0.0
+    return bool(np.all(np.sign(w[nz]) == -np.sign(w[N]) * expect[nz]))
 
-    def expect(n):
-        # canonical signs: w_n > 0 for n >= 1; w_0, w_-1 < 0; alternating below
-        if n >= 1:
-            return 1.0
-        if n >= -1:
-            return -1.0
-        return 1.0 if (-n) % 2 == 0 else -1.0
 
-    lo = -N if cls is not PointClass.TYPE_I_MINUS else -1
-    hi = N if cls is not PointClass.TYPE_I_PLUS else 1
-    for n in range(lo, hi + 1):
-        v = w.get(n, 0.0)
-        if v == 0.0:
-            continue
-        if math.copysign(1.0, v) != flip * expect(n):
-            return False
-    # truncated sides must vanish exactly
-    if cls is PointClass.TYPE_I_PLUS and any(w[n] != 0.0 for n in range(2, N + 1)):
-        return False
-    if cls is PointClass.TYPE_I_MINUS and any(w[n] != 0.0 for n in range(-N, -1)):
-        return False
-    return True
+def _residual(w, lam, params):
+    # w on [-N, N]; scaled defect of rows -N+1..N-1
+    N = (w.size - 1) // 2
+    cs = CoefficientStream(params)
+    n = np.arange(-N, N + 1)
+    rho_w = cs.rho(n) * w
+    w_0 = w[1:-1]
+    defect = rho_w[:-2] - rho_w[2:] - (lam + params.nu * cs.diag_weight(n[1:-1])) * w_0
+    return float(np.max(np.abs(defect) / np.maximum(1.0, np.abs(w_0))))
 
 
 def build_w(lam: float, params: FlowParams, N: int, *,
@@ -259,53 +208,49 @@ def build_w(lam: float, params: FlowParams, N: int, *,
     """Assemble the eigenvector w on [-N, N] from the tail ratios.
 
     z-products are accumulated in log-magnitude plus sign (direct products
-    underflow near N ~ 600 for typical decay), entries below the underflow
-    guard become 0.0.  The I+/I- classes get exact zeros beyond the single
-    extra entry fixed by the junction row.
+    underflow from about N = 100 for the NavierStokes instances), entries
+    whose magnitude falls below exp(-745) become 0.0.  The I+/I- classes get
+    exact zeros beyond the single extra entry fixed by the junction row.
     """
     if N < 3:
         raise ValueError("window N must be at least 3")
-    u = build_u(lam, params, N, tol=tol, match_tol=match_tol, max_depth=max_depth)
-    cs = CoefficientStream(params)
+    fwd, bwd = _ratios(lam, params, N, tol, match_tol, max_depth)
     cls = params.point_class
-    w: dict[int, float] = {}
+    log_z = np.zeros(2 * N + 1)  # z_0 = 1
+    sign_z = np.ones(2 * N + 1)
+    if fwd is not None:  # z_n = 1/(u_1...u_n)
+        if not np.all(fwd[1:]):
+            raise ArithmeticError("zero tail ratio on the forward side")
+        log_z[N + 1:] = -np.cumsum(np.log(np.abs(fwd[1:])))
+        sign_z[N + 1:] = np.cumprod(np.sign(fwd[1:]))
+    if bwd is not None:  # z_{-m} = u_0 u_{-1}...u_{-m+1}
+        with np.errstate(divide="ignore"):  # a zero ratio kills everything below it
+            log_z[N - 1::-1] = np.cumsum(np.log(np.abs(bwd[:0:-1])))
+        sign_z[N - 1::-1] = np.cumprod(np.copysign(1.0, bwd[:0:-1]))
 
-    def set_from_z(n, log_z, sign_z):
-        rho_n = cs.rho(n)
-        mag = log_z - math.log(abs(rho_n))
-        w[n] = sign_z * math.copysign(1.0, rho_n) * (
-            math.exp(mag) if mag > -745.0 else 0.0
-        )
-
-    set_from_z(0, 0.0, 1.0)  # z_0 = 1
-    if cls in (PointClass.TYPE_I0, PointClass.TYPE_I_MINUS):
-        logs, signs = _log_products_positive(u, N)
-        for n in range(1, N + 1):
-            set_from_z(n, logs[n], signs[n])
-    if cls in (PointClass.TYPE_I0, PointClass.TYPE_I_PLUS):
-        logs, signs = _log_products_negative(u, N)
-        for n in range(-N, 0):
-            set_from_z(n, logs[n], signs[n])
-
+    # w_n = z_n / rho_n on the built sides; the cut side of I+/I- stays 0.0
+    lo = -N if bwd is not None else 0
+    hi = N if fwd is not None else 0
+    cs = CoefficientStream(params)
+    rho = cs.rho(np.arange(lo, hi + 1))
+    mag = log_z[lo + N:hi + N + 1] - np.log(np.abs(rho))
+    # libm exp, not np.exp: numpy's exp kernel depends on the CPU's SIMD
+    # level, and a last-bit change in w shows in the junction residual
+    w = np.zeros(2 * N + 1)
+    w[lo + N:hi + N + 1] = sign_z[lo + N:hi + N + 1] * np.copysign(1.0, rho) * [
+        math.exp(m) if m > -745.0 else 0.0 for m in mag.tolist()]
+    rho_0 = rho[-lo]
     if cls is PointClass.TYPE_I_PLUS:
         # junction row at n=1 fixes w_1; rho_1 = 0 wipes everything beyond
-        w[1] = cs.rho(0) * w[0] / (lam + params.nu * cs.diag_weight(1))
-        for n in range(2, N + 1):
-            w[n] = 0.0
+        w[N + 1] = rho_0 * w[N] / (lam + params.nu * cs.diag_weight(1))
     elif cls is PointClass.TYPE_I_MINUS:
-        w[-1] = -cs.rho(0) * w[0] / (lam + params.nu * cs.diag_weight(-1))
-        for n in range(-N, -1):
-            w[n] = 0.0
+        w[N - 1] = -rho_0 * w[N] / (lam + params.nu * cs.diag_weight(-1))
 
-    result = EigenvectorResult(
-        lam=lam, window=N, w=w, residual=0.0,
-        decay_rate=math.nan, sign_ok=False, decay_r2=math.nan,
-    )
-    res = residual(result, params)
     rate, r2 = _fit_decay(w, N)
     return EigenvectorResult(
-        lam=lam, window=N, w=w, residual=res,
-        decay_rate=rate, sign_ok=_sign_pattern_ok(w, N, cls), decay_r2=r2,
+        lam=lam, window=N, w=dict(zip(range(-N, N + 1), w.tolist())),
+        residual=_residual(w, lam, params), decay_rate=rate,
+        sign_ok=_sign_pattern_ok(w, N), decay_r2=r2,
     )
 
 
@@ -318,14 +263,5 @@ def residual(result: EigenvectorResult, params: FlowParams) -> float:
     N = result.window
     if N < 3:
         raise ValueError("window N must be at least 3")
-    cs = CoefficientStream(params)
-    lam = result.lam
-    worst = 0.0
-    for n in range(-N + 1, N):
-        w_m = result.w.get(n - 1, 0.0)
-        w_0 = result.w.get(n, 0.0)
-        w_p = result.w.get(n + 1, 0.0)
-        defect = (cs.rho(n - 1) * w_m - cs.rho(n + 1) * w_p
-                  - (lam + params.nu * cs.diag_weight(n)) * w_0)
-        worst = max(worst, abs(defect) / max(1.0, abs(w_0)))
-    return worst
+    w = np.array([result.w.get(n, 0.0) for n in range(-N, N + 1)])
+    return _residual(w, result.lam, params)

@@ -25,6 +25,7 @@ regularized)).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,6 +94,9 @@ class FlowParams:
     def __post_init__(self):
         if self.p.is_zero():
             raise ValueError("p must be nonzero")
+        if not all(math.isfinite(x) for x in (self.nu, self.alpha, self.gamma)
+                   if x is not None):
+            raise ValueError("nu, alpha and gamma must be finite")
         if self.nu < 0:
             raise ValueError("viscosity must be nonnegative")
         if self.model.regularized:
@@ -173,36 +177,35 @@ def _scale(params: FlowParams) -> float:
 
 @dataclass(frozen=True)
 class CoefficientStream:
-    """Vectorized access to c_n, rho_n and the recurrence coefficients.
+    """Array access to c_n, rho_n, d_n and the recurrence coefficients.
 
-    Methods accept a single integer index or an integer ndarray and return a
-    float (exact int for ``c``) or a float64 array correspondingly.
+    Every method takes an integer index or index array and returns an ndarray
+    of its shape (int64 for ``c``, float64 otherwise); the module-level
+    helpers ``c``, ``rho``, ``diag_weight`` and ``recurrence_coeff`` are the
+    scalar entry points and return Python numbers.
     """
 
     params: FlowParams
 
-    def c(self, n):
-        """c_n = ||q + n*p||^2, exact."""
-        p, q = self.params.p, self.params.q
-        if isinstance(n, (int, np.integer)):
-            return (q.x + int(n) * p.x) ** 2 + (q.y + int(n) * p.y) ** 2
+    def c(self, n) -> np.ndarray:
+        """c_n = ||q + n*p||^2, exact in int64."""
         n = np.asarray(n, dtype=np.int64)
+        p, q = self.params.p, self.params.q
         cx = q.x + n * p.x
         cy = q.y + n * p.y
         return cx * cx + cy * cy
 
-    def rho(self, n):
+    def rho(self, n) -> np.ndarray:
         """Band weight rho_n of the model, at the params' scale.
 
         Identically zero on parallel orbits (the advection coupling
         vanishes), including at the orbit's zero vector where the shape
         factor alone would be singular.
         """
-        scalar = isinstance(n, (int, np.integer))
         s = _scale(self.params)
         if s == 0.0:
-            return 0.0 if scalar else np.zeros(np.shape(n), dtype=np.float64)
-        cn = np.asarray(self.c(n), dtype=np.float64)
+            return np.zeros(np.shape(n))
+        cn = self.c(n).astype(np.float64)
         pp = float(self.params.p_norm_sq)
         a2 = self.params.alpha_sq
         model = self.params.model
@@ -212,35 +215,26 @@ class CoefficientStream:
             shape = 1.0 - (pp * (1.0 + a2 * pp)) / (cn * (1.0 + a2 * cn))
         else:  # NSVoigt
             shape = (1.0 - pp / cn) / (1.0 + a2 * cn)
-        out = s * shape
-        return float(out) if scalar else out
+        return s * shape
 
-    def diag_weight(self, n):
+    def diag_weight(self, n) -> np.ndarray:
         """Dissipation weight d_n: the operator diagonal is -nu*d_n."""
-        scalar = isinstance(n, (int, np.integer))
-        cn = np.asarray(self.c(n), dtype=np.float64)
+        cn = self.c(n).astype(np.float64)
         if self.params.model in (ModelKind.NAVIER_STOKES, ModelKind.NS_ALPHA):
-            out = cn
-        else:
-            out = cn / (1.0 + self.params.alpha_sq * cn)
-        return float(out) if scalar else out
+            return cn
+        return cn / (1.0 + self.params.alpha_sq * cn)
 
-    def coeff(self, n, lam: float):
+    def coeff(self, n, lam: float) -> np.ndarray:
         """Recurrence coefficient (lambda + nu*d_n)/rho_n.
 
         Raises IndexUndefined where rho_n = 0 (the degenerate index of the
         I+/I- classes); callers on those classes must not request it.
         """
-        scalar = isinstance(n, (int, np.integer))
+        n = np.asarray(n)
         rho_n = self.rho(n)
-        if scalar:
-            if rho_n == 0.0:
-                raise IndexUndefined(f"rho({int(n)}) = 0 for {self.params.point_class.value}")
-            return (lam + self.params.nu * self.diag_weight(n)) / rho_n
-        rho_n = np.asarray(rho_n)
-        if np.any(rho_n == 0.0):
-            bad = np.asarray(n)[rho_n == 0.0]
-            raise IndexUndefined(f"rho({bad[0]}) = 0 for {self.params.point_class.value}")
+        if not np.all(rho_n):
+            raise IndexUndefined(
+                f"rho({n[rho_n == 0.0][0]}) = 0 for {self.params.point_class.value}")
         return (lam + self.params.nu * self.diag_weight(n)) / rho_n
 
 
@@ -249,19 +243,19 @@ def stream(params: FlowParams) -> CoefficientStream:
 
 
 def c(n: int, params: FlowParams) -> int:
-    return CoefficientStream(params).c(n)
+    return (params.q.x + n * params.p.x) ** 2 + (params.q.y + n * params.p.y) ** 2
 
 
 def rho(n: int, params: FlowParams) -> float:
-    return CoefficientStream(params).rho(n)
+    return float(CoefficientStream(params).rho(n))
 
 
 def diag_weight(n: int, params: FlowParams) -> float:
-    return CoefficientStream(params).diag_weight(n)
+    return float(CoefficientStream(params).diag_weight(n))
 
 
 def recurrence_coeff(n: int, lam: float, params: FlowParams) -> float:
-    return CoefficientStream(params).coeff(n, lam)
+    return float(CoefficientStream(params).coeff(n, lam))
 
 
 def b(n: int, params: FlowParams) -> float:
@@ -272,7 +266,7 @@ def b(n: int, params: FlowParams) -> float:
     """
     if params.model is not ModelKind.NAVIER_STOKES:
         raise ValueError("b is the NavierStokes coefficient family")
-    cn = CoefficientStream(params).c(n)
+    cn = c(n, params)
     return cn * cn / (cn - params.p_norm_sq)
 
 

@@ -73,12 +73,10 @@ def build_L(params: FlowParams, N: int) -> TruncatedOperator:
         raise ValueError("window N must be at least 1")
     cs = CoefficientStream(params)
     n = np.arange(-N, N + 1, dtype=np.int64)
-    diag = -params.nu * cs.diag_weight(n)
-    rho = np.asarray(cs.rho(n), dtype=np.float64)
-    sub = rho[:-1]        # row n takes rho_{n-1}
-    sup = -rho[1:]        # row n takes -rho_{n+1}
-    return TruncatedOperator(N=N, diag=np.asarray(diag, dtype=np.float64),
-                             sub=sub.copy(), sup=sup.copy())
+    rho = cs.rho(n)
+    return TruncatedOperator(N=N, diag=-params.nu * cs.diag_weight(n),
+                             sub=rho[:-1],  # row n takes rho_{n-1}
+                             sup=-rho[1:])  # row n takes -rho_{n+1}
 
 
 def max_real_eig(params: FlowParams, N: int, *,
@@ -146,8 +144,8 @@ def build_K(lam: float, params: FlowParams, N: int) -> KMatrix:
         raise ValueError("the determinant factorization needs lambda > 0")
     cs = CoefficientStream(params)
     n = np.arange(-N, N + 1, dtype=np.int64)
-    k = 1.0 / (-params.nu * np.asarray(cs.diag_weight(n), dtype=np.float64) - lam)
-    rho = np.asarray(cs.rho(n), dtype=np.float64)
+    k = 1.0 / (-params.nu * cs.diag_weight(n) - lam)
+    rho = cs.rho(n)
     sub = k[1:] * rho[:-1]    # row n: k_n * rho_{n-1}
     sup = -k[:-1] * rho[1:]   # row n: -k_n * rho_{n+1}
     return KMatrix(N=N, k=k, sub=sub, sup=sup)

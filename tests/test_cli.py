@@ -152,6 +152,22 @@ def test_eigvec_explicit_lambda_off_root_fails(capsys):
     assert code == 3
 
 
+def test_eigvec_json_strict_on_underflowing_window(capsys):
+    # at N=2000 only the first ~100 entries per side are above underflow;
+    # the decay fit must use them and the output must be strict JSON
+    code = run(["eigvec", *FIG, "--window", "2000", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    got = json.loads(out, parse_constant=reject)
+    assert got["decay_rate"] > 0
+    assert got["decay_r2"] >= 0.999
+    assert len(got["w"]) == 4001
+
+
 # ---------------------------------------------------------------------------
 # det
 # ---------------------------------------------------------------------------
@@ -342,3 +358,19 @@ def test_regularized_model_needs_alpha(capsys):
                 "--nu", "0.04"])
     capsys.readouterr()
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["root", "--p", "3,1", "--q=-1,2", "--nu", "nan"],
+    ["root", *FIG, "--tol", "nan"],
+    ["root", "--p", "3,1", "--q=-1,2", "--nu", "inf"],
+    ["curve", *FIG, "--step", "nan"],
+    ["simulate", *FIG, "--t-final", "nan"],
+])
+def test_non_finite_flag_is_usage_error(capsys, argv):
+    assert run(argv) == 2
+    assert "finite" in capsys.readouterr().err

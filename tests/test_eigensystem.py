@@ -9,6 +9,8 @@ from instab import (
     DispersionSpec,
     EigenvectorResult,
     MatchFailure,
+    ModelKind,
+    build_L,
     build_u,
     build_w,
     c,
@@ -168,3 +170,30 @@ def test_matches_dominant_mode(fig):
     vec = vec / np.linalg.norm(vec)
     cos = abs(float(mine @ vec))
     assert cos >= 1.0 - 1e-8
+
+
+# ---------------------------------------------------------------------------
+# residual against the truncated operator
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("model,alpha,nu", [
+    (ModelKind.NAVIER_STOKES, None, 0.06),
+    (ModelKind.SECOND_GRADE, 0.5, 0.04),
+    (ModelKind.NS_ALPHA, 1.0, 0.05),
+    (ModelKind.NS_VOIGT, 0.5, 0.04),
+])
+@pytest.mark.parametrize("offset", [0.0, 1e-3])
+def test_residual_matches_operator_rows(model, alpha, nu, offset):
+    # the recurrence defect is row n of (L - lambda) w: recompute it from
+    # the finite section's matvec over the interior rows
+    pr = make_params(model=model, alpha=alpha, nu=nu)
+    lam = find_root(DispersionSpec(pr), tol=1e-12).lam + offset
+    N = 24
+    res = build_w(lam, pr, N, match_tol=math.inf)
+    w = np.array([res.w[n] for n in range(-N, N + 1)])
+    rows = (build_L(pr, N).matvec(w) - lam * w)[1:-1]
+    expect = float(np.max(np.abs(rows) / np.maximum(1.0, np.abs(w[1:-1]))))
+    assert residual(res, pr) == pytest.approx(expect, rel=1e-9, abs=1e-14)
+    assert res.residual == residual(res, pr)
+    if offset:
+        assert expect > 1e-6

@@ -2,6 +2,8 @@
 tie the four models together (rho = Gamma*beta, nu*b_n at lambda=0, the
 alpha -> 0 limit)."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -244,3 +246,11 @@ def test_model_tags_round_trip():
         assert ModelKind.from_tag(kind.value) is kind
     with pytest.raises(ValueError):
         ModelKind.from_tag("bogus")
+
+
+@pytest.mark.parametrize("field", ["nu", "alpha", "gamma"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected(field, bad):
+    kwargs = {"model": ModelKind.NS_VOIGT, "alpha": 0.5, field: bad}
+    with pytest.raises(ValueError, match="finite"):
+        make_params(**kwargs)
