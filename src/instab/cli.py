@@ -27,7 +27,7 @@ from .eigensystem import build_w
 from .errors import InstabError
 from .lattice import LatticeVector, canonical_rep, classify, enumerate_classes, wedge
 from .models import FlowParams, ModelKind, recurrence_coeff
-from .spectral import build_L, det_I_plus_K, det_root, growth_rate, max_real_eig
+from .spectral import _dt_max, build_L, det_I_plus_K, det_root, growth_rate, max_real_eig
 
 __all__ = ["run", "main"]
 
@@ -342,8 +342,7 @@ def _cmd_simulate(args) -> int:
     _require_positive_nu(params)
     dt = args.dt
     if dt is None:
-        op = build_L(params, args.window)
-        dt = 1.0 / (4.0 * float(max(abs(d) for d in op.diag)) + 4.0)
+        dt = _dt_max(build_L(params, args.window))
     try:
         slope = growth_rate(params, args.window, args.t_final, dt, seed=args.seed)
     except ValueError as exc:

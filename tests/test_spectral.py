@@ -237,3 +237,89 @@ def test_growth_rate_input_validation(fig_params):
                     w0=np.zeros(17))
     with pytest.raises(ValueError):
         growth_rate(fig_params, 8, t_final=10.0, dt=dt, w0=np.ones(5))
+
+
+def test_growth_rate_rejects_infinite_t_final(fig_params):
+    with pytest.raises(ValueError):
+        growth_rate(fig_params, 8, t_final=math.inf, dt=stable_dt(fig_params, 8))
+
+
+def test_growth_rate_rejects_nan_t_final(fig_params):
+    with pytest.raises(ValueError, match="t_final"):
+        growth_rate(fig_params, 8, t_final=math.nan, dt=stable_dt(fig_params, 8))
+
+
+def test_growth_rate_rejects_zero_renorm_every(fig_params):
+    with pytest.raises(ValueError):
+        growth_rate(fig_params, 8, t_final=10.0, dt=stable_dt(fig_params, 8),
+                    renorm_every=0)
+
+
+def test_growth_rate_rejects_negative_renorm_every(fig_params):
+    with pytest.raises(ValueError):
+        growth_rate(fig_params, 8, t_final=10.0, dt=stable_dt(fig_params, 8),
+                    renorm_every=-4)
+
+
+def test_growth_rate_rejects_nan_start(fig_params):
+    w0 = np.ones(17)
+    w0[3] = math.nan
+    with pytest.raises(ValueError):
+        growth_rate(fig_params, 8, t_final=10.0, dt=stable_dt(fig_params, 8), w0=w0)
+
+
+def test_growth_rate_rejects_infinite_start(fig_params):
+    w0 = np.ones(17)
+    w0[3] = -math.inf
+    with pytest.raises(ValueError):
+        growth_rate(fig_params, 8, t_final=10.0, dt=stable_dt(fig_params, 8), w0=w0)
+
+
+def staged_rk4_slope(params, N, steps, dt, renorm_every, seed=0):
+    """Reference integrator: the literal k1..k4 stages, renormalized every
+    renorm_every steps and at the last one; slope over the final half."""
+    M = build_L(params, N).dense()
+    w = np.random.default_rng(seed).standard_normal(2 * N + 1)
+    log_shift = 0.0
+    times, lognorms = [0.0], [math.log(float(np.linalg.norm(w)))]
+    for step in range(1, steps + 1):
+        k1 = M @ w
+        k2 = M @ (w + 0.5 * dt * k1)
+        k3 = M @ (w + 0.5 * dt * k2)
+        k4 = M @ (w + dt * k3)
+        w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % renorm_every == 0 or step == steps:
+            nrm = float(np.linalg.norm(w))
+            log_shift += math.log(nrm)
+            times.append(step * dt)
+            lognorms.append(log_shift)
+            w /= nrm
+    t, y = np.asarray(times), np.asarray(lognorms)
+    half = t >= 0.5 * steps * dt
+    if int(np.sum(half)) < 2:
+        raise ValueError("not enough samples in the final half")
+    return float(np.polyfit(t[half], y[half], 1)[0])
+
+
+@pytest.mark.parametrize("steps, renorm_every", [
+    (16 * 20 + 5, 16),  # full blocks and a partial one
+    (101, 1),           # renormalized every step
+    (40, 32),           # one full block, then an 8-step partial one
+])
+def test_growth_rate_matches_staged_rk4(fig_params, steps, renorm_every):
+    dt = stable_dt(fig_params, 8)
+    t_final = (steps - 0.5) * dt
+    assert math.ceil(t_final / dt) == steps
+    want = staged_rk4_slope(fig_params, 8, steps, dt, renorm_every)
+    got = growth_rate(fig_params, 8, t_final, dt, renorm_every=renorm_every)
+    assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_growth_rate_single_partial_block(fig_params):
+    # renorm_every > steps: one partial block, so the final half holds a
+    # single sample and neither integrator can fit a slope
+    dt = stable_dt(fig_params, 8)
+    with pytest.raises(ValueError):
+        staged_rk4_slope(fig_params, 8, 40, dt, renorm_every=64)
+    with pytest.raises(ValueError, match="final half"):
+        growth_rate(fig_params, 8, (40 - 0.5) * dt, dt, renorm_every=64)
