@@ -7,8 +7,7 @@ found).
 
 Output is JSON (``"schema": 1``) or CSV (mandatory header, 17 significant
 digits, LF line endings) depending on --format; table-like subcommands
-default to CSV, scalar ones to JSON.  Grid sweeps run on a thread pool whose
-size is capped by the INSTAB_THREADS environment variable.
+default to CSV, scalar ones to JSON.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .contfrac import DEFAULT_MAX_DEPTH
 from .dispersion import DispersionSpec, default_lambda_cap, find_root, nu0_estimate, value
@@ -37,6 +34,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # every flag has one spelling: a prefix such as --depth must not silently
+    # stand for --depth-cap
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse calls error() then sys.exit(2); raise instead so run() owns codes
     def error(self, message):
         raise UsageError(message)
@@ -72,19 +74,6 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return x
-
-
-def _max_workers() -> int:
-    env = os.environ.get("INSTAB_THREADS")
-    if env is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        n = int(env)
-    except ValueError:
-        raise UsageError(f"INSTAB_THREADS must be a positive integer, got {env!r}") from None
-    if n < 1:
-        raise UsageError(f"INSTAB_THREADS must be a positive integer, got {env!r}")
-    return n
 
 
 def _emit_text(text: str, output: str | None) -> None:
@@ -151,12 +140,8 @@ def _grid(lo: float | None, hi: float | None, step: float | None,
     return [lo + i * step for i in range(count)]
 
 
-def _fixed_depth(args) -> int | None:
-    return getattr(args, "depth", None)
-
-
 def _max_depth(args) -> int:
-    cap = getattr(args, "depth_cap", None)
+    cap = args.depth_cap
     if cap is None:
         return DEFAULT_MAX_DEPTH
     if cap < 2:
@@ -230,7 +215,7 @@ def _cmd_root(args) -> int:
     _require_positive_nu(params)
     spec = _dispersion_spec(params)
     result = find_root(spec, tol=args.tol, lambda_cap=args.lambda_cap,
-                       depth=_fixed_depth(args), max_depth=_max_depth(args))
+                       depth=args.depth, max_depth=_max_depth(args))
     if not result.found:
         sys.stderr.write(f"error: {result.diagnostic}\n")
         return 3
@@ -325,8 +310,7 @@ def _cmd_det(args) -> int:
         grid = _grid(args.lambda_min, args.lambda_max, args.step, "lambda")
     if any(x <= 0 for x in grid):
         raise UsageError("the determinant factorization needs lambda > 0")
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        samples = list(pool.map(lambda x: det_I_plus_K(x, params, N), grid))
+    samples = [det_I_plus_K(x, params, N) for x in grid]
     rows = [(s.lam, s.value, s.N) for s in samples]
     if args.format == "json":
         _emit_json({"schema": 1, **_flow_meta(params),
@@ -361,10 +345,12 @@ def _cmd_curve(args) -> int:
     # a nu scan supplies its own viscosities, so --nu is optional there
     params = _params_from(args, require_nu=(args.scan == "lambda"))
     spec = _dispersion_spec(params)
-    depth = _fixed_depth(args)
+    depth = args.depth
     max_depth = _max_depth(args)
 
     if args.scan == "lambda":
+        if args.nu_min is not None or args.nu_max is not None:
+            raise UsageError("--nu-min/--nu-max belong to --scan nu, not --scan lambda")
         lo = 0.0 if args.lambda_min is None else args.lambda_min
         hi = 2.0 if args.lambda_max is None else args.lambda_max
         grid = _grid(lo, hi, args.step, "lambda")
@@ -379,6 +365,8 @@ def _cmd_curve(args) -> int:
 
         header = ["lambda", "minus_a0", "f_plus_g", "dispersion"]
     else:
+        if args.lambda_min is not None or args.lambda_max is not None:
+            raise UsageError("--lambda-min/--lambda-max belong to --scan lambda, not --scan nu")
         # any --nu that was passed is irrelevant: the grid replaces it
         grid = _grid(args.nu_min, args.nu_max, args.step, "nu")
         if grid[0] <= 0:
@@ -393,8 +381,7 @@ def _cmd_curve(args) -> int:
 
         header = ["nu", "h", "rhs"]
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        rows = list(pool.map(at, grid))
+    rows = [at(x) for x in grid]
     if args.format == "json":
         meta = _flow_meta(params)
         if args.scan == "nu" and args.nu is None:
@@ -491,8 +478,6 @@ def _add_output_args(sp, default_format: str) -> None:
 
 
 def _add_depth_args(sp) -> None:
-    sp.add_argument("--depth", type=int, default=None,
-                    help="fixed truncation depth (default: adaptive)")
     sp.add_argument("--depth-cap", type=int, default=None,
                     help=f"adaptive depth cap (default {DEFAULT_MAX_DEPTH})")
 
@@ -516,6 +501,8 @@ def build_parser() -> _Parser:
     _add_flow_args(sp)
     sp.add_argument("--tol", type=_finite_float, default=1e-10)
     sp.add_argument("--lambda-cap", type=_finite_float, default=None)
+    sp.add_argument("--depth", type=int, default=None,
+                    help="fixed truncation depth (default: adaptive)")
     _add_depth_args(sp)
     _add_output_args(sp, "json")
     sp.set_defaults(func=_cmd_root)
@@ -571,6 +558,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--nu-max", type=_finite_float, default=None)
     sp.add_argument("--step", type=_finite_float, default=0.01)
     sp.add_argument("--tol", type=_finite_float, default=1e-10)
+    sp.add_argument("--depth", type=int, default=None,
+                    help="fixed truncation depth (default: adaptive)")
     _add_depth_args(sp)
     _add_output_args(sp, "csv")
     sp.set_defaults(func=_cmd_curve)

@@ -130,6 +130,8 @@ def find_root(spec: DispersionSpec, tol: float = 1e-10,
         raise ValueError("root search requires nu > 0; nu=0 is curve-table only")
     if lambda_cap is None:
         lambda_cap = default_lambda_cap(spec.params)
+    if lambda_cap <= 0:
+        raise ValueError("lambda_cap must be positive")
 
     deepest = 0
     last_depth = 2
@@ -207,6 +209,8 @@ def nu0_estimate(params: FlowParams, tol: float = 1e-8, *,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if nu_cap <= 0:
+        raise ValueError("nu_cap must be positive")
     DispersionSpec(params)  # validates the class up front
 
     def h(nu: float) -> float:

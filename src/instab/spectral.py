@@ -142,6 +142,8 @@ class KMatrix:
 def build_K(lam: float, params: FlowParams, N: int) -> KMatrix:
     if lam <= 0:
         raise ValueError("the determinant factorization needs lambda > 0")
+    if N < 1:
+        raise ValueError("window N must be at least 1")
     cs = CoefficientStream(params)
     n = np.arange(-N, N + 1, dtype=np.int64)
     k = 1.0 / (-params.nu * cs.diag_weight(n) - lam)

@@ -1,14 +1,16 @@
 """Command-line interface: output contracts, formats, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
 
 import pytest
 
+from instab import DispersionSpec, det_I_plus_K, recurrence_coeff, value
 from instab.cli import run
-from conftest import LAM_STAR, NU_STAR
+from conftest import LAM_STAR, NU_STAR, make_params
 
 
 def run_json(capsys, argv):
@@ -112,9 +114,21 @@ def test_root_requires_nu(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_root_rejects_nonpositive_lambda_cap(capsys, cap):
+    assert run(["root", *FIG, f"--lambda-cap={cap}"]) == 2
+    assert "lambda_cap" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # nu0
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_nu0_rejects_nonpositive_nu_cap(capsys, cap):
+    assert run(["nu0", "--p", "3,1", "--q=-1,2", f"--nu-cap={cap}"]) == 2
+    assert "nu_cap" in capsys.readouterr().err
+
 
 def test_nu0_json_omits_placeholder_nu(capsys):
     got = run_json(capsys, ["nu0", "--p", "3,1", "--q=-1,2"])
@@ -194,6 +208,16 @@ def test_det_root_bracket_mode(capsys):
     assert got["det_root"] == pytest.approx(LAM_STAR, abs=1e-7)
 
 
+@pytest.mark.parametrize("argv", [
+    ["det", *FIG, "--lam", "0.2", "--window", "0"],
+    ["det", *FIG, "--lam", "0.2", "--window", "-5"],
+    ["det", *FIG, "--root-bracket", "0.2,0.25", "--window", "0"],
+])
+def test_det_rejects_nonpositive_window(capsys, argv):
+    assert run(argv) == 2
+    assert "window N" in capsys.readouterr().err
+
+
 def test_det_rejects_nonpositive_grid(capsys):
     code = run(["det", *FIG, "--lambda-min", "0", "--lambda-max", "0.2",
                 "--step", "0.1"])
@@ -247,6 +271,19 @@ def test_curve_nu_scan(capsys):
     assert gaps[0] > 0 > gaps[-1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", *FIG, "--scan", "lambda", "--nu-min", "0.05"],
+    ["curve", *FIG, "--nu-max", "0.15"],
+    ["curve", "--p", "3,1", "--q=-1,2", "--scan", "nu", "--nu-min", "0.05",
+     "--nu-max", "0.15", "--step", "0.05", "--lambda-min", "0.1"],
+    ["curve", "--p", "3,1", "--q=-1,2", "--scan", "nu", "--nu-min", "0.05",
+     "--nu-max", "0.15", "--step", "0.05", "--lambda-max", "1"],
+])
+def test_curve_rejects_the_other_scans_grid(capsys, argv):
+    assert run(argv) == 2
+    assert "belong to --scan" in capsys.readouterr().err
+
+
 def test_curve_euler_limit(capsys):
     rows = run_csv(capsys, ["curve", "--p", "3,1", "--q=-1,2", "--nu", "0",
                             "--scan", "lambda", "--lambda-min", "0.05",
@@ -267,6 +304,44 @@ def test_curve_empty_grid_rejected(capsys):
                 "--lambda-max", "0.1", "--step", "0.1"])
     capsys.readouterr()
     assert code == 2
+
+
+def g17(x):
+    return format(x, ".17g")
+
+
+def grid_rows(capsys, argv, lo, step, count):
+    # the table's first column must be the grid lo + i*step, in order
+    rows = run_csv(capsys, argv)[1:]
+    grid = [lo + i * step for i in range(count)]
+    assert [r[0] for r in rows] == [g17(x) for x in grid]
+    return grid, rows
+
+
+def test_grid_tables_match_api_pointwise(capsys):
+    pr = make_params()
+    spec = DispersionSpec(pr)
+
+    grid, rows = grid_rows(capsys, ["curve", *FIG, "--lambda-min", "0.05",
+                                    "--lambda-max", "0.31", "--step", "0.05"],
+                           0.05, 0.05, 6)
+    assert [r[3] for r in rows] == [g17(value(x, spec, tol=1e-10)) for x in grid]
+
+    grid, rows = grid_rows(capsys, ["curve", "--p", "3,1", "--q=-1,2",
+                                    "--scan", "nu", "--nu-min", "0.04",
+                                    "--nu-max", "0.13", "--step", "0.02"],
+                           0.04, 0.02, 5)
+    for nu, row in zip(grid, rows):
+        at = dataclasses.replace(pr, nu=nu)
+        a0 = recurrence_coeff(0, 0.0, at)
+        h = value(0.0, DispersionSpec(at), tol=1e-10) - a0
+        assert row[1:] == [g17(h), g17(-a0)]
+
+    grid, rows = grid_rows(capsys, ["det", *FIG, "--lambda-min", "0.1",
+                                    "--lambda-max", "0.3", "--step", "0.04",
+                                    "--window", "32"],
+                           0.1, 0.04, 6)
+    assert [r[1] for r in rows] == [g17(det_I_plus_K(x, pr, 32).value) for x in grid]
 
 
 # ---------------------------------------------------------------------------
@@ -323,19 +398,17 @@ def test_json_output_file(tmp_path, capsys):
     assert got["schema"] == 1
 
 
-def test_threads_env_bad_value(monkeypatch, capsys):
-    monkeypatch.setenv("INSTAB_THREADS", "zero")
-    code = run(["det", *FIG, "--lam", "0.2", "--window", "16"])
+@pytest.mark.parametrize("command", ["nu0", "eigvec", "verify"])
+def test_depth_only_where_it_is_read(capsys, command):
+    # --depth is declared by root and curve only; elsewhere it is rejected,
+    # not ignored and not taken as an abbreviation of --depth-cap
+    assert run([command, *FIG, "--depth", "3"]) == 2
+    assert "unrecognized arguments: --depth" in capsys.readouterr().err
+
+
+def test_flag_abbreviation_is_usage_error(capsys):
+    assert run(["root", *FIG, "--lambda-c", "1"]) == 2
     capsys.readouterr()
-    assert code == 2
-
-
-def test_threads_env_honored(monkeypatch, capsys):
-    monkeypatch.setenv("INSTAB_THREADS", "1")
-    rows = run_csv(capsys, ["det", *FIG, "--lambda-min", "0.1",
-                            "--lambda-max", "0.2", "--step", "0.05",
-                            "--window", "16"])
-    assert len(rows) == 4
 
 
 def test_help_exits_zero(capsys):

@@ -124,6 +124,12 @@ def test_root_requires_positive_nu():
         find_root(spec_of(pr))
 
 
+@pytest.mark.parametrize("cap", [0.0, -1.0])
+def test_root_rejects_nonpositive_lambda_cap(fig_params, cap):
+    with pytest.raises(ValueError, match="lambda_cap"):
+        find_root(spec_of(fig_params), lambda_cap=cap)
+
+
 def test_root_depth_cap_propagates(fig_params):
     pr = make_params(model=ModelKind.SECOND_GRADE, alpha=0.5, nu=1e-4)
     with pytest.raises(NoConvergence):
@@ -185,6 +191,12 @@ def test_threshold_not_found_below_cap(fig_params):
     with pytest.raises(ThresholdNotFound) as exc:
         nu0_estimate(fig_params, nu_cap=0.01)
     assert "0.01" in str(exc.value)
+
+
+@pytest.mark.parametrize("cap", [0.0, -5.0])
+def test_threshold_rejects_nonpositive_nu_cap(fig_params, cap):
+    with pytest.raises(ValueError, match="nu_cap"):
+        nu0_estimate(fig_params, nu_cap=cap)
 
 
 def test_threshold_rejects_bad_tol(fig_params):

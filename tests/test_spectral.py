@@ -143,6 +143,16 @@ def test_det_requires_positive_lambda(fig_params):
         det_I_plus_K(0.0, fig_params, 4)
 
 
+@pytest.mark.parametrize("N", [0, -5])
+def test_det_window_must_be_positive(fig_params, N):
+    with pytest.raises(ValueError, match="window N"):
+        build_K(0.2, fig_params, N)
+    with pytest.raises(ValueError, match="window N"):
+        det_I_plus_K(0.2, fig_params, N)
+    with pytest.raises(ValueError, match="window N"):
+        det_root(fig_params, N, (0.2, 0.25), tol=1e-8)
+
+
 def test_det_vanishes_at_root(fig):
     pr, lam = fig
     assert abs(det_I_plus_K(lam, pr, 128).value) <= 1e-6
