@@ -58,7 +58,6 @@ from .models import (
     recurrence_coeff,
     rho,
     steady_state,
-    stream,
 )
 from .spectral import (
     DeterminantSample,
@@ -82,7 +81,7 @@ __all__ = [
     "wedge", "canonical_rep", "classify", "enumerate_classes",
     # models
     "ModelKind", "FlowParams", "SteadyState", "CoefficientStream",
-    "beta", "gamma", "stream", "c", "rho", "diag_weight",
+    "beta", "gamma", "c", "rho", "diag_weight",
     "recurrence_coeff", "b", "steady_state",
     # continued fractions
     "Direction", "TailSpec", "BracketedValue", "DEFAULT_MAX_DEPTH",

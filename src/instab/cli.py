@@ -19,7 +19,7 @@ import math
 import sys
 
 from .contfrac import DEFAULT_MAX_DEPTH
-from .dispersion import DispersionSpec, default_lambda_cap, find_root, nu0_estimate, value
+from .dispersion import DispersionSpec, RootResult, find_root, nu0_estimate, value
 from .eigensystem import build_w
 from .errors import InstabError
 from .lattice import LatticeVector, canonical_rep, classify, enumerate_classes, wedge
@@ -31,6 +31,10 @@ __all__ = ["run", "main"]
 
 class UsageError(Exception):
     pass
+
+
+class _SearchFailed(Exception):
+    """A root search found no sign change; run() prints its diagnostic, exit 3."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,17 +104,14 @@ def _params_from(args, *, require_nu: bool = True) -> FlowParams:
         if require_nu:
             raise UsageError("--nu is required for this subcommand")
         nu = 1.0  # placeholder; the computation scans nu itself
-    try:
-        return FlowParams(
-            model=ModelKind.from_tag(args.model),
-            p=LatticeVector(*_parse_pair(args.p)),
-            q=LatticeVector(*_parse_pair(args.q)),
-            nu=nu,
-            alpha=args.alpha,
-            gamma=args.gamma,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return FlowParams(
+        model=ModelKind.from_tag(args.model),
+        p=LatticeVector(*_parse_pair(args.p)),
+        q=LatticeVector(*_parse_pair(args.q)),
+        nu=nu,
+        alpha=args.alpha,
+        gamma=args.gamma,
+    )
 
 
 def _dispersion_spec(params: FlowParams) -> DispersionSpec:
@@ -134,10 +135,21 @@ def _grid(lo: float | None, hi: float | None, step: float | None,
         raise UsageError(f"{what} grid needs --{what}-min, --{what}-max and --step")
     if step <= 0:
         raise UsageError("--step must be positive")
-    count = int(math.floor((hi - lo) / step + 1e-12)) + 1
+    span = (hi - lo) / step
+    if not math.isfinite(span):
+        raise UsageError(f"{what} grid has too many points for --step {step:g}")
+    count = int(math.floor(span + 1e-12)) + 1
     if count < 1:
         raise UsageError(f"empty {what} grid: max is below min")
     return [lo + i * step for i in range(count)]
+
+
+def _found_root(spec: DispersionSpec, args, **kwargs) -> RootResult:
+    # the one search-or-fail path of root, eigvec and verify
+    result = find_root(spec, max_depth=_max_depth(args), **kwargs)
+    if not result.found:
+        raise _SearchFailed(result.diagnostic)
+    return result
 
 
 def _max_depth(args) -> int:
@@ -214,11 +226,8 @@ def _cmd_root(args) -> int:
     params = _params_from(args)
     _require_positive_nu(params)
     spec = _dispersion_spec(params)
-    result = find_root(spec, tol=args.tol, lambda_cap=args.lambda_cap,
-                       depth=args.depth, max_depth=_max_depth(args))
-    if not result.found:
-        sys.stderr.write(f"error: {result.diagnostic}\n")
-        return 3
+    result = _found_root(spec, args, tol=args.tol, lambda_cap=args.lambda_cap,
+                         depth=args.depth)
     payload = {"schema": 1, **_flow_meta(params),
                "lambda": result.lam,
                "bracket": list(result.bracket),
@@ -254,11 +263,7 @@ def _cmd_eigvec(args) -> int:
     spec = _dispersion_spec(params)
     lam = args.lam
     if lam is None:
-        root = find_root(spec, tol=min(args.tol, 1e-10), max_depth=_max_depth(args))
-        if not root.found:
-            sys.stderr.write(f"error: {root.diagnostic}\n")
-            return 3
-        lam = root.lam
+        lam = _found_root(spec, args, tol=min(args.tol, 1e-10)).lam
     result = build_w(lam, params, args.window, tol=args.tol,
                      match_tol=args.match_tol, max_depth=_max_depth(args))
     ns = sorted(result.w)
@@ -289,13 +294,10 @@ def _cmd_det(args) -> int:
         if len(parts) != 2:
             raise UsageError("--root-bracket expects lo,hi")
         try:
-            lo, hi = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise UsageError("--root-bracket expects numbers lo,hi") from None
-        try:
-            root = det_root(params, N, (lo, hi), tol=args.tol)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+            lo, hi = _finite_float(parts[0]), _finite_float(parts[1])
+        except argparse.ArgumentTypeError:
+            raise UsageError("--root-bracket expects finite numbers lo,hi") from None
+        root = det_root(params, N, (lo, hi), tol=args.tol)
         if args.format == "csv":
             _emit_csv(["det_root", "n"], [(root, N)], args.output)
         else:
@@ -327,10 +329,7 @@ def _cmd_simulate(args) -> int:
     dt = args.dt
     if dt is None:
         dt = _dt_max(build_L(params, args.window))
-    try:
-        slope = growth_rate(params, args.window, args.t_final, dt, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    slope = growth_rate(params, args.window, args.t_final, dt, seed=args.seed)
     if args.format == "csv":
         _emit_csv(["slope", "n", "t_final", "dt", "seed"],
                   [(slope, args.window, args.t_final, dt, args.seed)], args.output)
@@ -398,11 +397,7 @@ def _cmd_verify(args) -> int:
     _require_positive_nu(params)
     spec = _dispersion_spec(params)
     N = args.window
-    root = find_root(spec, tol=min(args.tol, 1e-10), max_depth=_max_depth(args))
-    if not root.found:
-        sys.stderr.write(f"error: {root.diagnostic}\n")
-        return 3
-    lam_cf = root.lam
+    lam_cf = _found_root(spec, args, tol=min(args.tol, 1e-10)).lam
     agree = args.agree_tol * max(1.0, lam_cf)
 
     lam_mx = max_real_eig(params, N)
@@ -599,6 +594,9 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     except InstabError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return 3
+    except _SearchFailed as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 3
 
 

@@ -11,7 +11,9 @@ tails:
 value() evaluates the left-hand side; find_root() locates a positive root by
 geometric scan plus bisection; nu0_estimate() finds the smallest viscosity at
 which the lambda=0 value crosses zero, i.e. the threshold below which the
-sign-change premise of the root search holds.
+sign-change premise of the root search holds.  Both searches, and the
+determinant zero in spectral.det_root, share one doubling scan
+(_first_crossing) and one bisection (_bisect).
 """
 
 from __future__ import annotations
@@ -112,17 +114,49 @@ def default_lambda_cap(params: FlowParams, window: int = 8) -> float:
     return 10.0 * (params.p_norm_sq + params.nu * c_max)
 
 
+def _first_crossing(f, start: float, cap: float) -> tuple[float, float | None]:
+    """Doubling scan for the first sign change of f from positive to nonpositive.
+
+    Evaluates f at start, 2*start, 4*start, ... strictly below ``cap``, then at
+    ``cap`` itself, and never beyond it.  Returns the last point with f > 0
+    (0.0 if none) and the first point with f <= 0 (None if none).  A point
+    where f returns None is indeterminate and skipped.
+    """
+    lo, x = 0.0, start
+    while True:
+        x = min(x, cap)
+        v = f(x)
+        if v is not None:
+            if v <= 0.0:
+                return lo, x
+            lo = x
+        if x == cap:
+            return lo, None
+        x *= 2.0
+
+
+def _bisect(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve a bracket with f(lo) > 0 >= f(hi) until its width is <= tol."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def find_root(spec: DispersionSpec, tol: float = 1e-10,
               lambda_cap: float | None = None, *,
               depth: int | None = None,
               max_depth: int = DEFAULT_MAX_DEPTH) -> RootResult:
     """Locate a positive dispersion root by geometric scan plus bisection.
 
-    Scans lambda = tol, 2*tol, 4*tol, ... up to ``lambda_cap`` for a sign
-    change of the dispersion value, then bisects the bracketing pair to width
-    <= tol.  The scan can in principle straddle a root pair (monotonicity in
-    lambda is not established); tighten the cap or scan manually via value()
-    when that matters.
+    Scans lambda = tol, 2*tol, 4*tol, ... below ``lambda_cap`` and then the
+    cap itself for a sign change of the dispersion value, then bisects the
+    bracketing pair to width <= tol.  The scan can in principle straddle a
+    root pair (monotonicity in lambda is not established); tighten the cap or
+    scan manually via value() when that matters.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -130,7 +164,7 @@ def find_root(spec: DispersionSpec, tol: float = 1e-10,
         raise ValueError("root search requires nu > 0; nu=0 is curve-table only")
     if lambda_cap is None:
         lambda_cap = default_lambda_cap(spec.params)
-    if lambda_cap <= 0:
+    if not lambda_cap > 0:  # NaN included: the scan could never reach it
         raise ValueError("lambda_cap must be positive")
 
     deepest = 0
@@ -156,16 +190,8 @@ def find_root(spec: DispersionSpec, tol: float = 1e-10,
             ),
         )
 
-    lo, v_lo = 0.0, v0
-    hi = tol
-    v_hi = None
-    while hi <= lambda_cap:
-        v_hi = val(hi)
-        if v_hi <= 0.0:
-            break
-        lo, v_lo = hi, v_hi
-        hi *= 2.0
-    else:
+    lo, hi = _first_crossing(val, tol, lambda_cap)
+    if hi is None:
         return RootResult(
             lam=0.0, bracket=(0.0, lambda_cap), dispersion_residual=0.0,
             cf_depth=deepest, found=False,
@@ -174,13 +200,7 @@ def find_root(spec: DispersionSpec, tol: float = 1e-10,
                 f"stayed positive on the scan grid. Not a stability claim."
             ),
         )
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if val(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(val, lo, hi, tol)
     root = 0.5 * (lo + hi)
     return RootResult(
         lam=root, bracket=(lo, hi), dispersion_residual=abs(val(root)),
@@ -197,8 +217,8 @@ def nu0_estimate(params: FlowParams, tol: float = 1e-8, *,
     so I+ uses only the backward tail and I- only the forward one).  h is
     positive for small nu and the first crossing bounds the viscosities for
     which the root search premise value(0) > 0 holds.  Scan doubles nu from
-    tol, then bisects to width <= tol.  Raises ThresholdNotFound if h never
-    crosses below ``nu_cap``.
+    tol up to ``nu_cap``, then bisects to width <= tol.  Raises
+    ThresholdNotFound if h never crosses by ``nu_cap``.
 
     Scan points where the tails themselves fail to converge within the depth
     cap are skipped as indeterminate: for the regularized models the
@@ -209,7 +229,7 @@ def nu0_estimate(params: FlowParams, tol: float = 1e-8, *,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if nu_cap <= 0:
+    if not nu_cap > 0:
         raise ValueError("nu_cap must be positive")
     DispersionSpec(params)  # validates the class up front
 
@@ -217,24 +237,13 @@ def nu0_estimate(params: FlowParams, tol: float = 1e-8, *,
         spec = DispersionSpec(dataclasses.replace(params, nu=nu))
         return value(0.0, spec, tol=min(tol, 1e-9), max_depth=max_depth)
 
-    lo = 0.0  # last nu with a definite positive value
-    hi = None  # first nu with a definite nonpositive value
-    nu_scan = tol
-    final_try = False
-    while True:
+    def h_or_skip(nu: float) -> float | None:
         try:
-            if h(nu_scan) <= 0.0:
-                hi = nu_scan
-                break
-            lo = nu_scan
+            return h(nu)
         except NoConvergence:
-            pass  # indeterminate point: skip
-        if final_try:
-            break
-        nu_scan *= 2.0
-        if nu_scan >= nu_cap:
-            nu_scan = nu_cap
-            final_try = True
+            return None  # indeterminate point: skip
+
+    lo, hi = _first_crossing(h_or_skip, tol, nu_cap)
     if hi is None:
         raise ThresholdNotFound(
             f"value at lambda=0 stayed positive for nu up to cap {nu_cap:g}",
@@ -246,10 +255,5 @@ def nu0_estimate(params: FlowParams, tol: float = 1e-8, *,
             f"to the scan seed {tol:g}; no positive interval resolved",
             cap=nu_cap,
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(h, lo, hi, tol)
     return 0.5 * (lo + hi)

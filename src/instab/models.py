@@ -46,7 +46,6 @@ __all__ = [
     "c",
     "diag_weight",
     "steady_state",
-    "stream",
 ]
 
 
@@ -236,10 +235,6 @@ class CoefficientStream:
             raise IndexUndefined(
                 f"rho({n[rho_n == 0.0][0]}) = 0 for {self.params.point_class.value}")
         return (lam + self.params.nu * self.diag_weight(n)) / rho_n
-
-
-def stream(params: FlowParams) -> CoefficientStream:
-    return CoefficientStream(params)
 
 
 def c(n: int, params: FlowParams) -> int:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dispersion import _bisect
 from .errors import NoConvergence, NoSignChange
 from .models import CoefficientStream, FlowParams
 
@@ -188,26 +189,19 @@ def det_root(params: FlowParams, N: int, bracket: tuple[float, float],
     if tol <= 0:
         raise ValueError("tol must be positive")
     lo, hi = bracket
-    if not 0 < lo < hi:
-        raise ValueError("bracket must satisfy 0 < lo < hi")
+    if not 0 < lo < hi < math.inf:
+        raise ValueError("bracket must be finite with 0 < lo < hi")
     f_lo = det_I_plus_K(lo, params, N).value
     f_hi = det_I_plus_K(hi, params, N).value
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
+    s = math.copysign(1.0, f_lo)
+    if s == math.copysign(1.0, f_hi):
         raise NoSignChange(
             f"det(I+K) has the same sign at both ends of [{lo:g}, {hi:g}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = det_I_plus_K(mid, params, N).value
-        if f_mid == 0.0:
-            return mid
-        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda lam: s * det_I_plus_K(lam, params, N).value, lo, hi, tol)
     return 0.5 * (lo + hi)
 
 

@@ -22,6 +22,19 @@ NU_STAR = 0.089645395
 P = LatticeVector(3, 1)
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper; returns the list of first arguments seen."""
+    inner = getattr(module, name)
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args[0])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return seen
+
+
 def make_params(model=ModelKind.NAVIER_STOKES, q=(-1, 2), nu=0.06,
                 alpha=None, gamma=None, p=(3, 1)):
     return FlowParams(model=model, p=LatticeVector(*p), q=LatticeVector(*q),

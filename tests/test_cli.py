@@ -120,6 +120,12 @@ def test_root_rejects_nonpositive_lambda_cap(capsys, cap):
     assert "lambda_cap" in capsys.readouterr().err
 
 
+def test_root_scan_reaches_lambda_cap(capsys):
+    # the last doubling point below the cap 0.3 is 0.2147, below the root
+    got = run_json(capsys, ["root", *FIG, "--lambda-cap", "0.3"])
+    assert got["lambda"] == pytest.approx(LAM_STAR, abs=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # nu0
 # ---------------------------------------------------------------------------
@@ -206,6 +212,12 @@ def test_det_root_bracket_mode(capsys):
     got = run_json(capsys, ["det", *FIG, "--root-bracket", "0.2,0.25",
                             "--window", "128", "--format", "json"])
     assert got["det_root"] == pytest.approx(LAM_STAR, abs=1e-7)
+
+
+@pytest.mark.parametrize("bracket", ["0.1,inf", "nan,0.3"])
+def test_det_root_bracket_must_be_finite(capsys, bracket):
+    assert run(["det", *FIG, "--root-bracket", bracket]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -304,6 +316,12 @@ def test_curve_empty_grid_rejected(capsys):
                 "--lambda-max", "0.1", "--step", "0.1"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_curve_grid_too_large_rejected(capsys):
+    code = run(["curve", *FIG, "--lambda-max", "1e300", "--step", "1e-300"])
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
 
 
 def g17(x):

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import instab.dispersion
 from instab import (
     DispersionSpec,
     ModelKind,
@@ -14,7 +15,8 @@ from instab import (
     nu0_estimate,
     value,
 )
-from conftest import LAM_STAR, NU_STAR, make_params
+from instab.dispersion import _first_crossing
+from conftest import LAM_STAR, NU_STAR, count_calls, make_params
 
 
 def spec_of(params):
@@ -130,6 +132,46 @@ def test_root_rejects_nonpositive_lambda_cap(fig_params, cap):
         find_root(spec_of(fig_params), lambda_cap=cap)
 
 
+def test_root_between_last_doubling_point_and_cap(fig_params):
+    # the doubling scan from tol=1e-10 steps from 0.2147 to 0.4295, past the
+    # cap 0.3; the cap itself is the point that brackets the root
+    assert 1e-10 * 2 ** 31 < LAM_STAR < 0.3 < 1e-10 * 2 ** 32
+    res = find_root(spec_of(fig_params), tol=1e-10, lambda_cap=0.3)
+    assert res.found
+    assert res.lam == pytest.approx(LAM_STAR, abs=1e-10)
+
+
+def test_root_scan_never_passes_the_cap(fig_params, monkeypatch):
+    seen = count_calls(monkeypatch, instab.dispersion, "_value_info")
+    res = find_root(spec_of(fig_params), tol=1e-10, lambda_cap=0.1)
+    assert not res.found
+    assert max(seen) == 0.1
+
+
+def test_reference_root_evaluation_budget(fig_params, monkeypatch):
+    seen = count_calls(monkeypatch, instab.dispersion, "_value_info")
+    assert find_root(spec_of(fig_params), tol=1e-12).found
+    assert len(seen) <= 79
+
+
+def test_first_crossing_skips_indeterminate_points():
+    skip = {0.5, 4.0}
+
+    def f(x):
+        return None if x in skip else 3.0 - x
+
+    assert _first_crossing(f, 0.25, 100.0) == (2.0, 8.0)
+    assert _first_crossing(f, 0.25, 2.5) == (2.5, None)
+    assert _first_crossing(f, 0.25, 4.0) == (2.0, None)
+
+
+def test_search_caps_reject_nan(fig_params):
+    with pytest.raises(ValueError, match="lambda_cap"):
+        find_root(spec_of(fig_params), lambda_cap=float("nan"))
+    with pytest.raises(ValueError, match="nu_cap"):
+        nu0_estimate(fig_params, nu_cap=float("nan"))
+
+
 def test_root_depth_cap_propagates(fig_params):
     pr = make_params(model=ModelKind.SECOND_GRADE, alpha=0.5, nu=1e-4)
     with pytest.raises(NoConvergence):
@@ -144,6 +186,12 @@ def test_reference_threshold(fig_params):
     nu0 = nu0_estimate(fig_params, tol=1e-8)
     assert nu0 == pytest.approx(NU_STAR, abs=1e-7)
     assert nu0 > fig_params.nu  # 0.06 sits inside the unstable band
+
+
+def test_threshold_evaluation_budget(fig_params, monkeypatch):
+    seen = count_calls(monkeypatch, instab.dispersion, "value")
+    nu0_estimate(fig_params, tol=1e-8)
+    assert len(seen) <= 48
 
 
 def test_threshold_is_a_sign_change(fig_params):

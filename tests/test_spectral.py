@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import instab.spectral
 from instab import (
     DispersionSpec,
     NoConvergence,
@@ -19,7 +20,7 @@ from instab import (
     max_real_eig,
     rho,
 )
-from conftest import LAM_STAR, make_params
+from conftest import LAM_STAR, count_calls, make_params
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +197,19 @@ def test_det_root_validates_bracket(fig_params):
         det_root(fig_params, 16, (0.3, 0.1), tol=1e-8)
     with pytest.raises(ValueError):
         det_root(fig_params, 16, (0.1, 0.3), tol=0.0)
+
+
+@pytest.mark.parametrize("hi", [math.inf, math.nan])
+def test_det_root_rejects_non_finite_bracket(fig_params, hi):
+    with pytest.raises(ValueError, match="finite"):
+        det_root(fig_params, 16, (0.1, hi), tol=1e-8)
+
+
+def test_det_root_evaluation_budget(fig_params, monkeypatch):
+    seen = count_calls(monkeypatch, instab.spectral, "det_I_plus_K")
+    got = det_root(fig_params, 128, (0.2, 0.25), tol=1e-10)
+    assert got == pytest.approx(LAM_STAR, abs=1e-8)
+    assert len(seen) <= 31
 
 
 # ---------------------------------------------------------------------------
