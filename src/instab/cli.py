@@ -6,8 +6,11 @@ failures (no sign change, no convergence, junction mismatch, threshold not
 found).
 
 Output is JSON (``"schema": 1``) or CSV (mandatory header, 17 significant
-digits, LF line endings) depending on --format; table-like subcommands
-default to CSV, scalar ones to JSON.
+digits) depending on --format, written with LF line endings to stdout or to
+--output by one emitter, _emit.  classify, eigvec, det and curve default to
+CSV; root, nu0 and simulate to JSON; verify takes --format text|json (no
+CSV) and defaults to text.  det has three exclusive modes: one --lam, a
+lambda grid (--lambda-min/--lambda-max/--step), or --root-bracket.
 """
 
 from __future__ import annotations
@@ -80,22 +83,26 @@ def _finite_float(text: str) -> float:
     return x
 
 
-def _emit_text(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
+def _emit(args, fields: dict, header: list[str], rows: list[tuple],
+          text: str | None = None) -> None:
+    """Write one result in the chosen --format to stdout or --output, LF endings.
+
+    JSON is ``{"schema": 1, **fields}``; CSV is ``header`` then ``rows``, floats
+    at 17 significant digits; ``text`` is verify's plain-text report.
+    """
+    if args.format == "json":
+        body = json.dumps({"schema": 1, **fields}, indent=2, allow_nan=False) + "\n"
+    elif text is not None:
+        body = text
     else:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def _emit_json(obj: dict, output: str | None) -> None:
-    _emit_text(json.dumps(obj, indent=2, allow_nan=False) + "\n", output)
-
-
-def _emit_csv(header: list[str], rows: list[tuple], output: str | None) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    _emit_text("\n".join(lines) + "\n", output)
+        lines = [",".join(header)]
+        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+        body = "\n".join(lines) + "\n"
+    if args.output is None:
+        sys.stdout.write(body)
+    else:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(body)
 
 
 def _params_from(args, *, require_nu: bool = True) -> FlowParams:
@@ -187,38 +194,28 @@ def _cmd_classify(args) -> int:
         if args.radius <= 0:
             raise UsageError("--radius must be positive")
         orbits = enumerate_classes(p, args.radius)
-        if args.format == "json":
-            _emit_json({
-                "schema": 1,
-                "p": [p.x, p.y],
-                "radius": args.radius,
-                "orbits": [
-                    {"rep": [rep.rep.x, rep.rep.y], "class": cls.value}
-                    for rep, cls in orbits
-                ],
-            }, args.output)
-        else:
-            _emit_csv(["rep_x", "rep_y", "class"],
-                      [(rep.rep.x, rep.rep.y, cls.value) for rep, cls in orbits],
-                      args.output)
+        _emit(args, {
+            "p": [p.x, p.y],
+            "radius": args.radius,
+            "orbits": [
+                {"rep": [rep.rep.x, rep.rep.y], "class": cls.value}
+                for rep, cls in orbits
+            ],
+        }, ["rep_x", "rep_y", "class"],
+            [(rep.rep.x, rep.rep.y, cls.value) for rep, cls in orbits])
         return 0
     q = LatticeVector(*_parse_pair(args.q))
     rep = canonical_rep(q, p)
     cls = classify(q, p)
-    if args.format == "json":
-        _emit_json({
-            "schema": 1,
-            "p": [p.x, p.y],
-            "q": [q.x, q.y],
-            "rep": [rep.rep.x, rep.rep.y],
-            "shift": rep.shift,
-            "wedge": wedge(p, q),
-            "class": cls.value,
-        }, args.output)
-    else:
-        _emit_csv(["q_x", "q_y", "rep_x", "rep_y", "shift", "class"],
-                  [(q.x, q.y, rep.rep.x, rep.rep.y, rep.shift, cls.value)],
-                  args.output)
+    _emit(args, {
+        "p": [p.x, p.y],
+        "q": [q.x, q.y],
+        "rep": [rep.rep.x, rep.rep.y],
+        "shift": rep.shift,
+        "wedge": wedge(p, q),
+        "class": cls.value,
+    }, ["q_x", "q_y", "rep_x", "rep_y", "shift", "class"],
+        [(q.x, q.y, rep.rep.x, rep.rep.y, rep.shift, cls.value)])
     return 0
 
 
@@ -228,17 +225,14 @@ def _cmd_root(args) -> int:
     spec = _dispersion_spec(params)
     result = _found_root(spec, args, tol=args.tol, lambda_cap=args.lambda_cap,
                          depth=args.depth)
-    payload = {"schema": 1, **_flow_meta(params),
-               "lambda": result.lam,
-               "bracket": list(result.bracket),
-               "residual": result.dispersion_residual,
-               "cf_depth": result.cf_depth}
-    if args.format == "csv":
-        _emit_csv(["lambda", "bracket_lo", "bracket_hi", "residual", "cf_depth"],
-                  [(result.lam, result.bracket[0], result.bracket[1],
-                    result.dispersion_residual, result.cf_depth)], args.output)
-    else:
-        _emit_json(payload, args.output)
+    _emit(args, {**_flow_meta(params),
+                 "lambda": result.lam,
+                 "bracket": list(result.bracket),
+                 "residual": result.dispersion_residual,
+                 "cf_depth": result.cf_depth},
+          ["lambda", "bracket_lo", "bracket_hi", "residual", "cf_depth"],
+          [(result.lam, *result.bracket, result.dispersion_residual,
+            result.cf_depth)])
     return 0
 
 
@@ -250,10 +244,7 @@ def _cmd_nu0(args) -> int:
     meta = _flow_meta(params)
     if args.nu is None:
         del meta["nu"]  # nu is the unknown here, not an input
-    if args.format == "csv":
-        _emit_csv(["nu0"], [(nu0,)], args.output)
-    else:
-        _emit_json({"schema": 1, **meta, "nu0": nu0}, args.output)
+    _emit(args, {**meta, "nu0": nu0}, ["nu0"], [(nu0,)])
     return 0
 
 
@@ -267,21 +258,18 @@ def _cmd_eigvec(args) -> int:
     result = build_w(lam, params, args.window, tol=args.tol,
                      match_tol=args.match_tol, max_depth=_max_depth(args))
     ns = sorted(result.w)
-    if args.format == "json":
-        _emit_json({
-            "schema": 1, **_flow_meta(params),
-            "lambda": result.lam,
-            "window": result.window,
-            "residual": result.residual,
-            # NaN when neither side has enough live entries to fit
-            "decay_rate": result.decay_rate if math.isfinite(result.decay_rate) else None,
-            "decay_r2": result.decay_r2 if math.isfinite(result.decay_r2) else None,
-            "sign_ok": result.sign_ok,
-            "n": ns,
-            "w": [result.w[n] for n in ns],
-        }, args.output)
-    else:
-        _emit_csv(["n", "w"], [(n, result.w[n]) for n in ns], args.output)
+    _emit(args, {
+        **_flow_meta(params),
+        "lambda": result.lam,
+        "window": result.window,
+        "residual": result.residual,
+        # NaN when neither side has enough live entries to fit
+        "decay_rate": result.decay_rate if math.isfinite(result.decay_rate) else None,
+        "decay_r2": result.decay_r2 if math.isfinite(result.decay_r2) else None,
+        "sign_ok": result.sign_ok,
+        "n": ns,
+        "w": [result.w[n] for n in ns],
+    }, ["n", "w"], [(n, result.w[n]) for n in ns])
     return 0
 
 
@@ -289,7 +277,10 @@ def _cmd_det(args) -> int:
     params = _params_from(args)
     _require_positive_nu(params)
     N = args.window
+    grid_flags = (args.lambda_min, args.lambda_max, args.step)
     if args.root_bracket is not None:
+        if args.lam is not None or any(x is not None for x in grid_flags):
+            raise UsageError("--root-bracket excludes --lam and a lambda grid")
         parts = args.root_bracket.split(",")
         if len(parts) != 2:
             raise UsageError("--root-bracket expects lo,hi")
@@ -298,28 +289,21 @@ def _cmd_det(args) -> int:
         except argparse.ArgumentTypeError:
             raise UsageError("--root-bracket expects finite numbers lo,hi") from None
         root = det_root(params, N, (lo, hi), tol=args.tol)
-        if args.format == "csv":
-            _emit_csv(["det_root", "n"], [(root, N)], args.output)
-        else:
-            _emit_json({"schema": 1, **_flow_meta(params),
-                        "det_root": root, "N": N}, args.output)
+        _emit(args, {**_flow_meta(params), "det_root": root, "N": N},
+              ["det_root", "n"], [(root, N)])
         return 0
     if args.lam is not None:
-        if args.lambda_min is not None or args.lambda_max is not None:
+        if any(x is not None for x in grid_flags):
             raise UsageError("pass either --lam or a lambda grid, not both")
         grid = [args.lam]
     else:
-        grid = _grid(args.lambda_min, args.lambda_max, args.step, "lambda")
+        grid = _grid(*grid_flags, "lambda")
     if any(x <= 0 for x in grid):
         raise UsageError("the determinant factorization needs lambda > 0")
     samples = [det_I_plus_K(x, params, N) for x in grid]
-    rows = [(s.lam, s.value, s.N) for s in samples]
-    if args.format == "json":
-        _emit_json({"schema": 1, **_flow_meta(params),
-                    "columns": ["lambda", "det", "n"],
-                    "rows": [list(r) for r in rows]}, args.output)
-    else:
-        _emit_csv(["lambda", "det", "n"], rows, args.output)
+    header, rows = ["lambda", "det", "n"], [(s.lam, s.value, s.N) for s in samples]
+    _emit(args, {**_flow_meta(params), "columns": header,
+                 "rows": [list(r) for r in rows]}, header, rows)
     return 0
 
 
@@ -330,13 +314,10 @@ def _cmd_simulate(args) -> int:
     if dt is None:
         dt = _dt_max(build_L(params, args.window))
     slope = growth_rate(params, args.window, args.t_final, dt, seed=args.seed)
-    if args.format == "csv":
-        _emit_csv(["slope", "n", "t_final", "dt", "seed"],
-                  [(slope, args.window, args.t_final, dt, args.seed)], args.output)
-    else:
-        _emit_json({"schema": 1, **_flow_meta(params), "slope": slope,
-                    "N": args.window, "t_final": args.t_final, "dt": dt,
-                    "seed": args.seed}, args.output)
+    _emit(args, {**_flow_meta(params), "slope": slope, "N": args.window,
+                 "t_final": args.t_final, "dt": dt, "seed": args.seed},
+          ["slope", "n", "t_final", "dt", "seed"],
+          [(slope, args.window, args.t_final, dt, args.seed)])
     return 0
 
 
@@ -346,6 +327,7 @@ def _cmd_curve(args) -> int:
     spec = _dispersion_spec(params)
     depth = args.depth
     max_depth = _max_depth(args)
+    meta = _flow_meta(params)
 
     if args.scan == "lambda":
         if args.nu_min is not None or args.nu_max is not None:
@@ -370,6 +352,8 @@ def _cmd_curve(args) -> int:
         grid = _grid(args.nu_min, args.nu_max, args.step, "nu")
         if grid[0] <= 0:
             raise UsageError("the nu grid must be strictly positive")
+        if args.nu is None:
+            del meta["nu"]  # nu is the scan variable, not an input
 
         def at(nu: float) -> tuple[float, float, float]:
             pr = dataclasses.replace(params, nu=nu)
@@ -381,14 +365,8 @@ def _cmd_curve(args) -> int:
         header = ["nu", "h", "rhs"]
 
     rows = [at(x) for x in grid]
-    if args.format == "json":
-        meta = _flow_meta(params)
-        if args.scan == "nu" and args.nu is None:
-            del meta["nu"]  # nu is the scan variable, not an input
-        _emit_json({"schema": 1, **meta, "columns": header,
-                    "rows": [list(r) for r in rows]}, args.output)
-    else:
-        _emit_csv(header, rows, args.output)
+    _emit(args, {**meta, "columns": header, "rows": [list(r) for r in rows]},
+          header, rows)
     return 0
 
 
@@ -402,51 +380,45 @@ def _cmd_verify(args) -> int:
 
     lam_mx = max_real_eig(params, N)
     ok_mx = abs(lam_mx - lam_cf) <= agree
+    lines = [
+        f"lambda_cf     = {_fmt(lam_cf)}",
+        f"lambda_matrix = {_fmt(lam_mx)}   |diff| = {abs(lam_mx - lam_cf):.3g}"
+        f" <= {agree:.3g} : {'PASS' if ok_mx else 'FAIL'}",
+    ]
 
     # The determinant leg needs a trace-class K factor: its entries are
     # k_n*rho ~ rho_n/(nu*d_n).  For the second-grade model d_n is bounded
     # and rho_n -> 1, so the band entries do not decay and the sectioned
     # determinant diverges with N; the leg is skipped there.
-    det_ok_defined = params.model is not ModelKind.SECOND_GRADE
-    if det_ok_defined:
+    if params.model is not ModelKind.SECOND_GRADE:
         det_at = det_I_plus_K(lam_cf, params, N).value
         ok_det_val = abs(det_at) <= args.det_tol
         lam_det = det_root(params, N, (0.9 * lam_cf, 1.1 * lam_cf), tol=0.25 * agree)
         ok_det_root = abs(lam_det - lam_cf) <= agree
+        lines += [
+            f"det(I+K)      = {det_at:.3g}   |.| <= {args.det_tol:.3g} :"
+            f" {'PASS' if ok_det_val else 'FAIL'}",
+            f"det_root      = {_fmt(lam_det)}   |diff| = {abs(lam_det - lam_cf):.3g}"
+            f" <= {agree:.3g} : {'PASS' if ok_det_root else 'FAIL'}",
+        ]
     else:
         det_at = lam_det = None
         ok_det_val = ok_det_root = True
+        lines.append("det(I+K)      : skipped (band entries do not decay "
+                     "for this model; determinant leg undefined)")
 
     passed = ok_mx and ok_det_val and ok_det_root
-    if args.format == "json":
-        _emit_json({
-            "schema": 1, **_flow_meta(params), "N": N,
-            "lambda_cf": lam_cf,
-            "lambda_matrix": lam_mx,
-            "det_at_root": det_at,
-            "det_root": lam_det,
-            "agree_tol": agree,
-            "det_tol": args.det_tol,
-            "pass": passed,
-        }, args.output)
-    else:
-        lines = [
-            f"lambda_cf     = {_fmt(lam_cf)}",
-            f"lambda_matrix = {_fmt(lam_mx)}   |diff| = {abs(lam_mx - lam_cf):.3g}"
-            f" <= {agree:.3g} : {'PASS' if ok_mx else 'FAIL'}",
-        ]
-        if det_ok_defined:
-            lines += [
-                f"det(I+K)      = {det_at:.3g}   |.| <= {args.det_tol:.3g} :"
-                f" {'PASS' if ok_det_val else 'FAIL'}",
-                f"det_root      = {_fmt(lam_det)}   |diff| = {abs(lam_det - lam_cf):.3g}"
-                f" <= {agree:.3g} : {'PASS' if ok_det_root else 'FAIL'}",
-            ]
-        else:
-            lines.append("det(I+K)      : skipped (band entries do not decay "
-                         "for this model; determinant leg undefined)")
-        lines.append(f"VERIFY: {'PASS' if passed else 'FAIL'}")
-        _emit_text("\n".join(lines) + "\n", args.output)
+    lines.append(f"VERIFY: {'PASS' if passed else 'FAIL'}")
+    _emit(args, {
+        **_flow_meta(params), "N": N,
+        "lambda_cf": lam_cf,
+        "lambda_matrix": lam_mx,
+        "det_at_root": det_at,
+        "det_root": lam_det,
+        "agree_tol": agree,
+        "det_tol": args.det_tol,
+        "pass": passed,
+    }, [], [], text="\n".join(lines) + "\n")
     return 0 if passed else 3
 
 
@@ -576,20 +548,12 @@ def build_parser() -> _Parser:
 def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 2
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except InstabError as exc:

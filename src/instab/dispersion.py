@@ -94,7 +94,8 @@ class RootResult:
     """Outcome of a root search over lambda > 0.
 
     ``found`` implies |value(lam)| is below tolerance and the dispersion
-    changes sign across ``bracket``.  When no sign change exists on the
+    changes sign across ``bracket``, whose width is <= tol, or which holds two
+    adjacent doubles when tol is below the float spacing at the root.  When no sign change exists on the
     scanned interval, ``found`` is False and ``diagnostic`` says why; absence
     of a root on (0, cap] is NOT a stability certificate.
     """
@@ -136,9 +137,16 @@ def _first_crossing(f, start: float, cap: float) -> tuple[float, float | None]:
 
 
 def _bisect(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Halve a bracket with f(lo) > 0 >= f(hi) until its width is <= tol."""
+    """Halve a bracket with f(lo) > 0 >= f(hi) until its width is <= tol.
+
+    Stops early when the midpoint rounds to an end: the bracket then holds two
+    adjacent doubles, the narrowest there is, so a tol below the float spacing
+    at the root ends the search instead of looping forever.
+    """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if f(mid) > 0.0:
             lo = mid
         else:

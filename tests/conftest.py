@@ -22,13 +22,19 @@ NU_STAR = 0.089645395
 P = LatticeVector(3, 1)
 
 
-def count_calls(monkeypatch, module, name):
-    """Replace module.name by a wrapper; returns the list of first arguments seen."""
+def count_calls(monkeypatch, module, name, limit=None):
+    """Replace module.name by a wrapper; returns the list of first arguments seen.
+
+    With ``limit``, the call past the limit raises AssertionError, so a search
+    that would never end fails at once instead of hanging the suite.
+    """
     inner = getattr(module, name)
     seen = []
 
     def counting(*args, **kwargs):
         seen.append(args[0])
+        if limit is not None and len(seen) > limit:
+            raise AssertionError(f"{name} called more than {limit} times")
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)

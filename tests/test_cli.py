@@ -230,6 +230,20 @@ def test_det_rejects_nonpositive_window(capsys, argv):
     assert "window N" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--root-bracket", "0.2,0.25", "--lam", "0.3", "--step", "5"],
+    ["--root-bracket", "0.2,0.25", "--lambda-min", "0.1",
+     "--lambda-max", "0.2", "--step", "0.01"],
+    ["--root-bracket", "0.2,0.25", "--lam", "0.3"],
+    ["--lam", "0.3", "--step", "5"],
+])
+def test_det_modes_are_exclusive(capsys, argv):
+    # --lam, the lambda grid and --root-bracket are three modes; a flag of
+    # another mode is refused, not silently dropped
+    assert run(["det", *FIG, *argv]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_det_rejects_nonpositive_grid(capsys):
     code = run(["det", *FIG, "--lambda-min", "0", "--lambda-max", "0.2",
                 "--step", "0.1"])
@@ -414,6 +428,68 @@ def test_json_output_file(tmp_path, capsys):
     capsys.readouterr()
     got = json.loads(target.read_text())
     assert got["schema"] == 1
+
+
+FLOW = ["schema", "model", "p", "q", "class", "nu"]
+NU_SCAN = ["--p", "3,1", "--q=-1,2", "--scan", "nu", "--nu-min", "0.05",
+           "--nu-max", "0.15", "--step", "0.05"]
+DET_GRID = [*FIG, "--lambda-min", "0.1", "--lambda-max", "0.3", "--step", "0.1",
+            "--window", "16"]
+SIM = [*FIG, "--window", "8", "--t-final", "5"]
+
+
+@pytest.mark.parametrize("argv, layout", [
+    (["classify", "--p", "3,1", "--q", "2,3"],
+     "q_x,q_y,rep_x,rep_y,shift,class"),
+    (["classify", "--p", "3,1", "--q", "2,3", "--format", "json"],
+     ["schema", "p", "q", "rep", "shift", "wedge", "class"]),
+    (["classify", "--p", "3,1", "--radius", "2"], "rep_x,rep_y,class"),
+    (["classify", "--p", "3,1", "--radius", "2", "--format", "json"],
+     ["schema", "p", "radius", "orbits"]),
+    (["root", *FIG],
+     [*FLOW, "lambda", "bracket", "residual", "cf_depth"]),
+    (["root", *FIG, "--format", "csv"],
+     "lambda,bracket_lo,bracket_hi,residual,cf_depth"),
+    (["nu0", "--p", "3,1", "--q=-1,2"], [*FLOW[:5], "nu0"]),
+    (["nu0", "--p", "3,1", "--q=-1,2", "--format", "csv"], "nu0"),
+    (["eigvec", *FIG, "--window", "4"], "n,w"),
+    (["eigvec", *FIG, "--window", "4", "--format", "json"],
+     [*FLOW, "lambda", "window", "residual", "decay_rate", "decay_r2",
+      "sign_ok", "n", "w"]),
+    (["det", *DET_GRID], "lambda,det,n"),
+    (["det", *DET_GRID, "--format", "json"], [*FLOW, "columns", "rows"]),
+    (["det", *FIG, "--root-bracket", "0.2,0.25", "--window", "16"], "det_root,n"),
+    (["det", *FIG, "--root-bracket", "0.2,0.25", "--window", "16",
+      "--format", "json"], [*FLOW, "det_root", "N"]),
+    (["simulate", *SIM], [*FLOW, "slope", "N", "t_final", "dt", "seed"]),
+    (["simulate", *SIM, "--format", "csv"], "slope,n,t_final,dt,seed"),
+    (["curve", *FIG, "--lambda-max", "0.5", "--step", "0.25"],
+     "lambda,minus_a0,f_plus_g,dispersion"),
+    (["curve", *FIG, "--lambda-max", "0.5", "--step", "0.25", "--format", "json"],
+     [*FLOW, "columns", "rows"]),
+    (["curve", *NU_SCAN], "nu,h,rhs"),
+    (["curve", *NU_SCAN, "--format", "json"], [*FLOW[:5], "columns", "rows"]),
+    (["verify", *FIG, "--window", "32"],
+     ["lambda_cf", "lambda_matrix", "det(I+K)", "det_root", "VERIFY:"]),
+    (["verify", *FIG, "--window", "32", "--format", "json"],
+     [*FLOW, "N", "lambda_cf", "lambda_matrix", "det_at_root", "det_root",
+      "agree_tol", "det_tol", "pass"]),
+])
+def test_output_contract(tmp_path, capsys, argv, layout):
+    # --output gets exactly the bytes stdout gets, in a fixed layout: the JSON
+    # key order, the CSV header line, or the first word of each text line
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    target = tmp_path / "out"
+    assert run([*argv, "--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode()
+    if isinstance(layout, str):
+        assert out.splitlines()[0] == layout
+    elif out.startswith("{"):
+        assert list(json.loads(out)) == layout
+    else:
+        assert [line.split()[0] for line in out.splitlines()] == layout
 
 
 @pytest.mark.parametrize("command", ["nu0", "eigvec", "verify"])

@@ -1,6 +1,7 @@
 """Dispersion roots and the viscosity threshold."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -15,7 +16,7 @@ from instab import (
     nu0_estimate,
     value,
 )
-from instab.dispersion import _first_crossing
+from instab.dispersion import _bisect, _first_crossing
 from conftest import LAM_STAR, NU_STAR, count_calls, make_params
 
 
@@ -152,6 +153,31 @@ def test_reference_root_evaluation_budget(fig_params, monkeypatch):
     seen = count_calls(monkeypatch, instab.dispersion, "_value_info")
     assert find_root(spec_of(fig_params), tol=1e-12).found
     assert len(seen) <= 79
+
+
+def test_root_search_ends_below_float_spacing(fig_params, monkeypatch):
+    # tol 1e-20 is below the spacing of doubles near the root (about 2.8e-17)
+    spec = spec_of(fig_params)
+    count_calls(monkeypatch, instab.dispersion, "_value_info", limit=130)
+    res = find_root(spec, tol=1e-20)
+    monkeypatch.undo()
+    assert res.found
+    lo, hi = res.bracket
+    assert math.nextafter(lo, hi) == hi
+    assert value(lo, spec, tol=1e-20) > 0.0 >= value(hi, spec, tol=1e-20)
+
+
+def test_bisect_stops_at_adjacent_doubles():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        assert len(calls) <= 60, "bisection did not stop"
+        return 0.3 - x
+
+    lo, hi = _bisect(f, 0.0, 1.0, 1e-30)
+    assert math.nextafter(lo, hi) == hi
+    assert f(lo) > 0.0 >= f(hi)
 
 
 def test_first_crossing_skips_indeterminate_points():

@@ -212,6 +212,19 @@ def test_det_root_evaluation_budget(fig_params, monkeypatch):
     assert len(seen) <= 31
 
 
+def test_det_root_ends_below_float_spacing(fig_params, monkeypatch):
+    # tol 1e-20 is below the spacing of doubles near the root (about 2.8e-17)
+    count_calls(monkeypatch, instab.spectral, "det_I_plus_K", limit=60)
+    got = det_root(fig_params, 128, (0.2, 0.25), tol=1e-20)
+    monkeypatch.undo()
+    assert got == pytest.approx(LAM_STAR, abs=1e-8)
+    # the final bracket is got and one of its neighbouring doubles
+    below, at, above = (det_I_plus_K(x, fig_params, 128).value
+                        for x in (math.nextafter(got, 0.0), got,
+                                  math.nextafter(got, 1.0)))
+    assert below * at <= 0.0 or at * above <= 0.0
+
+
 # ---------------------------------------------------------------------------
 # time-stepped growth rate
 # ---------------------------------------------------------------------------
