@@ -25,6 +25,7 @@ from .dispersion import (
     find_root,
     nu0_estimate,
     value,
+    value_grid,
 )
 from .eigensystem import EigenvectorResult, build_u, build_w, residual
 from .errors import (
@@ -88,7 +89,7 @@ __all__ = [
     "eval_trunc", "eval_adaptive", "eval_adaptive_coeffs",
     "even_trunc_slope_at_zero",
     # dispersion
-    "DispersionSpec", "RootResult", "value", "find_root",
+    "DispersionSpec", "RootResult", "value", "value_grid", "find_root",
     "default_lambda_cap", "nu0_estimate",
     # eigenvectors
     "EigenvectorResult", "build_u", "build_w", "residual",

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 usage/parameter errors (including non-finite
-numbers and orbit classes a computation does not support), 3 computation
+numbers, orbit classes a computation does not support and an --output that
+cannot be written, checked before computing), 3 computation
 failures (no sign change, no convergence, junction mismatch, threshold not
 found).
 
@@ -10,23 +11,24 @@ digits) depending on --format, written with LF line endings to stdout or to
 --output by one emitter, _emit.  classify, eigvec, det and curve default to
 CSV; root, nu0 and simulate to JSON; verify takes --format text|json (no
 CSV) and defaults to text.  det has three exclusive modes: one --lam, a
-lambda grid (--lambda-min/--lambda-max/--step), or --root-bracket.
+lambda grid (--lambda-min/--lambda-max/--step), or --root-bracket (with its
+--tol).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
+import os
 import sys
 
 from .contfrac import DEFAULT_MAX_DEPTH
-from .dispersion import DispersionSpec, RootResult, find_root, nu0_estimate, value
+from .dispersion import DispersionSpec, RootResult, find_root, nu0_estimate, value_grid
 from .eigensystem import build_w
 from .errors import InstabError
 from .lattice import LatticeVector, canonical_rep, classify, enumerate_classes, wedge
-from .models import FlowParams, ModelKind, recurrence_coeff
+from .models import FlowParams, ModelKind
 from .spectral import _dt_max, build_L, det_I_plus_K, det_root, growth_rate, max_real_eig
 
 __all__ = ["run", "main"]
@@ -100,9 +102,12 @@ def _emit(args, fields: dict, header: list[str], rows: list[tuple],
         body = "\n".join(lines) + "\n"
     if args.output is None:
         sys.stdout.write(body)
-    else:
+        return
+    try:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(body)
+    except OSError as exc:
+        raise UsageError(f"cannot write --output {args.output!r}: {exc.strerror}") from None
 
 
 def _params_from(args, *, require_nu: bool = True) -> FlowParams:
@@ -288,10 +293,12 @@ def _cmd_det(args) -> int:
             lo, hi = _finite_float(parts[0]), _finite_float(parts[1])
         except argparse.ArgumentTypeError:
             raise UsageError("--root-bracket expects finite numbers lo,hi") from None
-        root = det_root(params, N, (lo, hi), tol=args.tol)
+        root = det_root(params, N, (lo, hi), tol=1e-10 if args.tol is None else args.tol)
         _emit(args, {**_flow_meta(params), "det_root": root, "N": N},
               ["det_root", "n"], [(root, N)])
         return 0
+    if args.tol is not None:
+        raise UsageError("--tol belongs to --root-bracket")
     if args.lam is not None:
         if any(x is not None for x in grid_flags):
             raise UsageError("pass either --lam or a lambda grid, not both")
@@ -325,8 +332,7 @@ def _cmd_curve(args) -> int:
     # a nu scan supplies its own viscosities, so --nu is optional there
     params = _params_from(args, require_nu=(args.scan == "lambda"))
     spec = _dispersion_spec(params)
-    depth = args.depth
-    max_depth = _max_depth(args)
+    opts = dict(tol=args.tol, depth=args.depth, max_depth=_max_depth(args))
     meta = _flow_meta(params)
 
     if args.scan == "lambda":
@@ -338,13 +344,8 @@ def _cmd_curve(args) -> int:
         if params.nu == 0 and grid[0] <= 0:
             raise UsageError("nu=0 needs a strictly positive lambda grid "
                              "(the recurrence degenerates at lambda=0)")
-
-        def at(lam: float) -> tuple[float, float, float, float]:
-            v = value(lam, spec, tol=args.tol, depth=depth, max_depth=max_depth)
-            a0 = recurrence_coeff(0, lam, params)
-            return (lam, -a0, v - a0, v)
-
-        header = ["lambda", "minus_a0", "f_plus_g", "dispersion"]
+        v, a0 = value_grid(spec, grid, **opts)
+        header, rows = ["lambda", "minus_a0", "f_plus_g", "dispersion"], zip(grid, -a0, v - a0, v)
     else:
         if args.lambda_min is not None or args.lambda_max is not None:
             raise UsageError("--lambda-min/--lambda-max belong to --scan lambda, not --scan nu")
@@ -354,19 +355,11 @@ def _cmd_curve(args) -> int:
             raise UsageError("the nu grid must be strictly positive")
         if args.nu is None:
             del meta["nu"]  # nu is the scan variable, not an input
+        v, a0 = value_grid(spec, 0.0, grid, **opts)
+        header, rows = ["nu", "h", "rhs"], zip(grid, v - a0, -a0)
 
-        def at(nu: float) -> tuple[float, float, float]:
-            pr = dataclasses.replace(params, nu=nu)
-            v = value(0.0, DispersionSpec(pr), tol=args.tol, depth=depth,
-                      max_depth=max_depth)
-            a0 = recurrence_coeff(0, 0.0, pr)
-            return (nu, v - a0, -a0)
-
-        header = ["nu", "h", "rhs"]
-
-    rows = [at(x) for x in grid]
-    _emit(args, {**meta, "columns": header, "rows": [list(r) for r in rows]},
-          header, rows)
+    rows = [list(r) for r in rows]
+    _emit(args, {**meta, "columns": header, "rows": rows}, header, rows)
     return 0
 
 
@@ -502,7 +495,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--root-bracket", default=None, metavar="LO,HI",
                     help="bisect the determinant zero inside this bracket")
     sp.add_argument("--window", "-N", type=int, default=128)
-    sp.add_argument("--tol", type=_finite_float, default=1e-10)
+    sp.add_argument("--tol", type=_finite_float, default=None,
+                    help="bisection tolerance of --root-bracket (default 1e-10)")
     _add_output_args(sp, "csv")
     sp.set_defaults(func=_cmd_det)
 
@@ -550,6 +544,11 @@ def run(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         args = build_parser().parse_args(argv)
+        out_dir = os.path.dirname(args.output or "") or "."
+        if args.output is not None and not os.access(out_dir, os.W_OK):
+            # refused before computing, not after
+            raise UsageError(f"cannot write --output {args.output!r}: {out_dir!r} "
+                             f"is not a writable directory")
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

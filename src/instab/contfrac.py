@@ -12,6 +12,10 @@ coefficient streams the even truncations increase, the odd ones decrease, and
 the limit sits in between, which gives rigorous two-sided brackets: the
 adaptive evaluator doubles the depth until the even/odd bracket is narrower
 than the requested tolerance.
+
+One fraction runs as a Python float loop; a grid of them (_trunc_rows,
+_adaptive_rows) runs as one numpy pass with the same per-element arithmetic
+and depth sequence, so each of its values equals the scalar one bit for bit.
 """
 
 from __future__ import annotations
@@ -121,12 +125,62 @@ def eval_adaptive_coeffs(
             return BracketedValue(0.5 * (lower + upper), lower, upper, m + 1)
         nxt = min(2 * m, max_depth - max_depth % 2)
         if nxt <= m:
-            raise NoConvergence(
-                f"even/odd bracket width {upper - lower:.3e} above tol {tol:.3e} "
-                f"at depth cap {m}",
-                depth=m, width=upper - lower,
-            )
+            raise _no_convergence(upper - lower, tol, m)
         m = nxt
+
+
+def _no_convergence(width: float, tol: float, m: int) -> NoConvergence:
+    return NoConvergence(
+        f"even/odd bracket width {width:.3e} above tol {tol:.3e} at depth cap {m}",
+        depth=m, width=width,
+    )
+
+
+def _trunc_rows(a: np.ndarray, t) -> np.ndarray:
+    """eval_trunc for many fractions at once, from the start state ``t``.
+
+    ``a[j]`` holds coefficient a_{j+1} of every fraction; ``t`` may stack
+    several states, each of which broadcasts against one ``a[j]``.
+    """
+    if len(a) == 0:
+        raise ValueError("continued fraction needs at least one coefficient")
+    # overflow to inf stays quiet, as it does for Python floats
+    with np.errstate(divide="raise", over="ignore"):
+        try:
+            for row in a[::-1]:
+                t = 1.0 / (row + t)
+        except FloatingPointError:
+            raise DegenerateFraction("zero intermediate denominator") from None
+    return t
+
+
+def _adaptive_rows(coeffs_fn: Callable[[np.ndarray, int], np.ndarray], rows: int,
+                   tol: float, max_depth: int = DEFAULT_MAX_DEPTH) -> np.ndarray:
+    """eval_adaptive_coeffs from depth 2 over ``rows`` fractions at once.
+
+    ``coeffs_fn(live, k)`` gives the first k coefficients of the fractions
+    ``live`` as a (k, len(live)) array; at the cap the first failing one raises.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_depth < 2:
+        raise ValueError("max_depth must be at least 2")
+    cap = max_depth - max_depth % 2
+    values, live, m = np.empty(rows), np.arange(rows), 2
+    while live.size:
+        a = coeffs_fn(live, m + 1)
+        t = np.zeros((2, live.size))      # the even and odd truncations, stacked;
+        t[1] = _trunc_rows(a[m:], t[1])   # the odd one takes a_{m+1} first
+        even, odd = _trunc_rows(a[:m], t)
+        del a  # free this level's coefficients before the next level's
+        lower, upper = np.where(even <= odd, (even, odd), (odd, even))
+        done = upper - lower <= tol
+        values[live[done]] = (0.5 * (lower + upper))[done]
+        live = live[~done]
+        if live.size and m >= cap:
+            raise _no_convergence(float((upper - lower)[~done][0]), tol, m)
+        m = min(2 * m, cap)
+    return values
 
 
 def eval_adaptive(spec: TailSpec, tol: float,

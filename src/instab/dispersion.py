@@ -8,10 +8,11 @@ tails:
     I+:  a_0(lambda) + g(lambda) = 0           (forward tail undefined)
     I-:  a_0(lambda) + f(lambda) = 0           (backward tail undefined)
 
-value() evaluates the left-hand side; find_root() locates a positive root by
-geometric scan plus bisection; nu0_estimate() finds the smallest viscosity at
-which the lambda=0 value crosses zero, i.e. the threshold below which the
-sign-change premise of the root search holds.  Both searches, and the
+value() evaluates the left-hand side; value_grid() evaluates it over a grid of
+lambda or nu in one batched pass, bit for bit; find_root() locates a positive
+root by geometric scan plus bisection; nu0_estimate() finds the smallest
+viscosity at which the lambda=0 value crosses zero, i.e. the threshold below
+which the sign-change premise of the root search holds.  Both searches, and the
 determinant zero in spectral.det_root, share one doubling scan
 (_first_crossing) and one bisection (_bisect).
 """
@@ -21,7 +22,10 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .contfrac import DEFAULT_MAX_DEPTH, Direction, TailSpec, eval_adaptive, eval_trunc
+import numpy as np
+
+from .contfrac import (DEFAULT_MAX_DEPTH, Direction, TailSpec, _adaptive_rows, _trunc_rows,
+                       eval_adaptive, eval_trunc)
 from .errors import NoConvergence, ThresholdNotFound
 from .lattice import PointClass
 from .models import CoefficientStream, FlowParams
@@ -30,6 +34,7 @@ __all__ = [
     "DispersionSpec",
     "RootResult",
     "value",
+    "value_grid",
     "find_root",
     "nu0_estimate",
 ]
@@ -87,6 +92,48 @@ def value(lam: float, spec: DispersionSpec, tol: float = 1e-10,
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     return _value_info(lam, spec, tol, depth, max_depth)[0]
+
+
+def value_grid(spec: DispersionSpec, lam=0.0, nu=None, tol: float = 1e-10,
+               depth: int | None = None, max_depth: int = DEFAULT_MAX_DEPTH
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Dispersion values and center coefficients a_0 over a grid, in one pass.
+
+    ``lam`` and ``nu`` (default: the params' nu) broadcast to one 1-D grid,
+    such as a lambda array or a nu array at lambda = 0.  Each row equals value()
+    bit for bit; at the depth cap the first failing row raises as value() does.
+    """
+    lam, nu = np.broadcast_arrays(np.atleast_1d(np.asarray(lam, dtype=np.float64)),
+                                  np.asarray(spec.params.nu if nu is None else nu))
+    if np.any(lam < 0):
+        raise ValueError("lambda must be nonnegative")
+    if np.any(nu < 0):
+        raise ValueError("viscosity must be nonnegative")
+    cs = CoefficientStream(spec.params)
+    signs = np.array([direction.value for direction in spec.tails])
+
+    def coeffs(live, k):
+        # row r is tail r % len(signs) of point r // len(signs), value()'s order;
+        # a_n = (lambda + nu*d_n)/rho_n as in CoefficientStream.coeff, in place
+        point, tail = np.divmod(live, len(signs))
+        n = np.arange(1, k + 1)[:, None] * signs
+        rho_n, a = cs._defined_rho(n), cs.diag_weight(n)[:, tail]
+        a *= nu[point]
+        a += lam[point]
+        for j in range(len(signs)):
+            np.divide(a, rho_n[:, j, None], out=a, where=tail == j)
+        return a
+
+    a0 = (lam + nu * cs.diag_weight(0)) / cs._defined_rho(0)
+    rows = lam.size * len(signs)
+    if depth is None:
+        tails = _adaptive_rows(coeffs, rows, tol / 4.0, max_depth)
+    else:
+        tails = _trunc_rows(coeffs(np.arange(rows), depth), np.zeros(rows))
+    total = a0
+    for column in tails.reshape(-1, len(signs)).T:
+        total = total + column
+    return total, a0
 
 
 @dataclass(frozen=True)

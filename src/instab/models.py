@@ -229,12 +229,16 @@ class CoefficientStream:
         Raises IndexUndefined where rho_n = 0 (the degenerate index of the
         I+/I- classes); callers on those classes must not request it.
         """
+        return (lam + self.params.nu * self.diag_weight(n)) / self._defined_rho(n)
+
+    def _defined_rho(self, n) -> np.ndarray:
+        # rho_n where every recurrence coefficient a_n is defined, else IndexUndefined
         n = np.asarray(n)
         rho_n = self.rho(n)
         if not np.all(rho_n):
             raise IndexUndefined(
                 f"rho({n[rho_n == 0.0][0]}) = 0 for {self.params.point_class.value}")
-        return (lam + self.params.nu * self.diag_weight(n)) / rho_n
+        return rho_n
 
 
 def c(n: int, params: FlowParams) -> int:

@@ -171,8 +171,8 @@ def det_I_plus_K(lam: float, params: FlowParams, N: int) -> DeterminantSample:
     K = build_K(lam, params, N)
     d_prev2, d_prev = 1.0, 1.0  # empty minor and the first 1x1 block
     shift = 0
-    for i in range(2 * N):
-        d = d_prev - K.sub[i] * K.sup[i] * d_prev2
+    for sub, sup in zip(K.sub.tolist(), K.sup.tolist()):
+        d = d_prev - sub * sup * d_prev2
         mag = max(abs(d), abs(d_prev))
         if mag > 2.0 ** 256 or (0.0 < mag < 2.0 ** -256):
             _, e = math.frexp(mag)

@@ -8,9 +8,11 @@ import math
 
 import pytest
 
-from instab import DispersionSpec, det_I_plus_K, recurrence_coeff, value
+import instab.dispersion
+from instab import (CoefficientStream, DispersionSpec, det_I_plus_K, det_root,
+                    recurrence_coeff, value)
 from instab.cli import run
-from conftest import LAM_STAR, NU_STAR, make_params
+from conftest import LAM_STAR, NU_STAR, count_calls, make_params
 
 
 def run_json(capsys, argv):
@@ -212,6 +214,8 @@ def test_det_root_bracket_mode(capsys):
     got = run_json(capsys, ["det", *FIG, "--root-bracket", "0.2,0.25",
                             "--window", "128", "--format", "json"])
     assert got["det_root"] == pytest.approx(LAM_STAR, abs=1e-7)
+    # the bisection tolerance defaults to 1e-10
+    assert got["det_root"] == det_root(make_params(), 128, (0.2, 0.25), tol=1e-10)
 
 
 @pytest.mark.parametrize("bracket", ["0.1,inf", "nan,0.3"])
@@ -236,6 +240,8 @@ def test_det_rejects_nonpositive_window(capsys, argv):
      "--lambda-max", "0.2", "--step", "0.01"],
     ["--root-bracket", "0.2,0.25", "--lam", "0.3"],
     ["--lam", "0.3", "--step", "5"],
+    ["--lam", "0.3", "--tol", "1e-6"],
+    ["--lambda-min", "0.1", "--lambda-max", "0.2", "--step", "0.1", "--tol", "1e-6"],
 ])
 def test_det_modes_are_exclusive(capsys, argv):
     # --lam, the lambda grid and --root-bracket are three modes; a flag of
@@ -316,6 +322,35 @@ def test_curve_euler_limit(capsys):
                             "--lambda-max", "0.15", "--step", "0.05",
                             "--depth", "200"])
     assert len(rows) == 4
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["curve", "--p", "3,1", "--q=-1,2", "--nu", "0", "--lambda-min", "0.008",
+      "--step", "0.008", "--depth-cap", "64"],
+     "error: NoConvergence: even/odd bracket width 3.236e+00 above tol "
+     "2.500e-11 at depth cap 64\n"),
+    (["curve", "--model", "second-grade", "--alpha", "1", "--p", "3,1", "--q=-1,2",
+      "--scan", "nu", "--nu-min", "1e-4", "--nu-max", "0.05", "--step", "0.001",
+      "--depth-cap", "1000"],
+     "error: NoConvergence: even/odd bracket width 1.987e+01 above tol "
+     "2.500e-11 at depth cap 1000\n"),
+])
+def test_curve_depth_cap_reports_first_failing_row(capsys, argv, err):
+    # the first row in grid order that reaches the cap is the one reported,
+    # with the message one value() call on that row gives
+    assert run(argv) == 3
+    assert capsys.readouterr().err == err
+
+
+def test_curve_has_no_per_point_coefficient_loop(capsys, monkeypatch):
+    seen = count_calls(monkeypatch, CoefficientStream, "rho")
+    calls = []
+    for step, points in (("0.008", 251), ("0.08", 26)):
+        before = len(seen)
+        assert len(run_csv(capsys, ["curve", *FIG, "--lambda-max", "2",
+                                    "--step", step])) == points + 1
+        calls.append(len(seen) - before)
+    assert calls[0] == calls[1]
 
 
 def test_curve_euler_requires_positive_grid(capsys):
@@ -420,6 +455,24 @@ def test_output_file_has_lf_endings(tmp_path, capsys):
     raw = target.read_bytes()
     assert b"\r" not in raw
     assert raw.decode().splitlines()[0] == "rep_x,rep_y,class"
+
+
+@pytest.mark.parametrize("argv", [["root", *FIG],
+                                  ["classify", "--p", "3,1", "--radius", "2"]])
+def test_unwritable_output_refused_before_computing(tmp_path, capsys,
+                                                    monkeypatch, argv):
+    seen = count_calls(monkeypatch, instab.dispersion, "_value_info")
+    target = tmp_path / "missing" / "out"
+    assert run([*argv, "--output", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: cannot write --output")
+    assert seen == []
+    assert not target.exists()
+
+
+def test_output_write_error_is_a_usage_error(tmp_path, capsys):
+    # the parent directory is writable, but the path itself is a directory
+    assert run(["classify", "--p", "3,1", "--q=-1,2", "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: cannot write --output")
 
 
 def test_json_output_file(tmp_path, capsys):

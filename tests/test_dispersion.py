@@ -14,7 +14,9 @@ from instab import (
     default_lambda_cap,
     find_root,
     nu0_estimate,
+    recurrence_coeff,
     value,
+    value_grid,
 )
 from instab.dispersion import _bisect, _first_crossing
 from conftest import LAM_STAR, NU_STAR, count_calls, make_params
@@ -68,6 +70,59 @@ def test_fixed_depth_mode_is_close_but_distinct(fig_params):
     adaptive = value(0.1, spec, tol=1e-12)
     assert shallow == pytest.approx(adaptive, abs=1e-4)
     assert shallow != adaptive
+
+
+# ---------------------------------------------------------------------------
+# the batched grid evaluator: every row equals value() bit for bit
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("model,alpha", [(ModelKind.NAVIER_STOKES, None),
+                                         (ModelKind.SECOND_GRADE, 0.5),
+                                         (ModelKind.NS_ALPHA, 1.0),
+                                         (ModelKind.NS_VOIGT, 0.5)])
+@pytest.mark.parametrize("q", [(-1, 2), (0, -2), (0, 2)])
+def test_value_grid_equals_value(model, alpha, q):
+    pr = make_params(model=model, alpha=alpha, q=q, nu=0.04)
+    spec = spec_of(pr)
+    lams = [0.1 * i for i in range(21)]
+    got, a0 = value_grid(spec, lams)
+    assert got.tolist() == [value(x, spec) for x in lams]
+    assert a0.tolist() == [recurrence_coeff(0, x, pr) for x in lams]
+    got, _ = value_grid(spec, lams, depth=7)
+    assert got.tolist() == [value(x, spec, depth=7) for x in lams]
+    nus = [0.01 + 0.03 * i for i in range(10)]
+    got, a0 = value_grid(spec, 0.0, nus, tol=1e-12)
+    at = [dataclasses.replace(pr, nu=nu) for nu in nus]
+    assert got.tolist() == [value(0.0, spec_of(x), tol=1e-12) for x in at]
+    assert a0.tolist() == [recurrence_coeff(0, 0.0, x) for x in at]
+
+
+@pytest.mark.parametrize("params,lo", [
+    (make_params(nu=0.0), 0.008),  # row depths run from 17 to 4097
+    (make_params(model=ModelKind.SECOND_GRADE, alpha=0.5, nu=0.04), 0.0),  # up to 257
+])
+def test_value_grid_equals_value_on_deep_rows(params, lo):
+    spec = spec_of(params)
+    lams = [lo + 0.008 * i for i in range(251) if lo + 0.008 * i <= 2.0]
+    assert value_grid(spec, lams)[0].tolist() == [value(x, spec) for x in lams]
+
+
+def test_value_grid_rejects_what_value_rejects(fig_params):
+    spec = spec_of(fig_params)
+    with pytest.raises(ValueError, match="lambda must be nonnegative"):
+        value_grid(spec, [0.1, -0.1])
+    with pytest.raises(ValueError, match="viscosity must be nonnegative"):
+        value_grid(spec, 0.0, [0.1, -0.1])
+    with pytest.raises(ValueError, match="tol must be positive"):
+        value_grid(spec, [0.1], tol=0.0)
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        value_grid(spec, [0.1], depth=0)
+    with pytest.raises(NoConvergence) as grid_err:
+        value_grid(spec, [0.2, 0.1], max_depth=4)
+    with pytest.raises(NoConvergence) as scalar_err:
+        value(0.2, spec, max_depth=4)
+    assert str(grid_err.value) == str(scalar_err.value)
+    assert grid_err.value.depth == scalar_err.value.depth == 4
 
 
 # ---------------------------------------------------------------------------
