@@ -1,19 +1,22 @@
 """Eigenvector reconstruction from a certified dispersion root.
 
 At a root lambda the three-term recurrence admits a decaying solution built
-from tail ratios u_n: the forward ratios satisfy u_n = a_n + 1/u_{n+1} with
-u_n -> a_n + [a_{n+1}; ...] deep in the lattice, the backward ones
-u_{n+1} = -1/(a_n - u_n) with u_n -> -[a_{n-1}; ...].  Seeding each march at
-depth N with an adaptively evaluated continued fraction and marching toward
-the junction index 0 is exact in the recurrence (each step is the recurrence
-itself) and contracts seed error, so the only defect of the assembled vector
-sits at the junction row, where it equals the dispersion residual.
+from tail ratios u_n.  Each side s = +1 (forward) or -1 (backward) runs one
+march: seeded at depth N with the adaptively evaluated tail
+t_{N+1} = [a_{s(N+1)}; a_{s(N+2)}; ...], it steps toward the junction index 0
+with d_k = a_{sk} + t_{k+1} and t_k = 1/d_k.  The forward ratios are
+u_n = d_n (so u_0 = a_0 + f) and the backward ones u_{-m} = -t_{m+1} (so
+u_0 = -g).  Each step is the recurrence itself and contracts seed error, so
+the only defect of the assembled vector sits at the junction row, where it
+equals the dispersion residual: the junction check is |a_0 + f + g| for every
+class, over the tails that DispersionSpec gives the class.
 
 From the ratios, z_0 = 1, z_n = 1/(u_1...u_n) for n > 0 and
 z_{-m} = u_0 u_{-1}...u_{-m+1}; the eigenvector is w_n = z_n / rho_n.  The
 I+/I- classes have rho = 0 at one neighbour of the junction; there the
-one-sided vector ends with a single extra entry fixed by the junction row
-(w_{+1} or w_{-1}) and exact zeros beyond.
+one-sided vector ends with a single extra entry fixed by that row of the
+finite section (w_{+1} or w_{-1}) and exact zeros beyond.  The recurrence
+defect is read off the rows of the same section, spectral.build_L.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contfrac import DEFAULT_MAX_DEPTH, eval_adaptive_coeffs
+from .contfrac import DEFAULT_MAX_DEPTH, Direction, eval_adaptive_coeffs
+from .dispersion import DispersionSpec
 from .errors import MatchFailure
-from .lattice import PointClass
 from .models import CoefficientStream, FlowParams
+from .spectral import TruncatedOperator, build_L
 
 __all__ = [
     "EigenvectorResult",
@@ -63,53 +67,43 @@ class EigenvectorResult:
         return all(v == 0.0 for v in self.w.values())
 
 
-def _forward_side(lam, cs, N, tol, max_depth):
-    # u_N = a_N + [a_{N+1}; a_{N+2}; ...], then march down: u_0..u_N
+def _march(lam, cs, s, N, tol, max_depth):
+    # d_k = a_{sk} + t_{k+1} for k = N..0 and t_k = 1/d_k for k >= 1, seeded
+    # with the adaptive tail t_{N+1} = [a_{s(N+1)}; a_{s(N+2)}; ...]
     def tail(k):
-        return cs.coeff(np.arange(N + 1, N + 1 + k, dtype=np.int64), lam)
+        return cs.coeff(s * np.arange(N + 1, N + 1 + k, dtype=np.int64), lam)
 
-    a = cs.coeff(np.arange(N + 1), lam).tolist()
-    u = a[:N] + [a[N] + eval_adaptive_coeffs(tail, tol, max_depth).value]
-    for n in range(N - 1, -1, -1):
-        u[n] += 1.0 / u[n + 1]
-    return np.array(u)
-
-
-def _backward_side(lam, cs, N, tol, max_depth):
-    # u_{-N} = -[a_{-N-1}; a_{-N-2}; ...], then march up: u_{-N}..u_0
-    def tail(k):
-        return cs.coeff(-np.arange(N + 1, N + 1 + k, dtype=np.int64), lam)
-
-    u = [-eval_adaptive_coeffs(tail, tol, max_depth).value]
-    for a_n in cs.coeff(np.arange(-N, 0), lam).tolist():
-        u.append(-1.0 / (a_n - u[-1]))
-    return np.array(u)
+    a = cs.coeff(s * np.arange(N + 1), lam).tolist()
+    t = [0.0] * (N + 1) + [eval_adaptive_coeffs(tail, tol, max_depth).value]
+    d = [0.0] * (N + 1)
+    for k in range(N, -1, -1):
+        d[k] = a[k] + t[k + 1]
+        if k:
+            t[k] = 1.0 / d[k]
+    return np.array(d), np.array(t[1:])
 
 
 def _ratios(lam, params, N, tol, match_tol, max_depth):
     # (u_0..u_N or None, u_{-N}..u_0 or None), checked at the junction
     if N < 1:
         raise ValueError("window N must be at least 1")
-    cls = params.point_class
-    if cls not in (PointClass.TYPE_I0, PointClass.TYPE_I_PLUS, PointClass.TYPE_I_MINUS):
-        raise ValueError(f"eigenvector construction needs class I0/I+/I-, not {cls.value}")
+    tails = DispersionSpec(params).tails
     if match_tol is None:
         match_tol = 100.0 * tol
     cs = CoefficientStream(params)
     fwd = bwd = None
-    if cls is not PointClass.TYPE_I_PLUS:
-        fwd = _forward_side(lam, cs, N, tol, max_depth)
-    if cls is not PointClass.TYPE_I_MINUS:
-        bwd = _backward_side(lam, cs, N, tol, max_depth)
-    if cls is PointClass.TYPE_I0:
-        what, mismatch = "u0 forward/backward mismatch", abs(fwd[0] - bwd[-1])
-    elif cls is PointClass.TYPE_I_PLUS:
-        what, mismatch = "u0 vs a0 mismatch", abs(bwd[-1] - float(cs.coeff(0, lam)))
-    else:
-        what, mismatch = "|u0| = |a0 + f|", abs(fwd[0])
+    if Direction.FORWARD in tails:  # u_n = d_n
+        fwd = _march(lam, cs, 1, N, tol, max_depth)[0]
+    if Direction.BACKWARD in tails:  # u_{-m} = -t_{m+1}
+        bwd = -_march(lam, cs, -1, N, tol, max_depth)[1][::-1]
+    # a missing side stands in as u_0 = a_0 (forward) or 0 (backward), so the
+    # mismatch is |a_0 + f + g| over the tails the class has
+    u0_fwd = float(cs.coeff(0, lam)) if fwd is None else fwd[0]
+    u0_bwd = 0.0 if bwd is None else bwd[-1]
+    mismatch = abs(u0_fwd - u0_bwd)
     if not mismatch <= match_tol:
         raise MatchFailure(
-            f"{what} {mismatch:.3e} exceeds {match_tol:.3e}; "
+            f"u0 forward/backward mismatch {mismatch:.3e} exceeds {match_tol:.3e}; "
             f"lambda={lam!r} is not certified as a root",
             mismatch=mismatch, tol=match_tol,
         )
@@ -191,14 +185,10 @@ def _sign_pattern_ok(w, N):
     return bool(np.all(np.sign(w[nz]) == -np.sign(w[N]) * expect[nz]))
 
 
-def _residual(w, lam, params):
-    # w on [-N, N]; scaled defect of rows -N+1..N-1
-    N = (w.size - 1) // 2
-    cs = CoefficientStream(params)
-    n = np.arange(-N, N + 1)
-    rho_w = cs.rho(n) * w
+def _residual(w, lam, L: TruncatedOperator):
+    # w on [-N, N]; scaled defect of the section rows -N+1..N-1
     w_0 = w[1:-1]
-    defect = rho_w[:-2] - rho_w[2:] - (lam + params.nu * cs.diag_weight(n[1:-1])) * w_0
+    defect = L.sub[:-1] * w[:-2] + L.sup[1:] * w[2:] - (lam - L.diag[1:-1]) * w_0
     return float(np.max(np.abs(defect) / np.maximum(1.0, np.abs(w_0))))
 
 
@@ -215,7 +205,6 @@ def build_w(lam: float, params: FlowParams, N: int, *,
     if N < 3:
         raise ValueError("window N must be at least 3")
     fwd, bwd = _ratios(lam, params, N, tol, match_tol, max_depth)
-    cls = params.point_class
     log_z = np.zeros(2 * N + 1)  # z_0 = 1
     sign_z = np.ones(2 * N + 1)
     if fwd is not None:  # z_n = 1/(u_1...u_n)
@@ -231,25 +220,24 @@ def build_w(lam: float, params: FlowParams, N: int, *,
     # w_n = z_n / rho_n on the built sides; the cut side of I+/I- stays 0.0
     lo = -N if bwd is not None else 0
     hi = N if fwd is not None else 0
-    cs = CoefficientStream(params)
-    rho = cs.rho(np.arange(lo, hi + 1))
+    rho = CoefficientStream(params).rho(np.arange(lo, hi + 1))
     mag = log_z[lo + N:hi + N + 1] - np.log(np.abs(rho))
     # libm exp, not np.exp: numpy's exp kernel depends on the CPU's SIMD
     # level, and a last-bit change in w shows in the junction residual
     w = np.zeros(2 * N + 1)
     w[lo + N:hi + N + 1] = sign_z[lo + N:hi + N + 1] * np.copysign(1.0, rho) * [
         math.exp(m) if m > -745.0 else 0.0 for m in mag.tolist()]
-    rho_0 = rho[-lo]
-    if cls is PointClass.TYPE_I_PLUS:
-        # junction row at n=1 fixes w_1; rho_1 = 0 wipes everything beyond
-        w[N + 1] = rho_0 * w[N] / (lam + params.nu * cs.diag_weight(1))
-    elif cls is PointClass.TYPE_I_MINUS:
-        w[N - 1] = -rho_0 * w[N] / (lam + params.nu * cs.diag_weight(-1))
+    L = build_L(params, N)
+    if fwd is None:
+        # section row n=1 fixes w_1; rho_1 = 0 wipes everything beyond
+        w[N + 1] = L.sub[N] * w[N] / (lam - L.diag[N + 1])
+    elif bwd is None:  # the mirror: row n=-1 fixes w_{-1}
+        w[N - 1] = L.sup[N - 1] * w[N] / (lam - L.diag[N - 1])
 
     rate, r2 = _fit_decay(w, N)
     return EigenvectorResult(
         lam=lam, window=N, w=dict(zip(range(-N, N + 1), w.tolist())),
-        residual=_residual(w, lam, params), decay_rate=rate,
+        residual=_residual(w, lam, L), decay_rate=rate,
         sign_ok=_sign_pattern_ok(w, N), decay_r2=r2,
     )
 
@@ -264,4 +252,4 @@ def residual(result: EigenvectorResult, params: FlowParams) -> float:
     if N < 3:
         raise ValueError("window N must be at least 3")
     w = np.array([result.w.get(n, 0.0) for n in range(-N, N + 1)])
-    return _residual(w, result.lam, params)
+    return _residual(w, result.lam, build_L(params, N))

@@ -3,8 +3,8 @@
 Three routes that never touch the continued fractions:
 
 * finite-section matrix of the orbit operator and its dense spectrum,
-* the perturbation determinant det(I + K_lambda) of the bidiagonal
-  trace-class factor, whose zeros are exactly the eigenvalues,
+* the perturbation determinant det(I + K_lambda) of the section's
+  off-diagonal factor, whose zeros are exactly the eigenvalues,
 * a renormalized RK4 time-stepper measuring the growth rate of a random
   initial vector.
 
@@ -120,11 +120,15 @@ def dominant_mode(params: FlowParams, N: int) -> tuple[float, np.ndarray]:
 
 @dataclass(frozen=True)
 class KMatrix:
-    """Bidiagonal trace-class factor: L - lambda = diag(-nu*d_n - lambda)(I + K).
+    """Off-diagonal factor K of the section: L - lambda = diag(L_nn - lambda)(I + K).
 
-    Zero diagonal; row n has sub k_n*rho_{n-1} and sup -k_n*rho_{n+1} with
-    k_n = 1/(-nu*d_n - lambda) = O(n^-2), so det(I+K) is well defined and
-    vanishes exactly at the eigenvalues.
+    Zero diagonal; with k_n = 1/(L_nn - lambda) = 1/(-nu*d_n - lambda), row n
+    scales the off-diagonals of build_L's row n: sub k_n*rho_{n-1} and sup
+    -k_n*rho_{n+1}.  These are O(n^-2) for NavierStokes and NS-alpha (d_n grows
+    like n^2) and for NS-Voigt (rho_n decays like n^-2), so K is trace class,
+    det(I+K) converges as N grows and vanishes exactly at the eigenvalues.
+    The second-grade d_n is bounded and rho_n tends to a constant, so its K is
+    not trace class: the sectioned determinants grow without limit in N.
     """
 
     N: int
@@ -141,17 +145,12 @@ class KMatrix:
 
 
 def build_K(lam: float, params: FlowParams, N: int) -> KMatrix:
+    """K_lambda of the N-section, read off build_L: k = 1/(L.diag - lambda)."""
     if lam <= 0:
         raise ValueError("the determinant factorization needs lambda > 0")
-    if N < 1:
-        raise ValueError("window N must be at least 1")
-    cs = CoefficientStream(params)
-    n = np.arange(-N, N + 1, dtype=np.int64)
-    k = 1.0 / (-params.nu * cs.diag_weight(n) - lam)
-    rho = cs.rho(n)
-    sub = k[1:] * rho[:-1]    # row n: k_n * rho_{n-1}
-    sup = -k[:-1] * rho[1:]   # row n: -k_n * rho_{n+1}
-    return KMatrix(N=N, k=k, sub=sub, sup=sup)
+    L = build_L(params, N)
+    k = 1.0 / (L.diag - lam)
+    return KMatrix(N=N, k=k, sub=k[1:] * L.sub, sup=k[:-1] * L.sup)
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,9 @@ def det_I_plus_K(lam: float, params: FlowParams, N: int) -> DeterminantSample:
 
     For a unit-diagonal tridiagonal matrix the leading principal minors obey
     D_m = D_{m-1} - sub_m*sup_{m-1}*D_{m-2}; the recurrence is run in scaled
-    form (mantissa plus base-2 exponent) so deep windows cannot overflow.
+    form (mantissa plus base-2 exponent) so deep windows cannot overflow
+    mid-way.  A determinant beyond the double range raises NoConvergence
+    naming N: the sections diverge, as they do where K is not trace class.
     """
     K = build_K(lam, params, N)
     d_prev2, d_prev = 1.0, 1.0  # empty minor and the first 1x1 block
@@ -180,7 +181,15 @@ def det_I_plus_K(lam: float, params: FlowParams, N: int) -> DeterminantSample:
             d_prev = math.ldexp(d_prev, -e)
             shift += e
         d_prev2, d_prev = d_prev, d
-    return DeterminantSample(lam=lam, value=math.ldexp(d_prev, shift), N=N)
+    try:
+        return DeterminantSample(lam=lam, value=math.ldexp(d_prev, shift), N=N)
+    except OverflowError:
+        raise NoConvergence(
+            f"|det(I+K)| of the N={N} section is about 1e"
+            f"{math.log10(abs(d_prev)) + shift * math.log10(2.0):.0f}, beyond the "
+            f"double range (sectioned determinants diverge where K_lambda is not "
+            f"trace class)",
+            depth=N) from None
 
 
 def det_root(params: FlowParams, N: int, bracket: tuple[float, float],

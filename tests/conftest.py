@@ -41,6 +41,16 @@ def count_calls(monkeypatch, module, name, limit=None):
     return seen
 
 
+# one (model, alpha, nu) per model, and one class-I orbit of p=(3,1) per class
+MODELS = [
+    (ModelKind.NAVIER_STOKES, None, 0.06),
+    (ModelKind.SECOND_GRADE, 0.5, 0.04),
+    (ModelKind.NS_ALPHA, 1.0, 0.05),
+    (ModelKind.NS_VOIGT, 0.5, 0.04),
+]
+CLASS_Q = [(-1, 2), (0, -2), (0, 2)]  # I0, I+, I-
+
+
 def make_params(model=ModelKind.NAVIER_STOKES, q=(-1, 2), nu=0.06,
                 alpha=None, gamma=None, p=(3, 1)):
     return FlowParams(model=model, p=LatticeVector(*p), q=LatticeVector(*q),

@@ -224,6 +224,17 @@ def test_det_root_bracket_must_be_finite(capsys, bracket):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [["--lam", "0.3"], ["--root-bracket", "0.1,0.5"]])
+def test_det_beyond_double_range_exits_3(capsys, mode):
+    # the second-grade K_lambda is not trace class: the N=512 determinant
+    # leaves the double range, which is a NoConvergence, not a traceback
+    code = run(["det", "--model", "second-grade", "--alpha", "0.5", "--p", "3,1",
+                "--q=-1,2", "--nu", "0.04", "--window", "512", *mode])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: NoConvergence: ") and "N=512" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["det", *FIG, "--lam", "0.2", "--window", "0"],
     ["det", *FIG, "--lam", "0.2", "--window", "-5"],

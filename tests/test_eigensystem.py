@@ -6,20 +6,24 @@ import numpy as np
 import pytest
 
 from instab import (
+    CoefficientStream,
     DispersionSpec,
     EigenvectorResult,
     MatchFailure,
     ModelKind,
+    PointClass,
     build_L,
     build_u,
     build_w,
     c,
     dominant_mode,
+    eval_adaptive_coeffs,
     find_root,
     residual,
     rho,
+    value,
 )
-from conftest import make_params
+from conftest import CLASS_Q, MODELS, make_params
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +201,83 @@ def test_residual_matches_operator_rows(model, alpha, nu, offset):
     assert res.residual == residual(res, pr)
     if offset:
         assert expect > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# independent references: the ratio marches and the recurrence rows
+# ---------------------------------------------------------------------------
+
+def reference_u(lam, pr, N, tol=1e-12):
+    # the forward and backward ratio loops written out separately: u_N =
+    # a_N + [a_{N+1}; ...] marched down by u_n = a_n + 1/u_{n+1}, and
+    # u_{-N} = -[a_{-N-1}; ...] marched up by u_{n+1} = -1/(a_n - u_n)
+    cs = CoefficientStream(pr)
+    u = {}
+    if pr.point_class is not PointClass.TYPE_I_PLUS:
+        tail = eval_adaptive_coeffs(
+            lambda k: cs.coeff(np.arange(N + 1, N + 1 + k), lam), tol).value
+        fwd = cs.coeff(np.arange(N + 1), lam).tolist()
+        fwd[N] += tail
+        for n in range(N - 1, -1, -1):
+            fwd[n] += 1.0 / fwd[n + 1]
+        u.update(enumerate(fwd))
+    if pr.point_class is not PointClass.TYPE_I_MINUS:
+        tail = eval_adaptive_coeffs(
+            lambda k: cs.coeff(-np.arange(N + 1, N + 1 + k), lam), tol).value
+        bwd = [-tail]
+        for a_n in cs.coeff(np.arange(-N, 0), lam).tolist():
+            bwd.append(-1.0 / (a_n - bwd[-1]))
+        u.update(zip(range(-N, 1), bwd))
+    return u
+
+
+@pytest.fixture(scope="module", params=[(m, q) for m in MODELS for q in CLASS_Q],
+                ids=lambda mq: f"{mq[0][0].value}-q{mq[1][0]},{mq[1][1]}")
+def orbit_root(request):
+    (model, alpha, nu), q = request.param
+    pr = make_params(model=model, alpha=alpha, nu=nu, q=q)
+    return pr, find_root(DispersionSpec(pr), tol=1e-12).lam
+
+
+@pytest.mark.parametrize("N", [3, 64])
+@pytest.mark.parametrize("offset", [0.0, 1e-3])
+def test_u_matches_reference_loops(orbit_root, N, offset):
+    pr, lam = orbit_root
+    lam += offset
+    assert build_u(lam, pr, N, match_tol=math.inf) == reference_u(lam, pr, N)
+
+
+@pytest.mark.parametrize("N", [3, 64])
+@pytest.mark.parametrize("offset", [0.0, 1e-3])
+def test_residual_matches_recurrence_formula(orbit_root, N, offset):
+    # max |rho_{n-1} w_{n-1} - rho_{n+1} w_{n+1} - (lambda + nu*d_n) w_n|
+    # / max(1, |w_n|) over the interior rows, from the coefficient stream
+    pr, lam = orbit_root
+    lam += offset
+    res = build_w(lam, pr, N, match_tol=math.inf)
+    w = np.array([res.w[n] for n in range(-N, N + 1)])
+    cs = CoefficientStream(pr)
+    n = np.arange(-N, N + 1)
+    rho_n = cs.rho(n)
+    rows = (rho_n[:-2] * w[:-2] - rho_n[2:] * w[2:]
+            - (lam + pr.nu * cs.diag_weight(n[1:-1])) * w[1:-1])
+    expect = float(np.max(np.abs(rows) / np.maximum(1.0, np.abs(w[1:-1]))))
+    assert res.residual == expect
+    assert residual(res, pr) == expect
+
+
+def test_junction_mismatch_is_the_dispersion_value(orbit_root):
+    # every class checks |a_0 + f + g| over the tails it has
+    pr, lam = orbit_root
+    with pytest.raises(MatchFailure, match="u0 forward/backward mismatch") as exc:
+        build_u(lam + 1e-3, pr, 8)
+    assert exc.value.mismatch == pytest.approx(
+        abs(value(lam + 1e-3, DispersionSpec(pr), tol=1e-12)), rel=1e-6)
+
+
+@pytest.mark.parametrize("build", [build_u, build_w])
+def test_class_two_orbit_rejected(build):
+    pr = make_params(q=(0, -1))
+    assert pr.point_class is PointClass.TYPE_II
+    with pytest.raises(ValueError, match="classes I0/I\\+/I-"):
+        build(0.2, pr, 8)

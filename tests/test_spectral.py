@@ -7,7 +7,9 @@ import pytest
 
 import instab.spectral
 from instab import (
+    CoefficientStream,
     DispersionSpec,
+    ModelKind,
     NoConvergence,
     NoSignChange,
     build_K,
@@ -20,7 +22,7 @@ from instab import (
     max_real_eig,
     rho,
 )
-from conftest import LAM_STAR, count_calls, make_params
+from conftest import CLASS_Q, LAM_STAR, MODELS, count_calls, make_params
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +180,37 @@ def test_k_entries_decay_quadratically(fig_params):
     n = np.arange(-64, 65)
     scaled = np.abs(K.k) * np.maximum(1, n * n)
     assert np.max(scaled) <= 10.0
+
+
+@pytest.mark.parametrize("model,alpha,nu", MODELS)
+@pytest.mark.parametrize("q", CLASS_Q)
+@pytest.mark.parametrize("offset", [0.0, 1e-3])
+@pytest.mark.parametrize("N", [3, 64])
+def test_k_matches_coefficient_formula(model, alpha, nu, q, offset, N):
+    # k_n = 1/(-nu*d_n - lambda), sub k_n*rho_{n-1}, sup -k_n*rho_{n+1}
+    pr = make_params(model=model, alpha=alpha, nu=nu, q=q)
+    lam = find_root(DispersionSpec(pr), tol=1e-12).lam + offset
+    cs = CoefficientStream(pr)
+    n = np.arange(-N, N + 1)
+    k = 1.0 / (-pr.nu * cs.diag_weight(n) - lam)
+    rho_n = cs.rho(n)
+    K = build_K(lam, pr, N)
+    assert np.array_equal(K.k, k)
+    assert np.array_equal(K.sub, k[1:] * rho_n[:-1])
+    assert np.array_equal(K.sup, -k[:-1] * rho_n[1:])
+
+
+def test_det_beyond_double_range_is_no_convergence():
+    # the second-grade d_n is bounded, so K is not trace class and the
+    # sectioned determinants grow without limit: 1e223 at N=256, then past
+    # the double range
+    pr = make_params(model=ModelKind.SECOND_GRADE, alpha=0.5, nu=0.04)
+    assert math.isfinite(det_I_plus_K(0.3, pr, 256).value)
+    with pytest.raises(NoConvergence, match="N=512") as exc:
+        det_I_plus_K(0.3, pr, 512)
+    assert exc.value.depth == 512
+    with pytest.raises(NoConvergence, match="N=512"):
+        det_root(pr, 512, (0.1, 0.5), tol=1e-10)
 
 
 def test_det_root_agrees_with_dispersion(fig):
