@@ -7,11 +7,14 @@ recurrence coefficients along the orbit,
     f(lambda, nu) = [a_1; a_2; a_3; ...]      (Forward),
     g(lambda, nu) = [a_-1; a_-2; a_-3; ...]   (Backward),
 
-and likewise for the regularized-model coefficient families.  For positive
-coefficient streams the even truncations increase, the odd ones decrease, and
-the limit sits in between, which gives rigorous two-sided brackets: the
-adaptive evaluator doubles the depth until the even/odd bracket is narrower
-than the requested tolerance.
+and likewise for the regularized-model coefficient families.  The adaptive
+evaluator doubles the depth k until a rigorous bracket is within tol: if
+m <= a_n <= M for all n > k, the remainder [a_{k+1}; ...] lies in [L, U],
+L = 1/(M + U), U = 1/(m + L) (Lorentzen & Waadeland, Continued Fractions
+Vol. 1, 2008), and the recurrences over a_1..a_k from L and from U bracket the
+limit.  M = inf gives L = 0, U = 1/a_{k+1}: the even/odd truncations, bit for
+bit.  Only second-grade tails past c* (_tail_bound) have a finite M = a_inf;
+their bracket narrows as 1/(alpha^2 c_k), not with a depth of order 1/a_inf.
 
 One fraction runs as a Python float loop; a grid of them (_trunc_rows,
 _adaptive_rows) runs as one numpy pass with the same per-element arithmetic
@@ -21,13 +24,14 @@ and depth sequence, so each of its values equals the scalar one bit for bit.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateFraction, NoConvergence
-from .models import CoefficientStream, FlowParams, ModelKind, b
+from .models import CoefficientStream, FlowParams, ModelKind, _scale, b
 
 __all__ = [
     "Direction",
@@ -40,6 +44,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DEPTH = 100_000
+UNBOUNDED = (math.inf, math.inf)
 
 
 class Direction(enum.Enum):
@@ -64,10 +69,44 @@ class TailSpec:
         n = self.direction.value * np.arange(1, depth + 1, dtype=np.int64)
         return CoefficientStream(self.params).coeff(n, self.lam)
 
+    def bound(self) -> tuple[float, float]:
+        """_tail_bound's (a_max, first) for this tail."""
+        return tuple(map(float, _tail_bound(self.params, self.lam, self.params.nu)))
+
+
+def _tail_bound(params: FlowParams, lam, nu):
+    """(a_max, first) at each (lam, nu): a_{k+1} <= a_n <= a_max for all n > k
+    once k + 1 >= first, in either direction; UNBOUNDED where none is proven.
+
+    Second-grade coefficients at scale s > 0 read a(c) = (lam c + B c^2) /
+    (s (alpha^2 c^2 + c - K)), B = lam alpha^2 + nu, K = |p|^2 (1 + alpha^2 |p|^2).
+    For nu > 0 the numerator of a'(c) is nu c^2 - 2BK c - lam K up to a positive
+    factor, so a(c) rises to a_inf = (lam + nu/alpha^2)/s past its larger root
+    c*; c_{+-n} rises with n >= 1 because q is the orbit's minimizer.
+    """
+    s = _scale(params)
+    if params.model is not ModelKind.SECOND_GRADE or not s > 0:
+        return UNBOUNDED
+    pos = np.asarray(nu) > 0.0
+    nu = np.where(pos, nu, 1.0)  # a placeholder where the bound does not hold
+    a2, pp = params.alpha_sq, params.p_norm_sq
+    k = pp * (1.0 + a2 * pp)
+    bk = (lam * a2 + nu) * k
+    c_star = (bk + np.sqrt(bk * bk + nu * lam * k)) / nu
+    # c_{+-n} = |q +- n p|^2 >= (n|p| - |q|)^2 >= c* from n = first on
+    first = np.maximum(1.0, np.ceil((np.sqrt(c_star) + math.sqrt(params.q.norm_sq))
+                                    / math.sqrt(pp)))
+    return np.where(pos, (lam + nu / a2) / s, math.inf), np.where(pos, first, math.inf)
+
+
+def _region_floor(a_next, a_max):
+    """L of [L, U] when a_next = a_{k+1} <= a_n <= a_max, n > k, free of cancellation."""
+    return 2.0 / (a_max * (1.0 + np.sqrt(1.0 + 4.0 / (a_next * a_max))))
+
 
 @dataclass(frozen=True)
 class BracketedValue:
-    """An adaptive evaluation together with its final even/odd bracket."""
+    """An adaptive evaluation together with its final two-sided bracket."""
 
     value: float
     lower: float
@@ -79,22 +118,22 @@ class BracketedValue:
         return self.upper - self.lower
 
 
-def eval_trunc(coeffs: Sequence[float]) -> float:
+def eval_trunc(coeffs: Sequence[float], tail: float = 0.0) -> float:
     """Evaluate the finite continued fraction [a1; ...; ak] by backward recurrence.
 
-    Innermost term first; numerically stable for positive coefficients and
-    free of convergent overflow.  Raises DegenerateFraction on a zero
-    intermediate denominator (callers may perturb the depth by one).
+    Innermost term first, from the remainder ``tail`` after a_k; stable for
+    positive coefficients, free of convergent overflow.  Raises DegenerateFraction
+    on a zero intermediate denominator (callers may perturb the depth by one).
     """
     seq = np.asarray(coeffs, dtype=np.float64)
     if seq.size == 0:
         raise ValueError("continued fraction needs at least one coefficient")
-    t = 0.0
-    for a in seq[::-1].tolist():
-        d = a + t
-        if d == 0.0:
-            raise DegenerateFraction("zero intermediate denominator")
-        t = 1.0 / d
+    t = tail
+    try:  # a float division by zero raises: the zero denominator check, for free
+        for a in seq[::-1].tolist():
+            t = 1.0 / (a + t)
+    except ZeroDivisionError:
+        raise DegenerateFraction("zero intermediate denominator") from None
     return t
 
 
@@ -103,12 +142,14 @@ def eval_adaptive_coeffs(
     tol: float,
     max_depth: int = DEFAULT_MAX_DEPTH,
     start_depth: int = 2,
+    bound: tuple[float, float] = UNBOUNDED,
 ) -> BracketedValue:
-    """Bracket the limit of [a1; a2; ...] between even and odd truncations.
+    """Bracket the limit of [a1; a2; ...] between two truncations (see module).
 
     ``coeffs_fn(k)`` must return the first k coefficients.  Depth doubles
     until the (even, odd) pair is within tol; the final evaluation happens at
     ``max_depth`` exactly before giving up, so the cap is part of the search.
+    ``bound`` is TailSpec.bound's (a_max, first): past first both start from L.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -118,8 +159,9 @@ def eval_adaptive_coeffs(
     m = min(m, max_depth - max_depth % 2)
     while True:
         arr = np.asarray(coeffs_fn(m + 1), dtype=np.float64)
-        even = eval_trunc(arr[:m])
-        odd = eval_trunc(arr)
+        t = float(_region_floor(arr[m], bound[0])) if m + 1 >= bound[1] else 0.0
+        even = eval_trunc(arr[:m], t)
+        odd = eval_trunc(arr, t)
         lower, upper = (even, odd) if even <= odd else (odd, even)
         if upper - lower <= tol:
             return BracketedValue(0.5 * (lower + upper), lower, upper, m + 1)
@@ -155,11 +197,13 @@ def _trunc_rows(a: np.ndarray, t) -> np.ndarray:
 
 
 def _adaptive_rows(coeffs_fn: Callable[[np.ndarray, int], np.ndarray], rows: int,
-                   tol: float, max_depth: int = DEFAULT_MAX_DEPTH) -> np.ndarray:
+                   bound: tuple[np.ndarray, np.ndarray], tol: float,
+                   max_depth: int = DEFAULT_MAX_DEPTH) -> np.ndarray:
     """eval_adaptive_coeffs from depth 2 over ``rows`` fractions at once.
 
     ``coeffs_fn(live, k)`` gives the first k coefficients of the fractions
-    ``live`` as a (k, len(live)) array; at the cap the first failing one raises.
+    ``live`` as a (k, len(live)) array, ``bound`` each row's (a_max, first); at
+    the cap the first failing one raises.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -169,7 +213,9 @@ def _adaptive_rows(coeffs_fn: Callable[[np.ndarray, int], np.ndarray], rows: int
     values, live, m = np.empty(rows), np.arange(rows), 2
     while live.size:
         a = coeffs_fn(live, m + 1)
-        t = np.zeros((2, live.size))      # the even and odd truncations, stacked;
+        t = np.zeros((2, live.size))      # the even and odd truncations, stacked
+        on = m + 1 >= bound[1][live]      # both start from L past first
+        t[:, on] = _region_floor(a[m, on], bound[0][live[on]])
         t[1] = _trunc_rows(a[m:], t[1])   # the odd one takes a_{m+1} first
         even, odd = _trunc_rows(a[:m], t)
         del a  # free this level's coefficients before the next level's
@@ -187,7 +233,7 @@ def eval_adaptive(spec: TailSpec, tol: float,
                   max_depth: int = DEFAULT_MAX_DEPTH,
                   start_depth: int = 2) -> BracketedValue:
     """Adaptive evaluation of a dispersion tail to a two-sided tolerance."""
-    return eval_adaptive_coeffs(spec.coeffs, tol, max_depth, start_depth)
+    return eval_adaptive_coeffs(spec.coeffs, tol, max_depth, start_depth, spec.bound())
 
 
 def even_trunc_slope_at_zero(k: int, direction: Direction,

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contfrac import (DEFAULT_MAX_DEPTH, Direction, TailSpec, _adaptive_rows, _trunc_rows,
-                       eval_adaptive, eval_trunc)
+from .contfrac import (DEFAULT_MAX_DEPTH, Direction, TailSpec, _adaptive_rows, _tail_bound,
+                       _trunc_rows, eval_adaptive, eval_trunc)
 from .errors import NoConvergence, ThresholdNotFound
 from .lattice import PointClass
 from .models import CoefficientStream, FlowParams
@@ -127,7 +127,10 @@ def value_grid(spec: DispersionSpec, lam=0.0, nu=None, tol: float = 1e-10,
     a0 = (lam + nu * cs.diag_weight(0)) / cs._defined_rho(0)
     rows = lam.size * len(signs)
     if depth is None:
-        tails = _adaptive_rows(coeffs, rows, tol / 4.0, max_depth)
+        # each row's TailSpec.bound, the same for both tails of a point
+        bound = [np.repeat(np.broadcast_to(x, lam.shape), len(signs))
+                 for x in _tail_bound(spec.params, lam, nu)]
+        tails = _adaptive_rows(coeffs, rows, bound, tol / 4.0, max_depth)
     else:
         tails = _trunc_rows(coeffs(np.arange(rows), depth), np.zeros(rows))
     total = a0
@@ -276,11 +279,11 @@ def nu0_estimate(params: FlowParams, tol: float = 1e-8, *,
     ThresholdNotFound if h never crosses by ``nu_cap``.
 
     Scan points where the tails themselves fail to converge within the depth
-    cap are skipped as indeterminate: for the regularized models the
-    coefficient streams flatten to O(nu) constants as nu -> 0, where the
-    fraction converges too slowly to evaluate, while the crossing sits at
-    moderate nu where evaluation is cheap.  Skipped points never enter the
-    bisection bracket.
+    cap are skipped as indeterminate, and never enter the bisection bracket.
+    The second-grade coefficient streams flatten to O(nu) constants as
+    nu -> 0, where the even/odd bracket would need a depth of order 1/nu; their
+    value-region bracket (TailSpec.bound) evaluates those points instead, so
+    second-grade scan points no longer skip.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

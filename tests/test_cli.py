@@ -343,7 +343,7 @@ def test_curve_euler_limit(capsys):
     (["curve", "--model", "second-grade", "--alpha", "1", "--p", "3,1", "--q=-1,2",
       "--scan", "nu", "--nu-min", "1e-4", "--nu-max", "0.05", "--step", "0.001",
       "--depth-cap", "1000"],
-     "error: NoConvergence: even/odd bracket width 1.987e+01 above tol "
+     "error: NoConvergence: even/odd bracket width 9.029e-08 above tol "
      "2.500e-11 at depth cap 1000\n"),
 ])
 def test_curve_depth_cap_reports_first_failing_row(capsys, argv, err):

@@ -1,24 +1,29 @@
 """Continued-fraction evaluation: closed-form fixtures, the even/odd
-truncation bracket (verified in exact rational arithmetic), and the
+truncation bracket (verified in exact rational arithmetic), the value-region
+bracket of second-grade tails (checked against mpmath at 30 digits), and the
 slope-at-zero formulas."""
 
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from instab import (
     DegenerateFraction,
     Direction,
+    ModelKind,
     NoConvergence,
     TailSpec,
     b,
+    c,
     eval_adaptive,
     eval_adaptive_coeffs,
     eval_trunc,
     even_trunc_slope_at_zero,
 )
+from instab.contfrac import UNBOUNDED
 from conftest import make_params
 
 
@@ -152,6 +157,79 @@ def test_no_convergence_reports_depth():
         eval_adaptive_coeffs(lambda d: [1e-6] * d, tol=1e-10, max_depth=64)
     assert exc.value.depth == 64
     assert exc.value.width > 1.0
+
+
+# ---------------------------------------------------------------------------
+# value-region bracket: where it applies, and that it holds
+# ---------------------------------------------------------------------------
+
+SG = ModelKind.SECOND_GRADE
+
+
+@pytest.mark.parametrize("params,lam", [
+    (make_params(nu=0.06), 0.1),
+    (make_params(model=ModelKind.NS_ALPHA, alpha=1.0, nu=1e-4), 0.0),
+    (make_params(model=ModelKind.NS_VOIGT, alpha=0.5, nu=1e-4), 0.0),
+    (make_params(model=SG, alpha=1.0, nu=0.0), 0.3),
+    (make_params(model=SG, alpha=1.0, nu=1e-4), 0.5),  # converges before c*
+])
+@pytest.mark.parametrize("direction", list(Direction))
+def test_bracket_is_even_odd_outside_the_bounded_region(params, lam, direction):
+    tail = TailSpec(direction, params, lam)
+    br = eval_adaptive(tail, tol=1e-12)
+    a_max, first = tail.bound()
+    assert (a_max, first) == UNBOUNDED or br.depth < first
+    k = br.depth - 1
+    truncs = sorted([eval_trunc(tail.coeffs(k)), eval_trunc(tail.coeffs(k + 1))])
+    assert [br.lower, br.upper] == truncs
+
+
+def mp_coeffs(params, direction, lam, depth):
+    # a_n = (lambda + nu d_n)/rho_n from the model definition, at the
+    # normalized scale, over the exact integers c_n
+    a2 = mpmath.mpf(params.alpha) ** 2
+    k = params.p_norm_sq * (1 + a2 * params.p_norm_sq)
+
+    def a(cn):
+        return (lam + params.nu * cn / (1 + a2 * cn)) / (1 - k / (cn * (1 + a2 * cn)))
+
+    cs = [c(direction.value * n, params) for n in range(1, depth + 2)]
+    return [a(mpmath.mpf(cn)) for cn in cs], a, lam + params.nu / a2
+
+
+def mp_trunc(coeffs, t):
+    for a in reversed(coeffs):
+        t = 1 / (a + t)
+    return t
+
+
+@pytest.mark.parametrize("nu", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("direction", list(Direction))
+def test_value_region_bracket_holds_at_30_digits(nu, lam, direction):
+    params = make_params(model=SG, alpha=1.0, nu=nu)
+    br = eval_adaptive(TailSpec(direction, params, lam), tol=1e-6)
+    if lam == 0.0:  # the even/odd bracket alone needs up to 2^18 terms here
+        assert br.depth <= 513
+    depth = 2048
+    with mpmath.workdps(30):
+        coeffs, a_of_c, a_inf = mp_coeffs(params, direction, mpmath.mpf(lam), depth)
+        # a(c) rises from c_{depth+1} on: the numerator of a'(c) is a quadratic
+        # with positive leading and nonpositive constant term, so once positive
+        # at some c > 0 it stays positive; and c_n rises along the tail
+        c_next = mpmath.mpf(c(direction.value * (depth + 1), params))
+        assert mpmath.diff(a_of_c, c_next) > 0
+        m = coeffs[depth]
+        assert m < a_inf
+        lower = m * (-1 + mpmath.sqrt(1 + 4 / (m * a_inf))) / 2
+        ref = sorted([mp_trunc(coeffs[:depth], lower),
+                      mp_trunc(coeffs[:depth], 1 / (m + lower))])
+        even_odd = sorted([mp_trunc(coeffs[:depth], 0), mp_trunc(coeffs[:depth + 1], 0)])
+        assert even_odd[0] <= ref[0] <= ref[1] <= even_odd[1]
+        assert ref[1] - ref[0] <= 1e-7
+        slack = 1e-15
+        assert br.lower - slack <= ref[0] and ref[1] <= br.upper + slack
+        assert abs(br.value - (ref[0] + ref[1]) / 2) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -95,11 +95,17 @@ def test_value_grid_equals_value(model, alpha, q):
     at = [dataclasses.replace(pr, nu=nu) for nu in nus]
     assert got.tolist() == [value(0.0, spec_of(x), tol=1e-12) for x in at]
     assert a0.tolist() == [recurrence_coeff(0, 0.0, x) for x in at]
+    if model is ModelKind.SECOND_GRADE:
+        # value-region rows: the even/odd bracket alone reaches the depth cap here
+        nus = [2e-5, 4e-5]
+        got, _ = value_grid(spec, 0.0, nus)
+        at = [dataclasses.replace(pr, nu=nu) for nu in nus]
+        assert got.tolist() == [value(0.0, spec_of(x)) for x in at]
 
 
 @pytest.mark.parametrize("params,lo", [
     (make_params(nu=0.0), 0.008),  # row depths run from 17 to 4097
-    (make_params(model=ModelKind.SECOND_GRADE, alpha=0.5, nu=0.04), 0.0),  # up to 257
+    (make_params(model=ModelKind.SECOND_GRADE, alpha=0.5, nu=0.04), 0.0),  # up to 129
 ])
 def test_value_grid_equals_value_on_deep_rows(params, lo):
     spec = spec_of(params)
