@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 usage/parameter errors (including non-finite
 numbers, orbit classes a computation does not support and an --output that
-cannot be written, checked before computing), 3 computation
-failures (no sign change, no convergence, junction mismatch, threshold not
-found).
+cannot be written, checked before computing), 3 any InstabError: no
+convergence, junction mismatch, threshold not found, or NoSignChange
+(including a failed root search in root, eigvec and verify).
 
 Output is JSON (``"schema": 1``) or CSV (mandatory header, 17 significant
 digits) depending on --format, written with LF line endings to stdout or to
@@ -26,7 +26,7 @@ import sys
 from .contfrac import DEFAULT_MAX_DEPTH
 from .dispersion import DispersionSpec, RootResult, find_root, nu0_estimate, value_grid
 from .eigensystem import build_w
-from .errors import InstabError
+from .errors import InstabError, NoSignChange
 from .lattice import LatticeVector, canonical_rep, classify, enumerate_classes, wedge
 from .models import FlowParams, ModelKind
 from .spectral import _dt_max, build_L, det_I_plus_K, det_root, growth_rate, max_real_eig
@@ -36,10 +36,6 @@ __all__ = ["run", "main"]
 
 class UsageError(Exception):
     pass
-
-
-class _SearchFailed(Exception):
-    """A root search found no sign change; run() prints its diagnostic, exit 3."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,16 +122,6 @@ def _params_from(args, *, require_nu: bool = True) -> FlowParams:
     )
 
 
-def _dispersion_spec(params: FlowParams) -> DispersionSpec:
-    try:
-        return DispersionSpec(params)
-    except ValueError:
-        raise UsageError(
-            f"class not supported: dispersion takes orbit classes I0/I+/I-, "
-            f"got {params.point_class.value!r}"
-        ) from None
-
-
 def _require_positive_nu(params: FlowParams) -> None:
     if params.nu == 0:
         raise UsageError("nu=0 (no dissipation) is supported only by `curve`")
@@ -160,7 +146,7 @@ def _found_root(spec: DispersionSpec, args, **kwargs) -> RootResult:
     # the one search-or-fail path of root, eigvec and verify
     result = find_root(spec, max_depth=_max_depth(args), **kwargs)
     if not result.found:
-        raise _SearchFailed(result.diagnostic)
+        raise NoSignChange(result.diagnostic.removeprefix("NoSignChange: "))
     return result
 
 
@@ -227,7 +213,7 @@ def _cmd_classify(args) -> int:
 def _cmd_root(args) -> int:
     params = _params_from(args)
     _require_positive_nu(params)
-    spec = _dispersion_spec(params)
+    spec = DispersionSpec(params)
     result = _found_root(spec, args, tol=args.tol, lambda_cap=args.lambda_cap,
                          depth=args.depth)
     _emit(args, {**_flow_meta(params),
@@ -243,7 +229,6 @@ def _cmd_root(args) -> int:
 
 def _cmd_nu0(args) -> int:
     params = _params_from(args, require_nu=False)
-    _dispersion_spec(params)
     nu0 = nu0_estimate(params, tol=args.tol, nu_cap=args.nu_cap,
                        max_depth=_max_depth(args))
     meta = _flow_meta(params)
@@ -256,7 +241,7 @@ def _cmd_nu0(args) -> int:
 def _cmd_eigvec(args) -> int:
     params = _params_from(args)
     _require_positive_nu(params)
-    spec = _dispersion_spec(params)
+    spec = DispersionSpec(params)
     lam = args.lam
     if lam is None:
         lam = _found_root(spec, args, tol=min(args.tol, 1e-10)).lam
@@ -305,8 +290,6 @@ def _cmd_det(args) -> int:
         grid = [args.lam]
     else:
         grid = _grid(*grid_flags, "lambda")
-    if any(x <= 0 for x in grid):
-        raise UsageError("the determinant factorization needs lambda > 0")
     samples = [det_I_plus_K(x, params, N) for x in grid]
     header, rows = ["lambda", "det", "n"], [(s.lam, s.value, s.N) for s in samples]
     _emit(args, {**_flow_meta(params), "columns": header,
@@ -331,7 +314,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_curve(args) -> int:
     # a nu scan supplies its own viscosities, so --nu is optional there
     params = _params_from(args, require_nu=(args.scan == "lambda"))
-    spec = _dispersion_spec(params)
+    spec = DispersionSpec(params)
     opts = dict(tol=args.tol, depth=args.depth, max_depth=_max_depth(args))
     meta = _flow_meta(params)
 
@@ -366,7 +349,7 @@ def _cmd_curve(args) -> int:
 def _cmd_verify(args) -> int:
     params = _params_from(args)
     _require_positive_nu(params)
-    spec = _dispersion_spec(params)
+    spec = DispersionSpec(params)
     N = args.window
     lam_cf = _found_root(spec, args, tol=min(args.tol, 1e-10)).lam
     agree = args.agree_tol * max(1.0, lam_cf)
@@ -557,9 +540,6 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     except InstabError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return 3
-    except _SearchFailed as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return 3
 
 

@@ -87,6 +87,8 @@ def _ratios(lam, params, N, tol, match_tol, max_depth):
     # (u_0..u_N or None, u_{-N}..u_0 or None), checked at the junction
     if N < 1:
         raise ValueError("window N must be at least 1")
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
     tails = DispersionSpec(params).tails
     if match_tol is None:
         match_tol = 100.0 * tol

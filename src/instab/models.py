@@ -17,9 +17,11 @@ normalization of Gamma differ between models:
 
 with c_n = ||q + n*p||^2 kept as exact integers and everything else in double
 precision (conditioning is benign: all quantities polynomially bounded in n).
-The normalized forms above assume the scale fixed by gamma(); an explicit
-Gamma multiplies every rho_n by Gamma*(q^p)/(2||p||^2*(1+a^2||p||^2 if
-regularized)).
+NavierStokes is the a = 0 case (FlowParams.alpha_sq is exactly 0.0), so the
+code runs it through the NSAlpha formulas; 1 + 0*x = 1 keeps its values
+bit-identical to the plain forms above.  The normalized forms assume the
+scale fixed by gamma(); an explicit Gamma multiplies every rho_n by
+Gamma*(q^p)/(2||p||^2*(1+a^2||p||^2)).
 """
 
 from __future__ import annotations
@@ -157,8 +159,6 @@ def gamma(params: FlowParams) -> float:
         return params.gamma
     w = wedge(params.q, params.p)
     pp = params.p_norm_sq
-    if params.model is ModelKind.NAVIER_STOKES:
-        return 2.0 * pp / w
     return 2.0 * pp * (1.0 + params.alpha_sq * pp) / w
 
 
@@ -168,10 +168,7 @@ def _scale(params: FlowParams) -> float:
         return 1.0
     w = wedge(params.q, params.p)
     pp = params.p_norm_sq
-    denom = 2.0 * pp
-    if params.model.regularized:
-        denom *= 1.0 + params.alpha_sq * pp
-    return params.gamma * w / denom
+    return params.gamma * w / (2.0 * pp * (1.0 + params.alpha_sq * pp))
 
 
 @dataclass(frozen=True)
@@ -207,14 +204,9 @@ class CoefficientStream:
         cn = self.c(n).astype(np.float64)
         pp = float(self.params.p_norm_sq)
         a2 = self.params.alpha_sq
-        model = self.params.model
-        if model is ModelKind.NAVIER_STOKES:
-            shape = 1.0 - pp / cn
-        elif model in (ModelKind.SECOND_GRADE, ModelKind.NS_ALPHA):
-            shape = 1.0 - (pp * (1.0 + a2 * pp)) / (cn * (1.0 + a2 * cn))
-        else:  # NSVoigt
-            shape = (1.0 - pp / cn) / (1.0 + a2 * cn)
-        return s * shape
+        if self.params.model is ModelKind.NS_VOIGT:
+            return s * ((1.0 - pp / cn) / (1.0 + a2 * cn))
+        return s * (1.0 - (pp * (1.0 + a2 * pp)) / (cn * (1.0 + a2 * cn)))
 
     def diag_weight(self, n) -> np.ndarray:
         """Dissipation weight d_n: the operator diagonal is -nu*d_n."""
@@ -274,10 +266,8 @@ def steady_state(params: FlowParams) -> SteadyState:
     g = gamma(params)
     pp = float(params.p_norm_sq)
     reg = 1.0 + params.alpha_sq * pp
-    if params.model is ModelKind.NAVIER_STOKES:
-        return SteadyState(g, pp * g, g / pp)
-    if params.model is ModelKind.NS_ALPHA:
-        # dissipation acts on the full Laplacian; transport is filtered
-        return SteadyState(g, pp * g, g / (pp * reg))
-    # SecondGrade and NSVoigt filter the forcing as well
-    return SteadyState(g, pp * g / reg, g / (pp * reg))
+    if params.model in (ModelKind.SECOND_GRADE, ModelKind.NS_VOIGT):
+        return SteadyState(g, pp * g / reg, g / (pp * reg))  # forcing filtered too
+    # NSAlpha, and NavierStokes with reg = 1: dissipation acts on the full
+    # Laplacian; transport is filtered
+    return SteadyState(g, pp * g, g / (pp * reg))

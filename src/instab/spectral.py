@@ -167,7 +167,9 @@ def det_I_plus_K(lam: float, params: FlowParams, N: int) -> DeterminantSample:
     D_m = D_{m-1} - sub_m*sup_{m-1}*D_{m-2}; the recurrence is run in scaled
     form (mantissa plus base-2 exponent) so deep windows cannot overflow
     mid-way.  A determinant beyond the double range raises NoConvergence
-    naming N: the sections diverge, as they do where K is not trace class.
+    naming N and the magnitude.  The sections diverge that way where K is not
+    trace class; a trace-class determinant can also be finite but too large
+    (NavierStokes at nu = lambda = 1e-6, N = 512: about 1e635).
     """
     K = build_K(lam, params, N)
     d_prev2, d_prev = 1.0, 1.0  # empty minor and the first 1x1 block
@@ -187,8 +189,7 @@ def det_I_plus_K(lam: float, params: FlowParams, N: int) -> DeterminantSample:
         raise NoConvergence(
             f"|det(I+K)| of the N={N} section is about 1e"
             f"{math.log10(abs(d_prev)) + shift * math.log10(2.0):.0f}, beyond the "
-            f"double range (sectioned determinants diverge where K_lambda is not "
-            f"trace class)",
+            "double range",
             depth=N) from None
 
 

@@ -5,10 +5,15 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import instab
 import instab.dispersion
+import instab.spectral
 from instab import (CoefficientStream, DispersionSpec, det_I_plus_K, det_root,
                     recurrence_coeff, value)
 from instab.cli import run
@@ -106,6 +111,22 @@ def test_root_rejects_unsupported_class(capsys):
     assert "II" in err
 
 
+def test_root_no_sign_change_diagnostic(capsys):
+    # the search's diagnostic is printed once, after the error's class name
+    assert run(["root", "--p", "3,1", "--q=-1,2", "--nu", "10"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: NoSignChange: value(0) = ")
+    assert err.count("NoSignChange") == 1
+
+
+@pytest.mark.parametrize("command", ["root", "nu0", "eigvec", "curve", "verify"])
+def test_dispersion_commands_reject_class_two(capsys, command):
+    # DispersionSpec's rule, stated once in the library
+    assert run([command, "--p", "3,1", "--q=-1,1", "--nu", "0.06"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: dispersion is defined for classes I0/I+/I-, not II\n")
+
+
 def test_root_requires_positive_nu(capsys):
     assert run(["root", "--p", "3,1", "--q=-1,2", "--nu", "0"]) == 2
     capsys.readouterr()
@@ -172,6 +193,15 @@ def test_eigvec_explicit_lambda_off_root_fails(capsys):
     code = run(["eigvec", *FIG, "--lam", "0.3", "--window", "8"])
     capsys.readouterr()
     assert code == 3
+
+
+def test_eigvec_rejects_negative_lambda(capsys):
+    # refused before marching, even with the junction check switched off
+    code = run(["eigvec", *FIG, "--lam=-0.5", "--match-tol", "1e300"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "usage error: lambda must be nonnegative\n"
 
 
 def test_eigvec_json_strict_on_underflowing_window(capsys):
@@ -266,6 +296,21 @@ def test_det_rejects_nonpositive_grid(capsys):
                 "--step", "0.1"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lam", "0"],
+    ["--lam=-0.3"],
+    ["--lambda-min=-0.1", "--lambda-max", "0.2", "--step", "0.1"],
+])
+def test_det_lambda_rule_is_build_K_s(capsys, monkeypatch, argv):
+    # build_K refuses lambda <= 0 first, and only a grid's first point can be
+    # <= 0, so no determinant is computed
+    seen = count_calls(monkeypatch, instab.spectral, "build_L")
+    assert run(["det", *FIG, *argv]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: the determinant factorization needs lambda > 0\n")
+    assert seen == []
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +617,17 @@ def test_flag_abbreviation_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_module_entry_point_help_exits_zero():
+    # main() as the console script runs it, in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(instab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "instab.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: instab ")
 
 
 def test_missing_subcommand_is_usage_error(capsys):

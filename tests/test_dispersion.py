@@ -7,6 +7,7 @@ import pytest
 
 import instab.dispersion
 from instab import (
+    DegenerateFraction,
     DispersionSpec,
     ModelKind,
     NoConvergence,
@@ -129,6 +130,18 @@ def test_value_grid_rejects_what_value_rejects(fig_params):
         value(0.2, spec, max_depth=4)
     assert str(grid_err.value) == str(scalar_err.value)
     assert grid_err.value.depth == scalar_err.value.depth == 4
+
+
+@pytest.mark.parametrize("depth", [None, 8])
+def test_value_grid_degenerates_as_value_at_zero(depth):
+    # lambda = nu = 0 makes every coefficient a_n zero, so the innermost
+    # denominator of the truncation vanishes in both evaluators
+    spec = spec_of(make_params(nu=0.0))
+    with pytest.raises(DegenerateFraction) as grid_err:
+        value_grid(spec, [0.0, 0.5], depth=depth)
+    with pytest.raises(DegenerateFraction) as scalar_err:
+        value(0.0, spec, depth=depth)
+    assert str(grid_err.value) == str(scalar_err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +345,33 @@ def test_threshold_not_found_below_cap(fig_params):
 def test_threshold_rejects_nonpositive_nu_cap(fig_params, cap):
     with pytest.raises(ValueError, match="nu_cap"):
         nu0_estimate(fig_params, nu_cap=cap)
+
+
+def test_threshold_skips_indeterminate_scan_points(fig_params, monkeypatch):
+    # at max_depth=16 the tails of the smallest scan viscosities do not
+    # converge; those points are skipped and the threshold is unchanged
+    inner, skipped = instab.dispersion.value, []
+
+    def recording(lam, spec, **kwargs):
+        try:
+            return inner(lam, spec, **kwargs)
+        except NoConvergence:
+            skipped.append(spec.params.nu)
+            raise
+
+    monkeypatch.setattr(instab.dispersion, "value", recording)
+    nu0 = nu0_estimate(fig_params, tol=1e-8, max_depth=16)
+    assert len(skipped) == 18
+    assert skipped[0] == 1e-8
+    monkeypatch.undo()
+    assert nu0 == nu0_estimate(fig_params, tol=1e-8)
+
+
+def test_threshold_not_found_when_nonpositive_at_seed(fig_params):
+    # the scan starts at nu = tol = 0.5, above the threshold 0.0896...
+    with pytest.raises(ThresholdNotFound, match="already nonpositive") as exc:
+        nu0_estimate(fig_params, tol=0.5)
+    assert exc.value.cap == 100.0
 
 
 def test_threshold_rejects_bad_tol(fig_params):

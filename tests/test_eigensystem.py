@@ -59,6 +59,15 @@ def test_u_match_tol_override_allows_diagnostics(fig):
     assert set(u) == set(range(-8, 9))
 
 
+@pytest.mark.parametrize("build", [build_u, build_w])
+def test_negative_lambda_rejected(fig, build):
+    # value() rejects lambda < 0; the eigenvector path, even with the junction
+    # check switched off, says the same before marching
+    pr, _ = fig
+    with pytest.raises(ValueError, match="lambda must be nonnegative"):
+        build(-0.5, pr, 8, match_tol=math.inf)
+
+
 def test_u_one_sided_for_boundary_classes(plus_params, minus_params):
     lam_p = find_root(DispersionSpec(plus_params), tol=1e-12).lam
     u_p = build_u(lam_p, plus_params, 6)

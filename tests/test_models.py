@@ -120,12 +120,14 @@ def test_coeff_undefined_where_rho_vanishes(plus_params):
 
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_rho_is_gamma_times_beta(model):
-    pr = make_params(model=model, alpha=alpha_for(model))
-    g = gamma(pr)
-    for n in range(-6, 7):
-        k = pr.q + pr.p.scaled(n)
-        expect = g * beta(pr.p, k, model, pr.alpha or 0.0)
-        assert rho(n, pr) == pytest.approx(expect, rel=1e-12, abs=1e-15)
+    # the normalized scale and explicit amplitudes of either sign
+    for explicit in (None, 2.5, -0.75):
+        pr = make_params(model=model, alpha=alpha_for(model), gamma=explicit)
+        g = gamma(pr)
+        for n in range(-6, 7):
+            k = pr.q + pr.p.scaled(n)
+            expect = g * beta(pr.p, k, model, pr.alpha or 0.0)
+            assert rho(n, pr) == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
 
 def test_voigt_coeff_at_zero_matches_nu_b(fig_params):

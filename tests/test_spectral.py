@@ -213,6 +213,17 @@ def test_det_beyond_double_range_is_no_convergence():
         det_root(pr, 512, (0.1, 0.5), tol=1e-10)
 
 
+def test_det_overflow_message_holds_for_trace_class_k():
+    # the NavierStokes K is trace class, so its determinant is finite, but at
+    # nu = lambda = 1e-6 it is about 1e635; the message states only that
+    pr = make_params(nu=1e-6)
+    with pytest.raises(NoConvergence) as exc:
+        det_I_plus_K(1e-6, pr, 512)
+    assert str(exc.value) == ("|det(I+K)| of the N=512 section is about 1e635, "
+                              "beyond the double range")
+    assert exc.value.depth == 512
+
+
 def test_det_root_agrees_with_dispersion(fig):
     pr, lam = fig
     got = det_root(pr, 128, (0.9 * lam, 1.1 * lam), tol=1e-10)
