@@ -62,7 +62,6 @@ from .models import (
 )
 from .spectral import (
     DeterminantSample,
-    KMatrix,
     TruncatedOperator,
     build_K,
     build_L,
@@ -94,7 +93,7 @@ __all__ = [
     # eigenvectors
     "EigenvectorResult", "build_u", "build_w", "residual",
     # spectral oracles
-    "TruncatedOperator", "KMatrix", "DeterminantSample",
+    "TruncatedOperator", "DeterminantSample",
     "build_L", "max_real_eig", "dominant_mode", "build_K",
     "det_I_plus_K", "det_root", "growth_rate",
     # errors

@@ -113,7 +113,7 @@ def _params_from(args, *, require_nu: bool = True) -> FlowParams:
             raise UsageError("--nu is required for this subcommand")
         nu = 1.0  # placeholder; the computation scans nu itself
     return FlowParams(
-        model=ModelKind.from_tag(args.model),
+        model=ModelKind(args.model),
         p=LatticeVector(*_parse_pair(args.p)),
         q=LatticeVector(*_parse_pair(args.q)),
         nu=nu,
@@ -450,7 +450,8 @@ def build_parser() -> _Parser:
     _add_output_args(sp, "json")
     sp.set_defaults(func=_cmd_root)
 
-    sp = sub.add_parser("nu0", help="largest viscosity with a zero-crossing at lambda=0")
+    sp = sub.add_parser("nu0", help="critical viscosity: the sign change of the "
+                                   "dispersion value at lambda=0")
     _add_flow_args(sp)
     sp.add_argument("--tol", type=_finite_float, default=1e-8)
     sp.add_argument("--nu-cap", type=_finite_float, default=100.0)

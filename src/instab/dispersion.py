@@ -158,10 +158,10 @@ class RootResult:
     diagnostic: str | None = None
 
 
-def default_lambda_cap(params: FlowParams, window: int = 8) -> float:
+def default_lambda_cap(params: FlowParams) -> float:
     """Scale past which the center coefficient dominates both tails."""
     cs = CoefficientStream(params)
-    c_max = int(cs.c(range(-window, window + 1)).max())
+    c_max = int(cs.c(range(-8, 9)).max())
     return 10.0 * (params.p_norm_sq + params.nu * c_max)
 
 

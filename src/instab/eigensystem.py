@@ -62,10 +62,6 @@ class EigenvectorResult:
     sign_ok: bool
     decay_r2: float
 
-    @property
-    def is_degenerate(self) -> bool:
-        return all(v == 0.0 for v in self.w.values())
-
 
 def _march(lam, cs, s, N, tol, max_depth):
     # d_k = a_{sk} + t_{k+1} for k = N..0 and t_k = 1/d_k for k >= 1, seeded

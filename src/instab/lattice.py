@@ -51,9 +51,6 @@ class LatticeVector:
     def __sub__(self, other: "LatticeVector") -> "LatticeVector":
         return LatticeVector(self.x - other.x, self.y - other.y)
 
-    def __neg__(self) -> "LatticeVector":
-        return LatticeVector(-self.x, -self.y)
-
     def scaled(self, n: int) -> "LatticeVector":
         return LatticeVector(n * self.x, n * self.y)
 
@@ -66,13 +63,6 @@ class LatticeVector:
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
-
-    def __str__(self) -> str:
-        return f"({self.x},{self.y})"
 
 
 class PointClass(enum.Enum):

@@ -63,13 +63,6 @@ class ModelKind(enum.Enum):
     def regularized(self) -> bool:
         return self is not ModelKind.NAVIER_STOKES
 
-    @classmethod
-    def from_tag(cls, tag: str) -> "ModelKind":
-        for kind in cls:
-            if kind.value == tag:
-                return kind
-        raise ValueError(f"unknown model tag {tag!r}")
-
 
 @dataclass(frozen=True)
 class FlowParams:

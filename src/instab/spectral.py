@@ -24,7 +24,6 @@ from .models import CoefficientStream, FlowParams
 
 __all__ = [
     "TruncatedOperator",
-    "KMatrix",
     "DeterminantSample",
     "build_L",
     "max_real_eig",
@@ -36,16 +35,19 @@ __all__ = [
 ]
 
 DENSE_CAP = 512
+RENORM_EVERY = 16  # RK4 steps per renormalization block of growth_rate
 
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Tridiagonal section of the orbit operator on indices [-N, N].
+    """Tridiagonal section on indices [-N, N]: build_L's operator or build_K's factor.
 
-    Row n carries sub-band rho_{n-1}, diagonal -nu*d_n and sup-band
+    In L, row n carries sub-band rho_{n-1}, diagonal -nu*d_n and sup-band
     -rho_{n+1}; entries referencing |n| > N are dropped (hard Dirichlet
     cutoff; eigenvectors decay exponentially so the boundary effect dies out
-    well inside N=128 for the instances treated here).
+    well inside N=128 for the instances treated here).  dense() refuses
+    windows above DENSE_CAP, so no oracle forms a matrix larger than
+    (2*DENSE_CAP+1)^2.
     """
 
     N: int
@@ -53,11 +55,9 @@ class TruncatedOperator:
     sub: np.ndarray   # length 2N, sub[i] = entry (i+1, i)
     sup: np.ndarray   # length 2N, sup[i] = entry (i, i+1)
 
-    @property
-    def indices(self) -> np.ndarray:
-        return np.arange(-self.N, self.N + 1)
-
     def dense(self) -> np.ndarray:
+        if self.N > DENSE_CAP:
+            raise ValueError(f"window N={self.N} above dense cap {DENSE_CAP}")
         return (np.diag(self.diag)
                 + np.diag(self.sub, -1)
                 + np.diag(self.sup, +1))
@@ -80,32 +80,9 @@ def build_L(params: FlowParams, N: int) -> TruncatedOperator:
                              sup=-rho[1:])  # row n takes -rho_{n+1}
 
 
-def max_real_eig(params: FlowParams, N: int, *,
-                 tol: float | None = None, dense_cap: int = DENSE_CAP) -> float:
-    """Largest real part over the truncated operator's spectrum (dense solve).
-
-    With ``tol`` set, N doubles until two consecutive window sizes agree to
-    tol (NoConvergence at the dense cap otherwise); with tol=None the fixed-N
-    value is returned.
-    """
-    if N > dense_cap:
-        raise ValueError(f"window N={N} above dense cap {dense_cap}")
-
-    def at(n):
-        return float(np.max(np.linalg.eigvals(build_L(params, n).dense()).real))
-
-    lam = at(N)
-    if tol is None:
-        return lam
-    while True:
-        if 2 * N > dense_cap:
-            raise NoConvergence(
-                f"finite sections did not settle to {tol:g} below the dense "
-                f"cap {dense_cap}", depth=N)
-        lam2 = at(2 * N)
-        if abs(lam2 - lam) <= tol:
-            return lam2
-        N, lam = 2 * N, lam2
+def max_real_eig(params: FlowParams, N: int) -> float:
+    """Largest real part over the truncated operator's spectrum (dense solve)."""
+    return float(np.max(np.linalg.eigvals(build_L(params, N).dense()).real))
 
 
 def dominant_mode(params: FlowParams, N: int) -> tuple[float, np.ndarray]:
@@ -118,39 +95,24 @@ def dominant_mode(params: FlowParams, N: int) -> tuple[float, np.ndarray]:
     return float(vals[i].real), v.real
 
 
-@dataclass(frozen=True)
-class KMatrix:
+def build_K(lam: float, params: FlowParams, N: int) -> TruncatedOperator:
     """Off-diagonal factor K of the section: L - lambda = diag(L_nn - lambda)(I + K).
 
-    Zero diagonal; with k_n = 1/(L_nn - lambda) = 1/(-nu*d_n - lambda), row n
-    scales the off-diagonals of build_L's row n: sub k_n*rho_{n-1} and sup
-    -k_n*rho_{n+1}.  These are O(n^-2) for NavierStokes and NS-alpha (d_n grows
-    like n^2) and for NS-Voigt (rho_n decays like n^-2), so K is trace class,
-    det(I+K) converges as N grows and vanishes exactly at the eigenvalues.
-    The second-grade d_n is bounded and rho_n tends to a constant, so its K is
-    not trace class: the sectioned determinants grow without limit in N.
+    Read off build_L: with k_n = 1/(L_nn - lambda) = 1/(-nu*d_n - lambda), row
+    n scales the off-diagonals of L's row n, sub k_n*rho_{n-1} and sup
+    -k_n*rho_{n+1}, and the diagonal is zero.  These are O(n^-2) for
+    NavierStokes and NS-alpha (d_n grows like n^2) and for NS-Voigt (rho_n
+    decays like n^-2), so K is trace class, det(I+K) converges as N grows and
+    vanishes exactly at the eigenvalues.  The second-grade d_n is bounded and
+    rho_n tends to a constant, so its K is not trace class: the sectioned
+    determinants grow without limit in N.
     """
-
-    N: int
-    k: np.ndarray    # length 2N+1
-    sub: np.ndarray  # length 2N, sub[i] = entry (i+1, i)
-    sup: np.ndarray  # length 2N, sup[i] = entry (i, i+1)
-
-    def dense(self) -> np.ndarray:
-        size = 2 * self.N + 1
-        out = np.zeros((size, size))
-        out += np.diag(self.sub, -1)
-        out += np.diag(self.sup, +1)
-        return out
-
-
-def build_K(lam: float, params: FlowParams, N: int) -> KMatrix:
-    """K_lambda of the N-section, read off build_L: k = 1/(L.diag - lambda)."""
     if lam <= 0:
         raise ValueError("the determinant factorization needs lambda > 0")
     L = build_L(params, N)
     k = 1.0 / (L.diag - lam)
-    return KMatrix(N=N, k=k, sub=k[1:] * L.sub, sup=k[:-1] * L.sup)
+    return TruncatedOperator(N=N, diag=np.zeros(2 * N + 1),
+                             sub=k[1:] * L.sub, sup=k[:-1] * L.sup)
 
 
 @dataclass(frozen=True)
@@ -221,13 +183,12 @@ def _dt_max(op: TruncatedOperator) -> float:
 
 
 def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
-                seed: int = 0, w0: np.ndarray | None = None,
-                renorm_every: int = 16) -> float:
+                seed: int = 0, w0: np.ndarray | None = None) -> float:
     """Growth rate of dw/dt = L_truncated w from (seeded) random initial data.
 
     Classic 4-stage explicit integration as a block propagator: the RK4
-    polynomial P = I + A + A^2/2 + A^3/6 + A^4/24 of A = dt*L and P^renorm_every
-    are formed once (an O(n^3 log renorm_every) setup), then each renormalization
+    polynomial P = I + A + A^2/2 + A^3/6 + A^4/24 of A = dt*L and P^RENORM_EVERY
+    are formed once (an O(n^3 log RENORM_EVERY) setup), then each renormalization
     block is one matvec; accumulated log-norm shifts keep growth and decay in
     range. Returns the least-squares slope of log||w(t)|| over the final half.
     """
@@ -237,8 +198,6 @@ def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
         raise ValueError(f"dt={dt:g} unstable for explicit stepping; need dt <= {dt_max:g}")
     if not (math.isfinite(t_final) and t_final > 0):
         raise ValueError("t_final must be positive and finite")
-    if renorm_every < 1:
-        raise ValueError("renorm_every must be at least 1")
     if w0 is None:
         w = np.random.default_rng(seed).standard_normal(2 * N + 1)
     else:
@@ -254,12 +213,12 @@ def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
     P = eye + A @ (eye + A @ (eye + A @ (eye + A / 4.0) / 3.0) / 2.0)
 
     steps = max(1, int(math.ceil(t_final / dt)))
-    B = np.linalg.matrix_power(P, renorm_every) if steps >= renorm_every else None
+    B = np.linalg.matrix_power(P, RENORM_EVERY) if steps >= RENORM_EVERY else None
     log_shift = 0.0
     samples = [(0.0, math.log(float(np.linalg.norm(w))))]
-    for end in range(renorm_every, steps + renorm_every, renorm_every):
+    for end in range(RENORM_EVERY, steps + RENORM_EVERY, RENORM_EVERY):
         step = min(end, steps)
-        w = (B if step == end else np.linalg.matrix_power(P, steps % renorm_every)) @ w
+        w = (B if step == end else np.linalg.matrix_power(P, steps % RENORM_EVERY)) @ w
         nrm = float(np.linalg.norm(w))
         log_shift += math.log(nrm)
         samples.append((step * dt, log_shift))

@@ -332,6 +332,14 @@ def test_simulate_rejects_unstable_dt(capsys):
     assert code == 2
 
 
+def test_simulate_refuses_window_above_dense_cap(capsys):
+    code = run(["simulate", *FIG, "--window", "513"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "above dense cap 512" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # curve
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from instab import (
     CoefficientStream,
     DispersionSpec,
-    EigenvectorResult,
     MatchFailure,
     ModelKind,
     PointClass,
@@ -160,13 +159,6 @@ def test_small_window_rejected(fig):
     pr, lam = fig
     with pytest.raises(ValueError):
         build_w(lam, pr, 2)
-
-
-def test_degenerate_flag():
-    res = EigenvectorResult(lam=0.1, window=2, w={n: 0.0 for n in (-1, 0, 1)},
-                            residual=0.0, decay_rate=0.0, sign_ok=False,
-                            decay_r2=0.0)
-    assert res.is_degenerate
 
 
 # ---------------------------------------------------------------------------

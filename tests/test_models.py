@@ -245,9 +245,9 @@ def test_zero_p_rejected():
 
 def test_model_tags_round_trip():
     for kind in ModelKind:
-        assert ModelKind.from_tag(kind.value) is kind
+        assert ModelKind(kind.value) is kind
     with pytest.raises(ValueError):
-        ModelKind.from_tag("bogus")
+        ModelKind("bogus")
 
 
 @pytest.mark.parametrize("field", ["nu", "alpha", "gamma"])

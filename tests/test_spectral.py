@@ -1,6 +1,7 @@
 """Truncated-operator oracles: spectra, determinants, time-stepping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from instab import (
     max_real_eig,
     rho,
 )
+from instab.spectral import RENORM_EVERY
 from conftest import CLASS_Q, LAM_STAR, MODELS, count_calls, make_params
 
 
@@ -48,8 +50,9 @@ def test_three_by_three_entries(fig_params):
 
 
 def test_indices_and_matvec(fig_params):
+    # the section spans n = -4..4: 9 diagonal entries, 8 on each band
     op = build_L(fig_params, 4)
-    assert list(op.indices) == list(range(-4, 5))
+    assert op.diag.shape == (9,) and op.sub.shape == op.sup.shape == (8,)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(9)
     np.testing.assert_allclose(op.matvec(v), op.dense() @ v, rtol=1e-13,
@@ -86,20 +89,30 @@ def test_max_real_eig_matches_dispersion_root(fig):
     assert max_real_eig(pr, 128) == pytest.approx(lam, abs=1e-9)
 
 
-def test_max_real_eig_doubling_mode(fig):
-    pr, lam = fig
-    got = max_real_eig(pr, 8, tol=1e-10)
-    assert got == pytest.approx(max_real_eig(pr, 256), abs=1e-9)
-
-
-def test_max_real_eig_reports_nonconvergence(fig_params):
-    with pytest.raises(NoConvergence):
-        max_real_eig(fig_params, 40, tol=1e-30, dense_cap=64)
-
-
 def test_max_real_eig_respects_dense_cap(fig_params):
-    with pytest.raises(ValueError):
-        max_real_eig(fig_params, 1024, dense_cap=512)
+    with pytest.raises(ValueError, match="above dense cap 512"):
+        max_real_eig(fig_params, 1024)
+
+
+def test_dense_cap_admits_its_own_window(fig_params):
+    assert build_L(fig_params, 512).dense().shape == (1025, 1025)
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda pr: dominant_mode(pr, 513),
+    lambda pr: growth_rate(pr, 513, 1.0, 1e-6),
+], ids=["dominant_mode", "growth_rate"])
+def test_dense_oracles_refuse_before_allocating(fig_params, oracle):
+    # a 1027^2 float64 matrix is 8.4 MB; the refusal comes while the
+    # O(N) bands are all that exist
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="window N=513 above dense cap 512"):
+            oracle(fig_params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_dominant_mode_consistency(fig):
@@ -177,9 +190,10 @@ def test_det_window_convergence(fig_params):
 
 def test_k_entries_decay_quadratically(fig_params):
     K = build_K(0.25, fig_params, 64)
-    n = np.arange(-64, 65)
-    scaled = np.abs(K.k) * np.maximum(1, n * n)
-    assert np.max(scaled) <= 10.0
+    n = np.arange(-64, 65)  # sub[i] sits in row n[i+1], sup[i] in row n[i]
+    assert not np.any(K.diag)
+    assert np.max(np.abs(K.sub) * np.maximum(1, n[1:] ** 2)) <= 10.0
+    assert np.max(np.abs(K.sup) * np.maximum(1, n[:-1] ** 2)) <= 10.0
 
 
 @pytest.mark.parametrize("model,alpha,nu", MODELS)
@@ -195,7 +209,7 @@ def test_k_matches_coefficient_formula(model, alpha, nu, q, offset, N):
     k = 1.0 / (-pr.nu * cs.diag_weight(n) - lam)
     rho_n = cs.rho(n)
     K = build_K(lam, pr, N)
-    assert np.array_equal(K.k, k)
+    assert np.array_equal(K.diag, np.zeros(2 * N + 1))
     assert np.array_equal(K.sub, k[1:] * rho_n[:-1])
     assert np.array_equal(K.sup, -k[:-1] * rho_n[1:])
 
@@ -330,18 +344,6 @@ def test_growth_rate_rejects_nan_t_final(fig_params):
         growth_rate(fig_params, 8, t_final=math.nan, dt=stable_dt(fig_params, 8))
 
 
-def test_growth_rate_rejects_zero_renorm_every(fig_params):
-    with pytest.raises(ValueError):
-        growth_rate(fig_params, 8, t_final=10.0, dt=stable_dt(fig_params, 8),
-                    renorm_every=0)
-
-
-def test_growth_rate_rejects_negative_renorm_every(fig_params):
-    with pytest.raises(ValueError):
-        growth_rate(fig_params, 8, t_final=10.0, dt=stable_dt(fig_params, 8),
-                    renorm_every=-4)
-
-
 def test_growth_rate_rejects_nan_start(fig_params):
     w0 = np.ones(17)
     w0[3] = math.nan
@@ -382,25 +384,25 @@ def staged_rk4_slope(params, N, steps, dt, renorm_every, seed=0):
     return float(np.polyfit(t[half], y[half], 1)[0])
 
 
-@pytest.mark.parametrize("steps, renorm_every", [
-    (16 * 20 + 5, 16),  # full blocks and a partial one
-    (101, 1),           # renormalized every step
-    (40, 32),           # one full block, then an 8-step partial one
-])
-def test_growth_rate_matches_staged_rk4(fig_params, steps, renorm_every):
+@pytest.mark.parametrize("steps", [
+    16 * 20 + 5,  # full blocks and a partial one
+    16 * 20,      # full blocks only
+    16 + 8,       # one full block, then an 8-step partial one
+], ids=lambda steps: f"{steps}-{RENORM_EVERY}")
+def test_growth_rate_matches_staged_rk4(fig_params, steps):
     dt = stable_dt(fig_params, 8)
     t_final = (steps - 0.5) * dt
     assert math.ceil(t_final / dt) == steps
-    want = staged_rk4_slope(fig_params, 8, steps, dt, renorm_every)
-    got = growth_rate(fig_params, 8, t_final, dt, renorm_every=renorm_every)
+    want = staged_rk4_slope(fig_params, 8, steps, dt, RENORM_EVERY)
+    got = growth_rate(fig_params, 8, t_final, dt)
     assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_growth_rate_single_partial_block(fig_params):
-    # renorm_every > steps: one partial block, so the final half holds a
-    # single sample and neither integrator can fit a slope
+    # fewer than RENORM_EVERY steps: one partial block, so the final half
+    # holds a single sample and neither integrator can fit a slope
     dt = stable_dt(fig_params, 8)
     with pytest.raises(ValueError):
-        staged_rk4_slope(fig_params, 8, 40, dt, renorm_every=64)
+        staged_rk4_slope(fig_params, 8, 10, dt, RENORM_EVERY)
     with pytest.raises(ValueError, match="final half"):
-        growth_rate(fig_params, 8, (40 - 0.5) * dt, dt, renorm_every=64)
+        growth_rate(fig_params, 8, (10 - 0.5) * dt, dt)
