@@ -54,7 +54,6 @@ from .models import (
     b,
     beta,
     c,
-    diag_weight,
     gamma,
     recurrence_coeff,
     rho,
@@ -81,7 +80,7 @@ __all__ = [
     "wedge", "canonical_rep", "classify", "enumerate_classes",
     # models
     "ModelKind", "FlowParams", "SteadyState", "CoefficientStream",
-    "beta", "gamma", "c", "rho", "diag_weight",
+    "beta", "gamma", "c", "rho",
     "recurrence_coeff", "b", "steady_state",
     # continued fractions
     "Direction", "TailSpec", "BracketedValue", "DEFAULT_MAX_DEPTH",

@@ -228,12 +228,13 @@ def _cmd_root(args) -> int:
 
 
 def _cmd_nu0(args) -> int:
+    if args.nu is not None:
+        raise UsageError("nu0 solves for nu and takes no --nu")
     params = _params_from(args, require_nu=False)
     nu0 = nu0_estimate(params, tol=args.tol, nu_cap=args.nu_cap,
                        max_depth=_max_depth(args))
     meta = _flow_meta(params)
-    if args.nu is None:
-        del meta["nu"]  # nu is the unknown here, not an input
+    del meta["nu"]  # nu is the unknown here, not an input
     _emit(args, {**meta, "nu0": nu0}, ["nu0"], [(nu0,)])
     return 0
 
@@ -312,7 +313,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    # a nu scan supplies its own viscosities, so --nu is optional there
+    # a nu scan supplies its own viscosities: --nu is read by a lambda scan only
     params = _params_from(args, require_nu=(args.scan == "lambda"))
     spec = DispersionSpec(params)
     opts = dict(tol=args.tol, depth=args.depth, max_depth=_max_depth(args))
@@ -330,14 +331,13 @@ def _cmd_curve(args) -> int:
         v, a0 = value_grid(spec, grid, **opts)
         header, rows = ["lambda", "minus_a0", "f_plus_g", "dispersion"], zip(grid, -a0, v - a0, v)
     else:
-        if args.lambda_min is not None or args.lambda_max is not None:
-            raise UsageError("--lambda-min/--lambda-max belong to --scan lambda, not --scan nu")
-        # any --nu that was passed is irrelevant: the grid replaces it
+        if any(x is not None for x in (args.nu, args.lambda_min, args.lambda_max)):
+            raise UsageError("--nu, --lambda-min and --lambda-max belong to --scan lambda, "
+                             "not --scan nu")
         grid = _grid(args.nu_min, args.nu_max, args.step, "nu")
         if grid[0] <= 0:
             raise UsageError("the nu grid must be strictly positive")
-        if args.nu is None:
-            del meta["nu"]  # nu is the scan variable, not an input
+        del meta["nu"]  # nu is the scan variable, not an input
         v, a0 = value_grid(spec, 0.0, grid, **opts)
         header, rows = ["nu", "h", "rhs"], zip(grid, v - a0, -a0)
 
@@ -351,10 +351,9 @@ def _cmd_verify(args) -> int:
     _require_positive_nu(params)
     spec = DispersionSpec(params)
     N = args.window
+    lam_mx = max_real_eig(params, N)  # refuses a window above the dense cap first
     lam_cf = _found_root(spec, args, tol=min(args.tol, 1e-10)).lam
     agree = args.agree_tol * max(1.0, lam_cf)
-
-    lam_mx = max_real_eig(params, N)
     ok_mx = abs(lam_mx - lam_cf) <= agree
     lines = [
         f"lambda_cf     = {_fmt(lam_cf)}",

@@ -13,8 +13,9 @@ m <= a_n <= M for all n > k, the remainder [a_{k+1}; ...] lies in [L, U],
 L = 1/(M + U), U = 1/(m + L) (Lorentzen & Waadeland, Continued Fractions
 Vol. 1, 2008), and the recurrences over a_1..a_k from L and from U bracket the
 limit.  M = inf gives L = 0, U = 1/a_{k+1}: the even/odd truncations, bit for
-bit.  Only second-grade tails past c* (_tail_bound) have a finite M = a_inf;
-their bracket narrows as 1/(alpha^2 c_k), not with a depth of order 1/a_inf.
+bit.  Only second-grade tails past c* (CoefficientStream.tail_bound) have a
+finite M = a_inf; their bracket narrows as 1/(alpha^2 c_k), not with a depth
+of order 1/a_inf.
 
 One fraction runs as a Python float loop; a grid of them (_trunc_rows,
 _adaptive_rows) runs as one numpy pass with the same per-element arithmetic
@@ -24,14 +25,13 @@ and depth sequence, so each of its values equals the scalar one bit for bit.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateFraction, NoConvergence
-from .models import CoefficientStream, FlowParams, ModelKind, _scale, b
+from .models import UNBOUNDED, CoefficientStream, FlowParams, b
 
 __all__ = [
     "Direction",
@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DEPTH = 100_000
-UNBOUNDED = (math.inf, math.inf)
 
 
 class Direction(enum.Enum):
@@ -70,33 +69,9 @@ class TailSpec:
         return CoefficientStream(self.params).coeff(n, self.lam)
 
     def bound(self) -> tuple[float, float]:
-        """_tail_bound's (a_max, first) for this tail."""
-        return tuple(map(float, _tail_bound(self.params, self.lam, self.params.nu)))
-
-
-def _tail_bound(params: FlowParams, lam, nu):
-    """(a_max, first) at each (lam, nu): a_{k+1} <= a_n <= a_max for all n > k
-    once k + 1 >= first, in either direction; UNBOUNDED where none is proven.
-
-    Second-grade coefficients at scale s > 0 read a(c) = (lam c + B c^2) /
-    (s (alpha^2 c^2 + c - K)), B = lam alpha^2 + nu, K = |p|^2 (1 + alpha^2 |p|^2).
-    For nu > 0 the numerator of a'(c) is nu c^2 - 2BK c - lam K up to a positive
-    factor, so a(c) rises to a_inf = (lam + nu/alpha^2)/s past its larger root
-    c*; c_{+-n} rises with n >= 1 because q is the orbit's minimizer.
-    """
-    s = _scale(params)
-    if params.model is not ModelKind.SECOND_GRADE or not s > 0:
-        return UNBOUNDED
-    pos = np.asarray(nu) > 0.0
-    nu = np.where(pos, nu, 1.0)  # a placeholder where the bound does not hold
-    a2, pp = params.alpha_sq, params.p_norm_sq
-    k = pp * (1.0 + a2 * pp)
-    bk = (lam * a2 + nu) * k
-    c_star = (bk + np.sqrt(bk * bk + nu * lam * k)) / nu
-    # c_{+-n} = |q +- n p|^2 >= (n|p| - |q|)^2 >= c* from n = first on
-    first = np.maximum(1.0, np.ceil((np.sqrt(c_star) + math.sqrt(params.q.norm_sq))
-                                    / math.sqrt(pp)))
-    return np.where(pos, (lam + nu / a2) / s, math.inf), np.where(pos, first, math.inf)
+        """CoefficientStream.tail_bound's (a_max, first) for this tail."""
+        return tuple(map(float, CoefficientStream(self.params).tail_bound(
+            self.lam, self.params.nu)))
 
 
 def _region_floor(a_next, a_max):
@@ -112,10 +87,6 @@ class BracketedValue:
     lower: float
     upper: float
     depth: int
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
 
 def eval_trunc(coeffs: Sequence[float], tail: float = 0.0) -> float:
@@ -151,13 +122,7 @@ def eval_adaptive_coeffs(
     ``max_depth`` exactly before giving up, so the cap is part of the search.
     ``bound`` is TailSpec.bound's (a_max, first): past first both start from L.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_depth < 2:
-        raise ValueError("max_depth must be at least 2")
-    m = max(2, start_depth - start_depth % 2)
-    m = min(m, max_depth - max_depth % 2)
-    while True:
+    for m in _levels(tol, max_depth, start_depth):
         arr = np.asarray(coeffs_fn(m + 1), dtype=np.float64)
         t = float(_region_floor(arr[m], bound[0])) if m + 1 >= bound[1] else 0.0
         even = eval_trunc(arr[:m], t)
@@ -165,10 +130,26 @@ def eval_adaptive_coeffs(
         lower, upper = (even, odd) if even <= odd else (odd, even)
         if upper - lower <= tol:
             return BracketedValue(0.5 * (lower + upper), lower, upper, m + 1)
-        nxt = min(2 * m, max_depth - max_depth % 2)
-        if nxt <= m:
-            raise _no_convergence(upper - lower, tol, m)
-        m = nxt
+    raise _no_convergence(upper - lower, tol, m)
+
+
+def _levels(tol: float, max_depth: int, start: int = 2):
+    """The depths m of the adaptive (m, m + 1) pairs, shared by both drivers.
+
+    ``start`` rounded down to even (at least 2), doubled up to the even cap
+    at or below ``max_depth``, which is the last level.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_depth < 2:
+        raise ValueError("max_depth must be at least 2")
+    cap = max_depth - max_depth % 2
+    m = min(max(2, start - start % 2), cap)
+    while True:
+        yield m
+        if m >= cap:
+            return
+        m = min(2 * m, cap)
 
 
 def _no_convergence(width: float, tol: float, m: int) -> NoConvergence:
@@ -205,13 +186,8 @@ def _adaptive_rows(coeffs_fn: Callable[[np.ndarray, int], np.ndarray], rows: int
     ``live`` as a (k, len(live)) array, ``bound`` each row's (a_max, first); at
     the cap the first failing one raises.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_depth < 2:
-        raise ValueError("max_depth must be at least 2")
-    cap = max_depth - max_depth % 2
-    values, live, m = np.empty(rows), np.arange(rows), 2
-    while live.size:
+    values, live = np.empty(rows), np.arange(rows)
+    for m in _levels(tol, max_depth):
         a = coeffs_fn(live, m + 1)
         t = np.zeros((2, live.size))      # the even and odd truncations, stacked
         on = m + 1 >= bound[1][live]      # both start from L past first
@@ -223,10 +199,9 @@ def _adaptive_rows(coeffs_fn: Callable[[np.ndarray, int], np.ndarray], rows: int
         done = upper - lower <= tol
         values[live[done]] = (0.5 * (lower + upper))[done]
         live = live[~done]
-        if live.size and m >= cap:
-            raise _no_convergence(float((upper - lower)[~done][0]), tol, m)
-        m = min(2 * m, cap)
-    return values
+        if not live.size:
+            return values
+    raise _no_convergence(float((upper - lower)[~done][0]), tol, m)
 
 
 def eval_adaptive(spec: TailSpec, tol: float,
@@ -241,10 +216,9 @@ def even_trunc_slope_at_zero(k: int, direction: Direction,
     """Slope in nu at nu=0 of the depth-2k even truncation of f(0, nu) or g(0, nu).
 
     Equals b_2 + b_4 + ... + b_2k (Forward) or the negative-index mirror
-    (Backward); the coefficient family exists for NavierStokes only.
+    (Backward); the coefficient family exists for NavierStokes only, and b
+    refuses the others.
     """
-    if params.model is not ModelKind.NAVIER_STOKES:
-        raise ValueError("even-truncation slope is defined for the NavierStokes family")
     if k < 1:
         raise ValueError("k must be at least 1")
     s = direction.value

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contfrac import (DEFAULT_MAX_DEPTH, Direction, TailSpec, _adaptive_rows, _tail_bound,
-                       _trunc_rows, eval_adaptive, eval_trunc)
+from .contfrac import (DEFAULT_MAX_DEPTH, Direction, TailSpec, _adaptive_rows, _trunc_rows,
+                       eval_adaptive, eval_trunc)
 from .errors import NoConvergence, ThresholdNotFound
 from .lattice import PointClass
 from .models import CoefficientStream, FlowParams
@@ -129,7 +129,7 @@ def value_grid(spec: DispersionSpec, lam=0.0, nu=None, tol: float = 1e-10,
     if depth is None:
         # each row's TailSpec.bound, the same for both tails of a point
         bound = [np.repeat(np.broadcast_to(x, lam.shape), len(signs))
-                 for x in _tail_bound(spec.params, lam, nu)]
+                 for x in cs.tail_bound(lam, nu)]
         tails = _adaptive_rows(coeffs, rows, bound, tol / 4.0, max_depth)
     else:
         tails = _trunc_rows(coeffs(np.arange(rows), depth), np.zeros(rows))

@@ -46,9 +46,10 @@ __all__ = [
     "recurrence_coeff",
     "b",
     "c",
-    "diag_weight",
     "steady_state",
 ]
+
+UNBOUNDED = (math.inf, math.inf)  # CoefficientStream.tail_bound where none is proven
 
 
 class ModelKind(enum.Enum):
@@ -170,8 +171,8 @@ class CoefficientStream:
 
     Every method takes an integer index or index array and returns an ndarray
     of its shape (int64 for ``c``, float64 otherwise); the module-level
-    helpers ``c``, ``rho``, ``diag_weight`` and ``recurrence_coeff`` are the
-    scalar entry points and return Python numbers.
+    helpers ``c``, ``rho`` and ``recurrence_coeff`` are the scalar entry
+    points and return Python numbers.
     """
 
     params: FlowParams
@@ -216,6 +217,31 @@ class CoefficientStream:
         """
         return (lam + self.params.nu * self.diag_weight(n)) / self._defined_rho(n)
 
+    def tail_bound(self, lam, nu):
+        """(a_max, first) at each (lam, nu): a_{k+1} <= a_n <= a_max for all n > k
+        once k + 1 >= first, in either direction; UNBOUNDED where none is proven.
+
+        Second-grade coefficients at scale s > 0 read a(c) = (lam c + B c^2) /
+        (s (alpha^2 c^2 + c - K)), B = lam alpha^2 + nu, K = |p|^2 (1 + alpha^2 |p|^2).
+        For nu > 0 the numerator of a'(c) is nu c^2 - 2BK c - lam K up to a positive
+        factor, so a(c) rises to a_inf = (lam + nu/alpha^2)/s past its larger root
+        c*; c_{+-n} rises with n >= 1 because q is the orbit's minimizer.
+        """
+        params = self.params
+        s = _scale(params)
+        if params.model is not ModelKind.SECOND_GRADE or not s > 0:
+            return UNBOUNDED
+        pos = np.asarray(nu) > 0.0
+        nu = np.where(pos, nu, 1.0)  # a placeholder where the bound does not hold
+        a2, pp = params.alpha_sq, params.p_norm_sq
+        k = pp * (1.0 + a2 * pp)
+        bk = (lam * a2 + nu) * k
+        c_star = (bk + np.sqrt(bk * bk + nu * lam * k)) / nu
+        # c_{+-n} = |q +- n p|^2 >= (n|p| - |q|)^2 >= c* from n = first on
+        first = np.maximum(1.0, np.ceil((np.sqrt(c_star) + math.sqrt(params.q.norm_sq))
+                                        / math.sqrt(pp)))
+        return np.where(pos, (lam + nu / a2) / s, math.inf), np.where(pos, first, math.inf)
+
     def _defined_rho(self, n) -> np.ndarray:
         # rho_n where every recurrence coefficient a_n is defined, else IndexUndefined
         n = np.asarray(n)
@@ -232,10 +258,6 @@ def c(n: int, params: FlowParams) -> int:
 
 def rho(n: int, params: FlowParams) -> float:
     return float(CoefficientStream(params).rho(n))
-
-
-def diag_weight(n: int, params: FlowParams) -> float:
-    return float(CoefficientStream(params).diag_weight(n))
 
 
 def recurrence_coeff(n: int, lam: float, params: FlowParams) -> float:

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import instab
+import instab.cli
 import instab.dispersion
 import instab.spectral
 from instab import (CoefficientStream, DispersionSpec, det_I_plus_K, det_root,
@@ -121,8 +122,9 @@ def test_root_no_sign_change_diagnostic(capsys):
 
 @pytest.mark.parametrize("command", ["root", "nu0", "eigvec", "curve", "verify"])
 def test_dispersion_commands_reject_class_two(capsys, command):
-    # DispersionSpec's rule, stated once in the library
-    assert run([command, "--p", "3,1", "--q=-1,1", "--nu", "0.06"]) == 2
+    # DispersionSpec's rule, stated once in the library; nu0 takes no --nu
+    nu = [] if command == "nu0" else ["--nu", "0.06"]
+    assert run([command, "--p", "3,1", "--q=-1,1", *nu]) == 2
     assert capsys.readouterr().err == (
         "usage error: dispersion is defined for classes I0/I+/I-, not II\n")
 
@@ -164,6 +166,14 @@ def test_nu0_json_omits_placeholder_nu(capsys):
     assert got["schema"] == 1
     assert "nu" not in got
     assert got["nu0"] == pytest.approx(NU_STAR, abs=1e-6)
+
+
+def test_nu0_refuses_nu_before_computing(capsys, monkeypatch):
+    # nu is what nu0 solves for: a --nu would be ignored, so it is refused
+    seen = count_calls(monkeypatch, instab.cli, "nu0_estimate")
+    assert run(["nu0", *FIG]) == 2
+    assert capsys.readouterr().err == "usage error: nu0 solves for nu and takes no --nu\n"
+    assert seen == []
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +384,8 @@ def test_curve_nu_scan(capsys):
      "--nu-max", "0.15", "--step", "0.05", "--lambda-min", "0.1"],
     ["curve", "--p", "3,1", "--q=-1,2", "--scan", "nu", "--nu-min", "0.05",
      "--nu-max", "0.15", "--step", "0.05", "--lambda-max", "1"],
+    ["curve", *FIG, "--scan", "nu", "--nu-min", "0.05", "--nu-max", "0.15",
+     "--step", "0.05"],
 ])
 def test_curve_rejects_the_other_scans_grid(capsys, argv):
     assert run(argv) == 2
@@ -504,6 +516,15 @@ def test_verify_second_grade_skips_determinant(capsys):
     assert code == 0
     assert "VERIFY: PASS" in out
     assert "skipped" in out
+
+
+def test_verify_refuses_window_above_dense_cap_before_root_search(capsys, monkeypatch):
+    seen = count_calls(monkeypatch, instab.cli, "find_root")
+    assert run(["verify", *FIG, "--window", "513"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "above dense cap 512" in captured.err
+    assert seen == []
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +667,22 @@ def test_missing_subcommand_is_usage_error(capsys):
 def test_bad_pair_is_usage_error(capsys):
     assert run(["classify", "--p", "3;1", "--q", "1,1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["root", *FIG, "--depth-cap", "1"], "--depth-cap must be at least 2"),
+    (["curve", *FIG, "--step", "0"], "--step must be positive"),
+    (["classify", "--p", "3,1", "--radius", "0"], "--radius must be positive"),
+    (["det", *FIG, "--root-bracket", "0.2"], "--root-bracket expects lo,hi"),
+    (["root", "--p", "3,x", "--q=-1,2", "--nu", "0.06"], "expected integers in '3,x'"),
+    (["curve", "--p", "3,1", "--q=-1,2", "--scan", "nu", "--nu-min", "0",
+      "--nu-max", "0.1", "--step", "0.05"], "the nu grid must be strictly positive"),
+    (["curve", "--p", "3,1", "--q=-1,2", "--scan", "nu"],
+     "nu grid needs --nu-min, --nu-max and --step"),
+])
+def test_usage_error_messages(capsys, argv, err):
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"usage error: {err}\n"
 
 
 def test_regularized_model_needs_alpha(capsys):

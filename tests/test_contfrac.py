@@ -131,7 +131,7 @@ def test_adaptive_bracket_contains_deep_value(fig_params):
     deep = eval_trunc(tail.coeffs(10_000))
     slack = 1e-14
     assert br.lower - slack <= deep <= br.upper + slack
-    assert br.width <= 1e-10
+    assert br.upper - br.lower <= 1e-10
     assert abs(br.value - deep) <= 1e-10
 
 

@@ -1,11 +1,12 @@
 """Coefficient families: exact fixtures plus the structural identities that
 tie the four models together (rho = Gamma*beta, nu*b_n at lambda=0, the
-alpha -> 0 limit)."""
+alpha -> 0 limit), and the second-grade tail bound in exact arithmetic."""
 
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from instab import (
     CoefficientStream,
@@ -17,6 +18,7 @@ from instab import (
     b,
     beta,
     c,
+    classify,
     gamma,
     recurrence_coeff,
     rho,
@@ -256,3 +258,48 @@ def test_non_finite_inputs_rejected(field, bad):
     kwargs = {"model": ModelKind.NS_VOIGT, "alpha": 0.5, field: bad}
     with pytest.raises(ValueError, match="finite"):
         make_params(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# second-grade tail bound, checked in exact rational arithmetic
+# ---------------------------------------------------------------------------
+
+# every class-I orbit (p, q) with small coordinates, p up to sign
+CLASS_I_ORBITS = [
+    ((px, py), (qx, qy))
+    for px in range(5) for py in range(-4, 5) for qx in range(-4, 5) for qy in range(-4, 5)
+    if (px, py) > (0, 0) and px * qy != py * qx and classify(LatticeVector(qx, qy), LatticeVector(px, py)) in (
+        PointClass.TYPE_I0, PointClass.TYPE_I_PLUS, PointClass.TYPE_I_MINUS)
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(orbit=st.sampled_from(CLASS_I_ORBITS), alpha=st.floats(0.3, 2.0),
+       nu=st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e), lam=st.floats(0.0, 3.0))
+def test_tail_bound_holds_in_exact_arithmetic(orbit, alpha, nu, lam):
+    p, q = orbit
+    pr = make_params(model=ModelKind.SECOND_GRADE, p=p, q=q, nu=nu, alpha=alpha)
+    a_max, first = CoefficientStream(pr).tail_bound(lam, nu)
+    # a(c) = (lam c + B c^2)/(alpha^2 c^2 + c - K) at the normalized scale,
+    # from the float inputs taken as exact rationals
+    a2, lam, nu = Fraction(alpha) ** 2, Fraction(lam), Fraction(nu)
+    k = pr.p_norm_sq * (1 + a2 * pr.p_norm_sq)
+    bb = lam * a2 + nu
+    a_inf = lam + nu / a2
+    assert float(a_max) == pytest.approx(float(a_inf), rel=1e-15)
+    assert 1 <= first < math.inf
+    first = int(first)
+    for s in (1, -1):
+        ns = [*range(first, first + 6), 4 * first + 50]
+        cs = [c(s * n, pr) for n in ns]
+        assert all(x < y for x, y in zip(cs, cs[1:]))  # c_{+-n} rises along the tail
+        for cn in cs:
+            den = a2 * cn * cn + cn - k
+            assert den > 0
+            # a'(c) up to the positive factor 1/den^2: nonnegative from c_first
+            # on, i.e. c_n >= c*, since the quadratic nu c^2 - 2BK c - lam K
+            # has a nonpositive constant term
+            assert (lam + 2 * bb * cn) * den - (lam * cn + bb * cn * cn) * (2 * a2 * cn + 1) >= 0
+        a_n = [(lam * cn + bb * cn * cn) / (a2 * cn * cn + cn - k) for cn in cs]
+        assert all(x <= y for x, y in zip(a_n, a_n[1:]))  # a(c) does not fall past c*
+        assert a_n[-1] < a_inf
