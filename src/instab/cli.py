@@ -18,6 +18,7 @@ lambda grid (--lambda-min/--lambda-max/--step), or --root-bracket (with its
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -424,6 +425,7 @@ def _add_depth_args(sp) -> None:
                     help=f"adaptive depth cap (default {DEFAULT_MAX_DEPTH})")
 
 
+@functools.cache  # one per process: parse_args leaves the parser as it was
 def build_parser() -> _Parser:
     parser = _Parser(prog="instab",
                      description="Detect and certify linear instability of "

@@ -8,14 +8,28 @@ recurrence coefficients along the orbit,
     g(lambda, nu) = [a_-1; a_-2; a_-3; ...]   (Backward),
 
 and likewise for the regularized-model coefficient families.  The adaptive
-evaluator doubles the depth k until a rigorous bracket is within tol: if
-m <= a_n <= M for all n > k, the remainder [a_{k+1}; ...] lies in [L, U],
-L = 1/(M + U), U = 1/(m + L) (Lorentzen & Waadeland, Continued Fractions
-Vol. 1, 2008), and the recurrences over a_1..a_k from L and from U bracket the
-limit.  M = inf gives L = 0, U = 1/a_{k+1}: the even/odd truncations, bit for
-bit.  Only second-grade tails past c* (CoefficientStream.tail_bound) have a
-finite M = a_inf; their bracket narrows as 1/(alpha^2 c_k), not with a depth
-of order 1/a_inf.
+evaluator doubles the depth k until a rigorous bracket is within tol: the
+remainder r_k = [a_{k+1}; ...] is enclosed in an interval, and the recurrences
+over a_1..a_k from its two ends bracket the limit.  Three enclosures apply,
+from CoefficientStream.tail_bound's (a_max, first, fixed):
+
+* even/odd, everywhere: r_k lies in [0, 1/a_{k+1}], i.e. the even and odd
+  truncations.  This is all NavierStokes, NSAlpha and NSVoigt tails use.
+* value-region, once k + 1 >= first: if a_{k+1} <= a_n <= M for all n > k,
+  r_k lies in [L, U], L = 1/(M + U), U = 1/(a_{k+1} + L) (Lorentzen &
+  Waadeland, Continued Fractions Vol. 1, 2008).  M = inf is the even/odd
+  case, bit for bit.  Second-grade tails rise to M = a_inf; their bracket
+  narrows as 1/(alpha^2 c_k), however small a_inf is.
+* fixed-point, once k >= fixed, intersected with [L, U]: let w_j =
+  2/(a_{j+1} + sqrt(a_{j+1}^2 + 4)) be the fixed point of t -> 1/(a_{j+1} + t)
+  and delta_j = w_{j+1} - w_j.  If from j on delta_j <= 0, |delta_j| does not
+  increase and |delta_j| <= a_{j+1}, then r_j lies in [w_j, w_j + |delta_j|]
+  (Thron & Waadeland, Numer. Math. 34, 1980): e_j = r_j - w_j obeys e_j =
+  r_j w_j (|delta_j| - e_{j+1}), and the last condition keeps r_j w_j <= 1.
+  A positive, rising a_n that is concave in n from fixed on meets all three
+  from j = fixed on, and |delta_k| <= |delta_{k-1}| then puts r_k in
+  [w_k, w_{k-1}], which needs no a_{k+2}.  Its width follows a_{k+1} - a_k, so
+  it is narrow exactly when a_inf -> 0.
 
 One fraction runs as a Python float loop; a grid of them (_trunc_rows,
 _adaptive_rows) runs as one numpy pass with the same per-element arithmetic
@@ -68,8 +82,8 @@ class TailSpec:
         n = self.direction.value * np.arange(1, depth + 1, dtype=np.int64)
         return CoefficientStream(self.params).coeff(n, self.lam)
 
-    def bound(self) -> tuple[float, float]:
-        """CoefficientStream.tail_bound's (a_max, first) for this tail."""
+    def bound(self) -> tuple[float, float, float]:
+        """CoefficientStream.tail_bound's (a_max, first, fixed) for this tail."""
         return tuple(map(float, CoefficientStream(self.params).tail_bound(
             self.lam, self.params.nu)))
 
@@ -77,6 +91,11 @@ class TailSpec:
 def _region_floor(a_next, a_max):
     """L of [L, U] when a_next = a_{k+1} <= a_n <= a_max, n > k, free of cancellation."""
     return 2.0 / (a_max * (1.0 + np.sqrt(1.0 + 4.0 / (a_next * a_max))))
+
+
+def _fixed_point(a):
+    """The positive fixed point w of t -> 1/(a + t), free of cancellation."""
+    return 2.0 / (a + np.sqrt(a * a + 4.0))
 
 
 @dataclass(frozen=True)
@@ -113,24 +132,37 @@ def eval_adaptive_coeffs(
     tol: float,
     max_depth: int = DEFAULT_MAX_DEPTH,
     start_depth: int = 2,
-    bound: tuple[float, float] = UNBOUNDED,
+    bound: tuple[float, float, float] = UNBOUNDED,
 ) -> BracketedValue:
     """Bracket the limit of [a1; a2; ...] between two truncations (see module).
 
-    ``coeffs_fn(k)`` must return the first k coefficients.  Depth doubles
-    until the (even, odd) pair is within tol; the final evaluation happens at
-    ``max_depth`` exactly before giving up, so the cap is part of the search.
-    ``bound`` is TailSpec.bound's (a_max, first): past first both start from L.
+    ``coeffs_fn(k)`` must return the first k coefficients, for any k up to
+    ``max_depth + 1``.  Depth doubles until the bracket is within tol; the
+    final evaluation happens at ``max_depth`` exactly before giving up, so the
+    cap is part of the search.  ``bound`` is TailSpec.bound's (a_max, first,
+    fixed), which picks the enclosure of the remainder (see module).
     """
+    arr = np.empty(0)
     for m in _levels(tol, max_depth, start_depth):
-        arr = np.asarray(coeffs_fn(m + 1), dtype=np.float64)
-        t = float(_region_floor(arr[m], bound[0])) if m + 1 >= bound[1] else 0.0
-        even = eval_trunc(arr[:m], t)
-        odd = eval_trunc(arr, t)
+        if arr.size <= m:  # one call serves every level up to 256
+            arr = np.asarray(coeffs_fn(min(max(m, 256), max_depth) + 1), dtype=np.float64)
+        region, fixed = _enclosures(m, bound)
+        lo = float(_region_floor(arr[m], bound[0])) if region else 0.0
+        hi = eval_trunc(arr[m:m + 1], lo)
+        if fixed:
+            lo = max(lo, float(_fixed_point(arr[m])))
+            hi = min(hi, float(_fixed_point(arr[m - 1])))
+        even = eval_trunc(arr[:m], lo)
+        odd = eval_trunc(arr[:m], hi)
         lower, upper = (even, odd) if even <= odd else (odd, even)
         if upper - lower <= tol:
             return BracketedValue(0.5 * (lower + upper), lower, upper, m + 1)
-    raise _no_convergence(upper - lower, tol, m)
+    raise _no_convergence(upper - lower, tol, m, bound)
+
+
+def _enclosures(m: int, bound):
+    """Whether the value-region and the fixed-point enclosure hold at level m."""
+    return m + 1 >= bound[1], m >= bound[2]
 
 
 def _levels(tol: float, max_depth: int, start: int = 2):
@@ -152,9 +184,11 @@ def _levels(tol: float, max_depth: int, start: int = 2):
         m = min(2 * m, cap)
 
 
-def _no_convergence(width: float, tol: float, m: int) -> NoConvergence:
+def _no_convergence(width: float, tol: float, m: int, bound) -> NoConvergence:
+    region, fixed = _enclosures(m, bound)
+    name = "fixed-point" if fixed else "value-region" if region else "even/odd"
     return NoConvergence(
-        f"even/odd bracket width {width:.3e} above tol {tol:.3e} at depth cap {m}",
+        f"{name} bracket width {width:.3e} above tol {tol:.3e} at depth cap {m}",
         depth=m, width=width,
     )
 
@@ -178,30 +212,34 @@ def _trunc_rows(a: np.ndarray, t) -> np.ndarray:
 
 
 def _adaptive_rows(coeffs_fn: Callable[[np.ndarray, int], np.ndarray], rows: int,
-                   bound: tuple[np.ndarray, np.ndarray], tol: float,
+                   bound: Sequence[np.ndarray], tol: float,
                    max_depth: int = DEFAULT_MAX_DEPTH) -> np.ndarray:
     """eval_adaptive_coeffs from depth 2 over ``rows`` fractions at once.
 
     ``coeffs_fn(live, k)`` gives the first k coefficients of the fractions
-    ``live`` as a (k, len(live)) array, ``bound`` each row's (a_max, first); at
-    the cap the first failing one raises.
+    ``live`` as a (k, len(live)) array, ``bound`` each row's (a_max, first,
+    fixed); at the cap the first failing one raises.
     """
     values, live = np.empty(rows), np.arange(rows)
     for m in _levels(tol, max_depth):
         a = coeffs_fn(live, m + 1)
-        t = np.zeros((2, live.size))      # the even and odd truncations, stacked
-        on = m + 1 >= bound[1][live]      # both start from L past first
-        t[:, on] = _region_floor(a[m, on], bound[0][live[on]])
-        t[1] = _trunc_rows(a[m:], t[1])   # the odd one takes a_{m+1} first
-        even, odd = _trunc_rows(a[:m], t)
+        row_bound = [x[live] for x in bound]
+        region, fixed = _enclosures(m, row_bound)
+        lo = np.zeros(live.size)
+        lo[region] = _region_floor(a[m, region], row_bound[0][region])
+        hi = _trunc_rows(a[m:], lo)
+        lo[fixed] = np.maximum(lo[fixed], _fixed_point(a[m, fixed]))
+        hi[fixed] = np.minimum(hi[fixed], _fixed_point(a[m - 1, fixed]))
+        even, odd = _trunc_rows(a[:m], np.stack([lo, hi]))
         del a  # free this level's coefficients before the next level's
         lower, upper = np.where(even <= odd, (even, odd), (odd, even))
         done = upper - lower <= tol
         values[live[done]] = (0.5 * (lower + upper))[done]
-        live = live[~done]
-        if not live.size:
+        if done.all():
             return values
-    raise _no_convergence(float((upper - lower)[~done][0]), tol, m)
+        live = live[~done]
+    bad = np.argmin(done)  # the first row still open
+    raise _no_convergence(float((upper - lower)[bad]), tol, m, [x[bad] for x in row_bound])
 
 
 def eval_adaptive(spec: TailSpec, tol: float,

@@ -281,9 +281,12 @@ def nu0_estimate(params: FlowParams, tol: float = 1e-8, *,
     Scan points where the tails themselves fail to converge within the depth
     cap are skipped as indeterminate, and never enter the bisection bracket.
     The second-grade coefficient streams flatten to O(nu) constants as
-    nu -> 0, where the even/odd bracket would need a depth of order 1/nu; their
-    value-region bracket (TailSpec.bound) evaluates those points instead, so
-    second-grade scan points no longer skip.
+    nu -> 0, where the even/odd bracket would need a depth of order 1/nu.
+    Past the indices of TailSpec.bound their value-region bracket, whose
+    width falls as 1/(alpha^2 c_k), and then the fixed-point enclosure, whose
+    width follows the O(nu) increments a_{k+1} - a_k, take over (see contfrac),
+    so second-grade scan points no longer skip and end within a few hundred
+    terms.  NavierStokes, NSAlpha and NSVoigt tails keep the even/odd bracket.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

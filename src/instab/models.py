@@ -49,7 +49,7 @@ __all__ = [
     "steady_state",
 ]
 
-UNBOUNDED = (math.inf, math.inf)  # CoefficientStream.tail_bound where none is proven
+UNBOUNDED = (math.inf,) * 3  # CoefficientStream.tail_bound where none is proven
 
 
 class ModelKind(enum.Enum):
@@ -218,29 +218,54 @@ class CoefficientStream:
         return (lam + self.params.nu * self.diag_weight(n)) / self._defined_rho(n)
 
     def tail_bound(self, lam, nu):
-        """(a_max, first) at each (lam, nu): a_{k+1} <= a_n <= a_max for all n > k
-        once k + 1 >= first, in either direction; UNBOUNDED where none is proven.
+        """(a_max, first, fixed) at each (lam, nu), in either direction: from
+        index first on a_n rises to a_max, and from index fixed on it is also
+        concave in n.  UNBOUNDED where nothing is proven.
 
         Second-grade coefficients at scale s > 0 read a(c) = (lam c + B c^2) /
-        (s (alpha^2 c^2 + c - K)), B = lam alpha^2 + nu, K = |p|^2 (1 + alpha^2 |p|^2).
-        For nu > 0 the numerator of a'(c) is nu c^2 - 2BK c - lam K up to a positive
-        factor, so a(c) rises to a_inf = (lam + nu/alpha^2)/s past its larger root
-        c*; c_{+-n} rises with n >= 1 because q is the orbit's minimizer.
+        (s Q(c)), Q = alpha^2 c^2 + c - K, B = lam alpha^2 + nu, K = |p|^2 (1 +
+        alpha^2 |p|^2).  For nu > 0, s Q^2 a'(c) = g(c) = nu c^2 - 2BK c - lam K,
+        so a(c) rises to a_inf = (lam + nu/alpha^2)/s past the larger root c* of g.
+        Along the orbit c(x) = |q + x p|^2 has c'^2 = 4(|p|^2 c - W^2), W = p^q,
+        and c'' = 2|p|^2, so s Q^3 a(c(x))'' / 2 is the quartic F(c) = 2(g'Q -
+        2gQ')(|p|^2 c - W^2) + |p|^2 g Q, with leading coefficient -3 alpha^2 nu |p|^2:
+        F <= 0 wherever each of its m positive lower terms is at most 1/m of the
+        leading one.  c_{+-n} = |q +- n p|^2 >= (n|p| - |q|)^2 rises with n >= 1
+        because q is the orbit's minimizer, so first and fixed are where that
+        floor passes c* and the larger of c* and F's threshold.
         """
         params = self.params
         s = _scale(params)
         if params.model is not ModelKind.SECOND_GRADE or not s > 0:
             return UNBOUNDED
+        # [()] makes scalar inputs numpy scalars, whose arithmetic is cheaper
+        lam = np.asarray(lam, dtype=np.float64)[()]
         pos = np.asarray(nu) > 0.0
-        nu = np.where(pos, nu, 1.0)  # a placeholder where the bound does not hold
+        nu = np.where(pos, nu, 1.0)[()]  # a placeholder where the bound does not hold
         a2, pp = params.alpha_sq, params.p_norm_sq
+        w2 = float(wedge(params.p, params.q)) ** 2
         k = pp * (1.0 + a2 * pp)
         bk = (lam * a2 + nu) * k
         c_star = (bk + np.sqrt(bk * bk + nu * lam * k)) / nu
-        # c_{+-n} = |q +- n p|^2 >= (n|p| - |q|)^2 >= c* from n = first on
-        first = np.maximum(1.0, np.ceil((np.sqrt(c_star) + math.sqrt(params.q.norm_sq))
-                                        / math.sqrt(pp)))
-        return np.where(pos, (lam + nu / a2) / s, math.inf), np.where(pos, first, math.inf)
+        # F's coefficients of c^0..c^3 are lam*u_j + nu*v_j, its leading one -3 a2 nu pp
+        u = (-k * (4.0 * k * w2 * a2 - k * pp + 4.0 * w2),
+             3.0 * k * (2.0 * k * a2 * pp - 4.0 * w2 * a2 + pp),
+             -3.0 * k * a2 * (4.0 * w2 * a2 - 3.0 * pp),
+             10.0 * k * a2 * a2 * pp)
+        v = (-4.0 * k * k * w2, 6.0 * k * k * pp, -3.0 * k * (4.0 * w2 * a2 + pp),
+             10.0 * k * a2 * pp + 4.0 * w2 * a2 + pp)
+        f = [np.maximum(lam * uj + nu * vj, 0.0) for uj, vj in zip(u, v)]
+        share = sum(fj > 0.0 for fj in f) / (3.0 * a2 * pp * nu)
+        c_fixed = c_star
+        for j, fj in enumerate(f):
+            c_fixed = np.maximum(c_fixed, (share * fj) ** (1.0 / (4 - j)))
+
+        def index(c_min):
+            # first n >= 1 with (n|p| - |q|)^2 >= c_min
+            return np.where(pos, np.maximum(1.0, np.ceil(
+                (np.sqrt(c_min) + math.sqrt(params.q.norm_sq)) / math.sqrt(pp))), math.inf)
+
+        return np.where(pos, (lam + nu / a2) / s, math.inf), index(c_star), index(c_fixed)
 
     def _defined_rho(self, n) -> np.ndarray:
         # rho_n where every recurrence coefficient a_n is defined, else IndexUndefined

@@ -407,15 +407,23 @@ def test_curve_euler_limit(capsys):
      "2.500e-11 at depth cap 64\n"),
     (["curve", "--model", "second-grade", "--alpha", "1", "--p", "3,1", "--q=-1,2",
       "--scan", "nu", "--nu-min", "1e-4", "--nu-max", "0.05", "--step", "0.001",
-      "--depth-cap", "1000"],
-     "error: NoConvergence: even/odd bracket width 9.029e-08 above tol "
-     "2.500e-11 at depth cap 1000\n"),
+      "--depth-cap", "128"],
+     "error: NoConvergence: fixed-point bracket width 4.492e-11 above tol "
+     "2.500e-11 at depth cap 128\n"),
 ])
 def test_curve_depth_cap_reports_first_failing_row(capsys, argv, err):
     # the first row in grid order that reaches the cap is the one reported,
     # with the message one value() call on that row gives
     assert run(argv) == 3
     assert capsys.readouterr().err == err
+
+
+def test_curve_second_grade_nu_scan_at_small_nu(capsys):
+    # the value-region bracket alone reached the depth cap on these rows
+    rows = run_csv(capsys, ["curve", "--model", "second-grade", "--alpha", "0.5",
+                            "--p", "3,1", "--q=-1,2", "--scan", "nu", "--nu-min", "1e-6",
+                            "--nu-max", "3e-6", "--step", "1e-6"])
+    assert len(rows) == 4
 
 
 def test_curve_has_no_per_point_coefficient_loop(capsys, monkeypatch):
@@ -657,6 +665,29 @@ def test_module_entry_point_help_exits_zero():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: instab ")
+
+
+def test_commands_back_to_back_match_fresh_interpreters(capsys):
+    # run() parses with one parser per process; a usage error between two
+    # commands must leave nothing behind for the next one
+    src = os.path.dirname(os.path.dirname(instab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    commands = [
+        ["root", *FIG, "--format", "csv"],
+        ["curve", *FIG, "--lambda-max", "0.2", "--step", "0.1"],
+        ["curve", *FIG, "--step", "0"],
+        ["classify", "--p", "3,1", "--radius", "2"],
+        ["root", *FIG, "--depth"],
+        ["root", *FIG],
+    ]
+    fresh = [subprocess.Popen([sys.executable, "-m", "instab.cli", *argv], text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+             for argv in commands]
+    for argv, proc in zip(commands, fresh):
+        out, err = proc.communicate(timeout=60)
+        assert run(argv) == proc.returncode
+        assert capsys.readouterr() == (out, err)
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -1,7 +1,7 @@
 """Continued-fraction evaluation: closed-form fixtures, the even/odd
 truncation bracket (verified in exact rational arithmetic), the value-region
-bracket of second-grade tails (checked against mpmath at 30 digits), and the
-slope-at-zero formulas."""
+bracket and the fixed-point enclosure of second-grade tails (checked against
+mpmath at 30 digits), and the slope-at-zero formulas."""
 
 import math
 from fractions import Fraction
@@ -177,8 +177,8 @@ SG = ModelKind.SECOND_GRADE
 def test_bracket_is_even_odd_outside_the_bounded_region(params, lam, direction):
     tail = TailSpec(direction, params, lam)
     br = eval_adaptive(tail, tol=1e-12)
-    a_max, first = tail.bound()
-    assert (a_max, first) == UNBOUNDED or br.depth < first
+    a_max, first, fixed = tail.bound()
+    assert (a_max, first, fixed) == UNBOUNDED or br.depth < first
     k = br.depth - 1
     truncs = sorted([eval_trunc(tail.coeffs(k)), eval_trunc(tail.coeffs(k + 1))])
     assert [br.lower, br.upper] == truncs
@@ -211,7 +211,7 @@ def test_value_region_bracket_holds_at_30_digits(nu, lam, direction):
     br = eval_adaptive(TailSpec(direction, params, lam), tol=1e-6)
     if lam == 0.0:  # the even/odd bracket alone needs up to 2^18 terms here
         assert br.depth <= 513
-    depth = 2048
+    depth = 8192  # a reference narrower than the fixed-point bracket at nu=1e-4
     with mpmath.workdps(30):
         coeffs, a_of_c, a_inf = mp_coeffs(params, direction, mpmath.mpf(lam), depth)
         # a(c) rises from c_{depth+1} on: the numerator of a'(c) is a quadratic
@@ -230,6 +230,61 @@ def test_value_region_bracket_holds_at_30_digits(nu, lam, direction):
         slack = 1e-15
         assert br.lower - slack <= ref[0] and ref[1] <= br.upper + slack
         assert abs(br.value - (ref[0] + ref[1]) / 2) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# fixed-point enclosure: it holds, and it ends the small-nu tails early
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("nu", [1e-3, 1e-4])
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("direction", list(Direction))
+def test_fixed_point_enclosure_holds_at_30_digits(nu, alpha, lam, direction):
+    # r_j = [a_{j+1}; a_{j+2}; ...] lies in [w_j, w_j + |delta_j|] from j = fixed
+    # on, with w_j the fixed point of t -> 1/(a_{j+1} + t) and delta_j = w_{j+1} - w_j
+    params = make_params(model=SG, alpha=alpha, nu=nu)
+    tail = TailSpec(direction, params, lam)
+    k = int(tail.bound()[2])
+    # at lam = 0 the reference width falls as 1/depth^2 and |delta| scales as nu/alpha^4
+    depth = k + (256 if lam else 4096 if nu / alpha ** 4 > 1e-4 else 8192)
+    with mpmath.workdps(30):
+        coeffs, a_of_c, a_inf = mp_coeffs(params, direction, mpmath.mpf(lam), depth)
+        # reference brackets of r_j, mapped back from the value region of r_depth,
+        # whose premise a_{depth+1} <= a_n < a_inf holds as in the test above
+        m = coeffs[depth]
+        assert mpmath.diff(a_of_c, mpmath.mpf(c(direction.value * (depth + 1), params))) > 0
+        assert m < a_inf
+        lo = m * (-1 + mpmath.sqrt(1 + 4 / (m * a_inf))) / 2
+        hi = 1 / (m + lo)
+        ref = {}
+        for j in range(depth - 1, -1, -1):
+            lo, hi = 1 / (coeffs[j] + hi), 1 / (coeffs[j] + lo)
+            ref[j] = lo, hi
+        w = [2 / (a + mpmath.sqrt(a * a + 4)) for a in coeffs[k:k + 41]]
+        checked = 0
+        for j in range(k, k + 40):
+            delta = w[j - k] - w[j - k + 1]
+            lo, hi = ref[j]
+            if hi - lo > delta / 4:
+                break  # the reference no longer resolves delta
+            assert w[j - k] <= lo and hi <= w[j - k] + delta
+            checked += 1
+        assert checked >= 4
+        br = eval_adaptive(tail, tol=1e-6)
+        slack = 1e-15
+        assert br.lower - slack <= ref[0][0] and ref[0][1] <= br.upper + slack
+
+
+def test_fixed_point_enclosure_ends_small_nu_tails_early():
+    # the value-region bracket alone needed 32,769 terms here
+    tail = TailSpec(Direction.FORWARD, make_params(model=SG, alpha=1.0, nu=1e-6), 0.0)
+    assert tail.bound()[1:] == (6.0, 10.0)
+    assert eval_adaptive(tail, tol=2.5e-10).depth <= 65
+    # at the cap, the message names the enclosure of the last level
+    for cap, name in [(4, "even/odd"), (8, "value-region"), (16, "fixed-point")]:
+        with pytest.raises(NoConvergence, match=f"^{name} bracket width .* at depth cap {cap}$"):
+            eval_adaptive(tail, tol=1e-15, max_depth=cap)
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,9 @@ def test_value_grid_equals_value(model, alpha, q):
     assert got.tolist() == [value(0.0, spec_of(x), tol=1e-12) for x in at]
     assert a0.tolist() == [recurrence_coeff(0, 0.0, x) for x in at]
     if model is ModelKind.SECOND_GRADE:
-        # value-region rows: the even/odd bracket alone reaches the depth cap here
-        nus = [2e-5, 4e-5]
+        # value-region and fixed-point rows: the even/odd bracket alone reaches
+        # the depth cap here, and so did the value-region one below 1e-5
+        nus = [1e-6, 1e-5, 2e-5, 4e-5]
         got, _ = value_grid(spec, 0.0, nus)
         at = [dataclasses.replace(pr, nu=nu) for nu in nus]
         assert got.tolist() == [value(0.0, spec_of(x)) for x in at]

@@ -279,7 +279,7 @@ CLASS_I_ORBITS = [
 def test_tail_bound_holds_in_exact_arithmetic(orbit, alpha, nu, lam):
     p, q = orbit
     pr = make_params(model=ModelKind.SECOND_GRADE, p=p, q=q, nu=nu, alpha=alpha)
-    a_max, first = CoefficientStream(pr).tail_bound(lam, nu)
+    a_max, first, _ = CoefficientStream(pr).tail_bound(lam, nu)
     # a(c) = (lam c + B c^2)/(alpha^2 c^2 + c - K) at the normalized scale,
     # from the float inputs taken as exact rationals
     a2, lam, nu = Fraction(alpha) ** 2, Fraction(lam), Fraction(nu)
@@ -303,3 +303,42 @@ def test_tail_bound_holds_in_exact_arithmetic(orbit, alpha, nu, lam):
         a_n = [(lam * cn + bb * cn * cn) / (a2 * cn * cn + cn - k) for cn in cs]
         assert all(x <= y for x, y in zip(a_n, a_n[1:]))  # a(c) does not fall past c*
         assert a_n[-1] < a_inf
+
+
+def fixed_point_bounds(a, digits=45):
+    """Bounds on w = 2/(a + sqrt(a^2 + 4)), the fixed point of t -> 1/(a + t),
+    from the integer square root of a^2 + 4 on a grid of 10^-digits."""
+    x, scale = a * a + 4, 10 ** digits
+    r = math.isqrt(x.numerator * scale * scale // x.denominator)
+    return 2 / (a + Fraction(r + 1, scale)), 2 / (a + Fraction(r, scale))
+
+
+@settings(max_examples=150, deadline=None)
+@given(orbit=st.sampled_from(CLASS_I_ORBITS), alpha=st.floats(0.05, 2.0),
+       nu=st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e), lam=st.floats(0.0, 3.0))
+def test_fixed_point_index_holds_in_exact_arithmetic(orbit, alpha, nu, lam):
+    # with w_j the fixed point of t -> 1/(a_{j+1} + t) and delta_j = w_{j+1} - w_j:
+    # from j = fixed - 1 on delta_j <= 0 and |delta_j| does not increase, and
+    # from j = fixed on |delta_j| <= a_{j+1}, which the fixed-point enclosure
+    # of the remainder after a_m, m >= fixed, needs
+    p, q = orbit
+    pr = make_params(model=ModelKind.SECOND_GRADE, p=p, q=q, nu=nu, alpha=alpha)
+    fixed = CoefficientStream(pr).tail_bound(lam, nu)[2]
+    assert 1 <= fixed < math.inf
+    fixed = int(fixed)
+    a2, lam, nu = Fraction(alpha) ** 2, Fraction(lam), Fraction(nu)
+    k = pr.p_norm_sq * (1 + a2 * pr.p_norm_sq)
+    bb = lam * a2 + nu
+
+    def a(n):
+        cn = c(n, pr)
+        return (lam * cn + bb * cn * cn) / (a2 * cn * cn + cn - k)
+
+    for s in (1, -1):
+        for j in [*range(fixed - 1, fixed + 5), 4 * fixed + 50]:
+            a_j = [a(s * n) for n in (j + 1, j + 2, j + 3)]
+            assert a_j[0] <= a_j[1] <= a_j[2]  # so w falls: delta_j, delta_j+1 <= 0
+            (lo0, hi0), (lo1, hi1), (lo2, hi2) = map(fixed_point_bounds, a_j)
+            # |delta_j| lies in [lo0 - hi1, hi0 - lo1], |delta_j+1| in [lo1 - hi2, hi1 - lo2]
+            assert hi1 - lo2 <= lo0 - hi1
+            assert j < fixed or hi0 - lo1 <= a_j[0]
