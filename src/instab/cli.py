@@ -478,10 +478,10 @@ def build_parser() -> _Parser:
     sp.add_argument("--lambda-max", type=_finite_float, default=None)
     sp.add_argument("--step", type=_finite_float, default=None)
     sp.add_argument("--root-bracket", default=None, metavar="LO,HI",
-                    help="bisect the determinant zero inside this bracket")
+                    help="refine the determinant zero inside this bracket")
     sp.add_argument("--window", "-N", type=int, default=128)
     sp.add_argument("--tol", type=_finite_float, default=None,
-                    help="bisection tolerance of --root-bracket (default 1e-10)")
+                    help="bracket width tolerance of --root-bracket (default 1e-10)")
     _add_output_args(sp, "csv")
     sp.set_defaults(func=_cmd_det)
 

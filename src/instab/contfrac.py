@@ -213,14 +213,15 @@ def _trunc_rows(a: np.ndarray, t) -> np.ndarray:
 
 def _adaptive_rows(coeffs_fn: Callable[[np.ndarray, int], np.ndarray], rows: int,
                    bound: Sequence[np.ndarray], tol: float,
-                   max_depth: int = DEFAULT_MAX_DEPTH) -> np.ndarray:
+                   max_depth: int = DEFAULT_MAX_DEPTH) -> tuple[np.ndarray, np.ndarray]:
     """eval_adaptive_coeffs from depth 2 over ``rows`` fractions at once.
 
     ``coeffs_fn(live, k)`` gives the first k coefficients of the fractions
     ``live`` as a (k, len(live)) array, ``bound`` each row's (a_max, first,
-    fixed); at the cap the first failing one raises.
+    fixed); at the cap the first failing one raises.  Returns each row's
+    value and depth, as BracketedValue's value and depth.
     """
-    values, live = np.empty(rows), np.arange(rows)
+    values, depths, live = np.empty(rows), np.empty(rows, dtype=np.int64), np.arange(rows)
     for m in _levels(tol, max_depth):
         a = coeffs_fn(live, m + 1)
         row_bound = [x[live] for x in bound]
@@ -235,8 +236,9 @@ def _adaptive_rows(coeffs_fn: Callable[[np.ndarray, int], np.ndarray], rows: int
         lower, upper = np.where(even <= odd, (even, odd), (odd, even))
         done = upper - lower <= tol
         values[live[done]] = (0.5 * (lower + upper))[done]
+        depths[live[done]] = m + 1
         if done.all():
-            return values
+            return values, depths
         live = live[~done]
     bad = np.argmin(done)  # the first row still open
     raise _no_convergence(float((upper - lower)[bad]), tol, m, [x[bad] for x in row_bound])

@@ -10,16 +10,19 @@ tails:
 
 value() evaluates the left-hand side; value_grid() evaluates it over a grid of
 lambda or nu in one batched pass, bit for bit; find_root() locates a positive
-root by geometric scan plus bisection; nu0_estimate() finds the smallest
-viscosity at which the lambda=0 value crosses zero, i.e. the threshold below
-which the sign-change premise of the root search holds.  Both searches, and the
-determinant zero in spectral.det_root, share one doubling scan
-(_first_crossing) and one bisection (_bisect).
+root by a doubling scan, evaluated in one value_grid() pass, plus a bracketed
+refinement; nu0_estimate() finds the smallest viscosity at which the lambda=0
+value crosses zero, i.e. the threshold below which the sign-change premise of
+the root search holds.  Both searches share one doubling schedule (_doubling),
+and both, with the determinant zero in spectral.det_root, share one
+refinement (_refine): ITP, which keeps the bracket of bisection and its
+worst case within one step, but converges superlinearly on smooth functions.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +106,11 @@ def value_grid(spec: DispersionSpec, lam=0.0, nu=None, tol: float = 1e-10,
     such as a lambda array or a nu array at lambda = 0.  Each row equals value()
     bit for bit; at the depth cap the first failing row raises as value() does.
     """
+    return _grid_info(spec, lam, nu, tol, depth, max_depth)[:2]
+
+
+def _grid_info(spec, lam, nu, tol, depth, max_depth):
+    # value_grid's (values, a0) and each row's deepest tail depth, as _value_info's
     lam, nu = np.broadcast_arrays(np.atleast_1d(np.asarray(lam, dtype=np.float64)),
                                   np.asarray(spec.params.nu if nu is None else nu))
     if np.any(lam < 0):
@@ -130,13 +138,14 @@ def value_grid(spec: DispersionSpec, lam=0.0, nu=None, tol: float = 1e-10,
         # each row's TailSpec.bound, the same for both tails of a point
         bound = [np.repeat(np.broadcast_to(x, lam.shape), len(signs))
                  for x in cs.tail_bound(lam, nu)]
-        tails = _adaptive_rows(coeffs, rows, bound, tol / 4.0, max_depth)
+        tails, depths = _adaptive_rows(coeffs, rows, bound, tol / 4.0, max_depth)
     else:
         tails = _trunc_rows(coeffs(np.arange(rows), depth), np.zeros(rows))
+        depths = np.full(rows, depth)
     total = a0
     for column in tails.reshape(-1, len(signs)).T:
         total = total + column
-    return total, a0
+    return total, a0, depths.reshape(-1, len(signs)).max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -165,42 +174,78 @@ def default_lambda_cap(params: FlowParams) -> float:
     return 10.0 * (params.p_norm_sq + params.nu * c_max)
 
 
+def _doubling(start: float, cap: float):
+    """The scan points start, 2*start, 4*start, ... strictly below ``cap``, then cap."""
+    x = start
+    while x < cap:
+        yield x
+        x *= 2.0
+    yield cap
+
+
 def _first_crossing(f, start: float, cap: float) -> tuple[float, float | None]:
     """Doubling scan for the first sign change of f from positive to nonpositive.
 
-    Evaluates f at start, 2*start, 4*start, ... strictly below ``cap``, then at
-    ``cap`` itself, and never beyond it.  Returns the last point with f > 0
-    (0.0 if none) and the first point with f <= 0 (None if none).  A point
-    where f returns None is indeterminate and skipped.
+    Evaluates f at the _doubling points one by one, and never beyond ``cap``.
+    Returns the last point with f > 0 (0.0 if none) and the first point with
+    f <= 0 (None if none).  A point where f returns None is indeterminate and
+    skipped.
     """
-    lo, x = 0.0, start
-    while True:
-        x = min(x, cap)
+    lo = 0.0
+    for x in _doubling(start, cap):
         v = f(x)
-        if v is not None:
-            if v <= 0.0:
-                return lo, x
-            lo = x
-        if x == cap:
-            return lo, None
-        x *= 2.0
+        if v is None:
+            continue
+        if v <= 0.0:
+            return lo, x
+        lo = x
+    return lo, None
 
 
-def _bisect(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Halve a bracket with f(lo) > 0 >= f(hi) until its width is <= tol.
+def _refine(f, lo: float, hi: float, tol: float, f_lo: float, f_hi: float
+            ) -> tuple[float, float]:
+    """Shrink a bracket with f(lo) > 0 >= f(hi) until its width is <= tol.
 
-    Stops early when the midpoint rounds to an end: the bracket then holds two
-    adjacent doubles, the narrowest there is, so a tol below the float spacing
-    at the root ends the search instead of looping forever.
+    ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) with kappa1 = 0.2/(hi-lo),
+    kappa2 = 2 and n0 = 1: each trial point is the regula falsi point, moved
+    kappa1*width^2 toward the midpoint and kept within a radius of it that
+    shrinks so that no more than one step beyond bisection's count is ever
+    taken, while a smooth f converges superlinearly.  The radius aims at 3/4
+    of tol rather than tol, which leaves room for rounding trial points to
+    doubles.  A trial point is also kept tol/2 inside each end, so once one
+    end sits at the root the next point straddles it and both ends close in.
+    ``f_lo`` and ``f_hi`` are the end values the caller already has; f is
+    called at trial points only, and they lie strictly inside the bracket.
+    When the midpoint rounds to an end, the bracket holds two adjacent
+    doubles, the narrowest there is, so a tol below the float spacing at the
+    root ends the search instead of looping forever.
     """
+    width = hi - lo
+    kappa1 = 0.2 / width
+    # n_1/2 + n0 = ceil(log2(width/tol)) + 1, with no overflow at a subnormal tol
+    (m_width, e_width), (m_tol, e_tol) = math.frexp(width), math.frexp(tol)
+    steps = max(0, math.ceil(math.log2(m_width / m_tol) + (e_width - e_tol))) + 1
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if f(mid) > 0.0:
-            lo = mid
+        steps -= 1
+        radius = max(math.ldexp(0.75 * tol, steps) - 0.5 * (hi - lo), 0.0)
+        x = (hi * f_lo - lo * f_hi) / (f_lo - f_hi)  # regula falsi
+        sigma = math.copysign(1.0, mid - x)
+        delta = kappa1 * (hi - lo) ** 2
+        # truncation; a NaN regula falsi point (infinite ends) falls back to mid
+        x = x + sigma * delta if delta <= abs(mid - x) else mid
+        if abs(x - mid) > radius:  # projection
+            x = mid - sigma * radius
+        x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        if not lo < x < hi:
+            x = mid
+        v = f(x)
+        if v > 0.0:
+            lo, f_lo = x, v
         else:
-            hi = mid
+            hi, f_hi = x, v
     return lo, hi
 
 
@@ -208,13 +253,19 @@ def find_root(spec: DispersionSpec, tol: float = 1e-10,
               lambda_cap: float | None = None, *,
               depth: int | None = None,
               max_depth: int = DEFAULT_MAX_DEPTH) -> RootResult:
-    """Locate a positive dispersion root by geometric scan plus bisection.
+    """Locate a positive dispersion root by a doubling scan plus ITP refinement.
 
-    Scans lambda = tol, 2*tol, 4*tol, ... below ``lambda_cap`` and then the
-    cap itself for a sign change of the dispersion value, then bisects the
-    bracketing pair to width <= tol.  The scan can in principle straddle a
-    root pair (monotonicity in lambda is not established); tighten the cap or
-    scan manually via value() when that matters.
+    Evaluates lambda = tol, 2*tol, 4*tol, ... below ``lambda_cap`` and then the
+    cap itself in one value_grid() pass, takes the first row <= 0 and the one
+    before it (or lambda = 0) as the bracket, then refines it to width <= tol
+    (_refine).  value(0) is the premise check.  ``cf_depth`` is the deepest
+    tail over lambda = 0, the scan rows up to the first crossing and the
+    refinement points; second-grade rows with lambda > 0 can be deeper than
+    lambda = 0.  If a row fails to converge at the depth cap, the rows are
+    evaluated one by one instead, so that only a row at or below the first
+    crossing can raise.  The scan can in principle straddle a root pair
+    (monotonicity in lambda is not established); tighten the cap or scan
+    manually via value() when that matters.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -225,18 +276,7 @@ def find_root(spec: DispersionSpec, tol: float = 1e-10,
     if not lambda_cap > 0:  # NaN included: the scan could never reach it
         raise ValueError("lambda_cap must be positive")
 
-    deepest = 0
-    last_depth = 2
-
-    def val(lam: float) -> float:
-        nonlocal deepest, last_depth
-        v, d = _value_info(lam, spec, tol, depth, max_depth,
-                           start_depth=max(2, last_depth // 2))
-        deepest = max(deepest, d)
-        last_depth = d
-        return v
-
-    v0 = val(0.0)
+    v0, deepest = _value_info(0.0, spec, tol, depth, max_depth)
     if v0 <= 0.0:
         return RootResult(
             lam=0.0, bracket=(0.0, 0.0), dispersion_residual=abs(v0),
@@ -248,8 +288,28 @@ def find_root(spec: DispersionSpec, tol: float = 1e-10,
             ),
         )
 
-    lo, hi = _first_crossing(val, tol, lambda_cap)
-    if hi is None:
+    last_depth = 2
+
+    def val(lam: float) -> float:
+        nonlocal deepest, last_depth
+        v, last_depth = _value_info(lam, spec, tol, depth, max_depth,
+                                    start_depth=max(2, last_depth // 2))
+        deepest = max(deepest, last_depth)
+        return v
+
+    grid = list(_doubling(tol, lambda_cap))
+    try:
+        values, _, depths = _grid_info(spec, grid, None, tol, depth, max_depth)
+        values, depths = values.tolist(), depths.tolist()
+    except NoConvergence:
+        values, depths = [], []  # val books the depths of this path
+        for lam in grid:
+            values.append(val(lam))
+            if values[-1] <= 0.0:
+                break
+    i = next((i for i, v in enumerate(values) if v <= 0.0), None)
+    deepest = max([deepest, *depths[:len(values) if i is None else i + 1]])
+    if i is None:
         return RootResult(
             lam=0.0, bracket=(0.0, lambda_cap), dispersion_residual=0.0,
             cf_depth=deepest, found=False,
@@ -258,7 +318,8 @@ def find_root(spec: DispersionSpec, tol: float = 1e-10,
                 f"stayed positive on the scan grid. Not a stability claim."
             ),
         )
-    lo, hi = _bisect(val, lo, hi, tol)
+    lo, f_lo = (grid[i - 1], values[i - 1]) if i else (0.0, v0)
+    lo, hi = _refine(val, lo, grid[i], tol, f_lo, values[i])
     root = 0.5 * (lo + hi)
     return RootResult(
         lam=root, bracket=(lo, hi), dispersion_residual=abs(val(root)),
@@ -274,12 +335,13 @@ def nu0_estimate(params: FlowParams, tol: float = 1e-8, *,
     h(nu) := value at lambda=0 with viscosity nu (class variant included,
     so I+ uses only the backward tail and I- only the forward one).  h is
     positive for small nu and the first crossing bounds the viscosities for
-    which the root search premise value(0) > 0 holds.  Scan doubles nu from
-    tol up to ``nu_cap``, then bisects to width <= tol.  Raises
-    ThresholdNotFound if h never crosses by ``nu_cap``.
+    which the root search premise value(0) > 0 holds.  The scan doubles nu
+    from tol up to ``nu_cap``, one value() call per point, then refines the
+    bracket to width <= tol (_refine) from the two end values it already has.
+    Raises ThresholdNotFound if h never crosses by ``nu_cap``.
 
     Scan points where the tails themselves fail to converge within the depth
-    cap are skipped as indeterminate, and never enter the bisection bracket.
+    cap are skipped as indeterminate, and never enter the refined bracket.
     The second-grade coefficient streams flatten to O(nu) constants as
     nu -> 0, where the even/odd bracket would need a depth of order 1/nu.
     Past the indices of TailSpec.bound their value-region bracket, whose
@@ -298,11 +360,14 @@ def nu0_estimate(params: FlowParams, tol: float = 1e-8, *,
         spec = DispersionSpec(dataclasses.replace(params, nu=nu))
         return value(0.0, spec, tol=min(tol, 1e-9), max_depth=max_depth)
 
+    seen = {}
+
     def h_or_skip(nu: float) -> float | None:
         try:
-            return h(nu)
+            seen[nu] = h(nu)
         except NoConvergence:
             return None  # indeterminate point: skip
+        return seen[nu]
 
     lo, hi = _first_crossing(h_or_skip, tol, nu_cap)
     if hi is None:
@@ -316,5 +381,5 @@ def nu0_estimate(params: FlowParams, tol: float = 1e-8, *,
             f"to the scan seed {tol:g}; no positive interval resolved",
             cap=nu_cap,
         )
-    lo, hi = _bisect(h, lo, hi, tol)
+    lo, hi = _refine(h, lo, hi, tol, seen[lo], seen[hi])
     return 0.5 * (lo + hi)

@@ -115,7 +115,7 @@ def build_u(lam: float, params: FlowParams, N: int, *,
 
     Both sides are seeded at depth N from adaptive tail evaluations (to
     ``tol``) and marched to the junction, where consistency is checked to
-    ``match_tol`` (default 100*tol, matching how root-bisection error
+    ``match_tol`` (default 100*tol, matching how the root bracket's error
     amplifies into u_0).  MatchFailure signals that lambda is not a root; for
     diagnostics on deliberately off-root lambda pass match_tol=math.inf.
 

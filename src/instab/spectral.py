@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import _bisect
+from .dispersion import _refine
 from .errors import NoConvergence, NoSignChange
 from .models import CoefficientStream, FlowParams
 
@@ -157,7 +157,7 @@ def det_I_plus_K(lam: float, params: FlowParams, N: int) -> DeterminantSample:
 
 def det_root(params: FlowParams, N: int, bracket: tuple[float, float],
              tol: float) -> float:
-    """Bisection zero of the sectioned determinant on a sign-changing bracket."""
+    """Zero of the sectioned determinant on a sign-changing bracket (dispersion._refine)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     lo, hi = bracket
@@ -173,7 +173,8 @@ def det_root(params: FlowParams, N: int, bracket: tuple[float, float],
     if s == math.copysign(1.0, f_hi):
         raise NoSignChange(
             f"det(I+K) has the same sign at both ends of [{lo:g}, {hi:g}]")
-    lo, hi = _bisect(lambda lam: s * det_I_plus_K(lam, params, N).value, lo, hi, tol)
+    lo, hi = _refine(lambda lam: s * det_I_plus_K(lam, params, N).value, lo, hi, tol,
+                     s * f_lo, s * f_hi)
     return 0.5 * (lo + hi)
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import instab.dispersion
 from instab import (
@@ -13,14 +14,16 @@ from instab import (
     NoConvergence,
     ThresholdNotFound,
     default_lambda_cap,
+    det_root,
     find_root,
     nu0_estimate,
     recurrence_coeff,
     value,
     value_grid,
 )
-from instab.dispersion import _bisect, _first_crossing
+from instab.dispersion import _first_crossing, _refine
 from conftest import LAM_STAR, NU_STAR, count_calls, make_params
+from test_acceptance import TRIANGLE
 
 
 def spec_of(params):
@@ -217,17 +220,33 @@ def test_root_between_last_doubling_point_and_cap(fig_params):
     assert res.lam == pytest.approx(LAM_STAR, abs=1e-10)
 
 
+def record_scans(monkeypatch):
+    """Spy on the batched evaluator behind value_grid; returns the grids seen."""
+    inner, grids = instab.dispersion._grid_info, []
+
+    def recording(spec, lam, *args):
+        grids.append(lam)
+        return inner(spec, lam, *args)
+
+    monkeypatch.setattr(instab.dispersion, "_grid_info", recording)
+    return grids
+
+
 def test_root_scan_never_passes_the_cap(fig_params, monkeypatch):
+    grids = record_scans(monkeypatch)
     seen = count_calls(monkeypatch, instab.dispersion, "_value_info")
     res = find_root(spec_of(fig_params), tol=1e-10, lambda_cap=0.1)
     assert not res.found
-    assert max(seen) == 0.1
+    assert [max(grid) for grid in grids] == [0.1]
+    assert max(seen) <= 0.1
 
 
 def test_reference_root_evaluation_budget(fig_params, monkeypatch):
     seen = count_calls(monkeypatch, instab.dispersion, "_value_info")
+    grids = record_scans(monkeypatch)
     assert find_root(spec_of(fig_params), tol=1e-12).found
-    assert len(seen) <= 79
+    assert len(seen) <= 11
+    assert len(grids) == 1
 
 
 def test_root_search_ends_below_float_spacing(fig_params, monkeypatch):
@@ -250,7 +269,7 @@ def test_bisect_stops_at_adjacent_doubles():
         assert len(calls) <= 60, "bisection did not stop"
         return 0.3 - x
 
-    lo, hi = _bisect(f, 0.0, 1.0, 1e-30)
+    lo, hi = _refine(f, 0.0, 1.0, 1e-30, 0.3, -0.7)
     assert math.nextafter(lo, hi) == hi
     assert f(lo) > 0.0 >= f(hi)
 
@@ -280,6 +299,149 @@ def test_root_depth_cap_propagates(fig_params):
 
 
 # ---------------------------------------------------------------------------
+# the batched scan and the ITP refinement
+# ---------------------------------------------------------------------------
+
+def triangle_spec(case):
+    model, alpha, q, nu, _ = case
+    return spec_of(make_params(model=model, alpha=alpha, q=q, nu=nu))
+
+
+def triangle_id(case):
+    return f"{case[0].value}-q{case[2][0]},{case[2][1]}"
+
+
+def scalar_scan(spec, tol, cap):
+    """The doubling scan one value() call at a time: (lo, hi, f(lo), f(hi))."""
+    lo, f_lo, lam = 0.0, value(0.0, spec, tol=tol), tol
+    while True:
+        lam = min(lam, cap)
+        f_lam = value(lam, spec, tol=tol)
+        if f_lam <= 0.0:
+            return lo, lam, f_lo, f_lam
+        lo, f_lo, lam = lam, f_lam, 2.0 * lam
+
+
+def record_refinements(monkeypatch):
+    """Spy on _refine; returns the (lo, hi, f(lo), f(hi)) it was handed."""
+    inner, seen = instab.dispersion._refine, []
+
+    def recording(f, lo, hi, tol, f_lo, f_hi):
+        seen.append((lo, hi, f_lo, f_hi))
+        return inner(f, lo, hi, tol, f_lo, f_hi)
+
+    monkeypatch.setattr(instab.dispersion, "_refine", recording)
+    return seen
+
+
+@pytest.mark.parametrize("case", TRIANGLE, ids=triangle_id)
+def test_batched_scan_brackets_as_a_scalar_scan(case, monkeypatch):
+    # same grid pair, and the refinement gets the scan's end values as they are
+    spec = triangle_spec(case)
+    seen = record_refinements(monkeypatch)
+    assert find_root(spec, tol=1e-12).found
+    assert seen == [scalar_scan(spec, 1e-12, default_lambda_cap(spec.params))]
+
+
+# find_root (tol 1e-12) lambda and cf_depth, nu0_estimate (tol 1e-8), and
+# det_root (N=128 on (0.9, 1.1)*lambda, tol 1e-10) as the doubling scan plus
+# bisection found them on the TRIANGLE instances, in order
+BISECTION = [
+    (0.22315363431475005, 9, 0.08964539500000002, 0.22315363435631566),
+    (0.30410407774625003, 9, 0.09424095500000002, 0.30410407771792813),
+    (0.30410407774625003, 9, 0.09424095500000002, 0.30410407771792813),
+    (1.2036914999925, 129, 0.5082461649999999, 1.2036915000205255),
+    (1.2188637052665001, 129, 0.5392509475, 1.2188637052381213),
+    (1.2188637052665001, 129, 0.5392509475, 1.2188637052381213),
+    (1.1145723818777498, 9, 0.18871248750000005, 1.114572381851799),
+    (1.2535822725505001, 9, 0.20421729500000005, 1.2535822725213128),
+    (1.2535822725505001, 9, 0.20421729500000005, 1.2535822725213128),
+    (0.12909008747375003, 9, 0.08964539500000002, 0.12909008742566025),
+    (0.13495952773049996, 9, 0.09424095500000002, 0.1349595277053618),
+    (0.13495952773049996, 9, 0.09424095500000002, 0.1349595277053618),
+]
+
+
+@pytest.mark.parametrize("case,before", zip(TRIANGLE, BISECTION),
+                         ids=[triangle_id(case) for case in TRIANGLE])
+def test_searches_agree_with_bisection_within_tol(case, before):
+    lam, cf_depth, nu0, det_lam = before
+    spec = triangle_spec(case)
+    res = find_root(spec, tol=1e-12)
+    assert res.cf_depth == cf_depth
+    assert abs(res.lam - lam) <= 1e-12
+    assert abs(nu0_estimate(spec.params, tol=1e-8) - nu0) <= 1e-8
+    got = det_root(spec.params, 128, (0.9 * res.lam, 1.1 * res.lam), tol=1e-10)
+    assert abs(got - det_lam) <= 1e-10
+
+
+def test_cf_depth_counts_scan_rows_deeper_than_lambda_zero():
+    # second grade at small nu: lambda = 0 needs depth 17, but rows below the
+    # crossing need 513, the depth the scan plus bisection reported
+    spec = spec_of(make_params(model=ModelKind.SECOND_GRADE, alpha=1.0, nu=1e-5))
+    assert instab.dispersion._value_info(0.0, spec, 1e-6, None, 100_000)[1] == 17
+    assert find_root(spec, tol=1e-6).cf_depth == 513
+
+
+@pytest.mark.parametrize("alpha,nu,tol,max_depth,message", [
+    (0.5, 0.04, 1e-10, 16, "fixed-point bracket width 7.594e-07"),     # at lambda = 0
+    (1.0, 1e-5, 1e-6, 32, "value-region bracket width 5.725e-06"),     # a scan row
+])
+def test_depth_capped_root_search_raises(alpha, nu, tol, max_depth, message):
+    # the messages are those of the scalar scan: the first failing row at or
+    # below the crossing, found row by row once the batched scan fails
+    spec = spec_of(make_params(model=ModelKind.SECOND_GRADE, alpha=alpha, nu=nu))
+    with pytest.raises(NoConvergence, match=message):
+        find_root(spec, tol=tol, max_depth=max_depth)
+
+
+def test_failed_batched_scan_goes_row_by_row_to_the_crossing(fig_params, monkeypatch):
+    # a row that fails at the depth cap need not be at or below the crossing:
+    # the rows are then evaluated one by one, up to the crossing only
+    expect = find_root(spec_of(fig_params), tol=1e-12)
+
+    def failing(*args):
+        raise NoConvergence("a row above the crossing", depth=16, width=1.0)
+
+    monkeypatch.setattr(instab.dispersion, "_grid_info", failing)
+    seen = count_calls(monkeypatch, instab.dispersion, "_value_info")
+    got = find_root(spec_of(fig_params), tol=1e-12)
+    assert max(seen) == 1e-12 * 2 ** 38  # the first row <= 0
+    assert abs(got.lam - expect.lam) <= 1e-12
+    assert got.cf_depth == expect.cf_depth
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(-10.0, 10.0), width=st.floats(1e-6, 100.0),
+       at=st.floats(0.0, 1.0), ratio=st.floats(0.5, 2.0 ** 60),
+       b=st.floats(0.0, 3.0), c=st.floats(0.0, 10.0))
+def test_refine_keeps_the_sign_change_within_one_step_of_bisection(lo, width, at, ratio,
+                                                                   b, c):
+    # a smooth f with one sign change, at root: positive factor times (root - x)
+    hi = lo + width
+    root = lo + at * (hi - lo)
+    assume(lo < root <= hi)
+    tol = (hi - lo) / ratio
+    trials = []
+
+    def f(x):
+        trials.append(x)
+        return (root - x) * math.exp(b * math.sin(c * x))
+
+    f_lo, f_hi = f(lo), f(hi)
+    trials.clear()
+    a, z = _refine(f, lo, hi, tol, f_lo, f_hi)
+    assert all(lo < x < hi for x in trials)
+    bound = max(0, math.ceil(math.log2((hi - lo) / tol))) + 1
+    if tol < 256 * math.ulp(max(abs(lo), abs(hi))):
+        bound += 1  # this near the float spacing, rounding to doubles costs bisection a step
+    assert len(trials) <= bound
+    assert lo <= a < z <= hi
+    assert f(a) > 0.0 >= f(z)
+    assert z - a <= tol or math.nextafter(a, z) == z
+
+
+# ---------------------------------------------------------------------------
 # viscosity threshold
 # ---------------------------------------------------------------------------
 
@@ -292,7 +454,7 @@ def test_reference_threshold(fig_params):
 def test_threshold_evaluation_budget(fig_params, monkeypatch):
     seen = count_calls(monkeypatch, instab.dispersion, "value")
     nu0_estimate(fig_params, tol=1e-8)
-    assert len(seen) <= 48
+    assert len(seen) <= 32
 
 
 def test_threshold_is_a_sign_change(fig_params):

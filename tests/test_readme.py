@@ -37,4 +37,4 @@ def test_readme_example_exits_zero(capsys, line):
 
 def test_quick_start_runs(capsys):
     exec(compile(fenced_block("## Quick start (API)", "python"), "README.md", "exec"), {})
-    assert "0.22315363431475" in capsys.readouterr().out
+    assert "0.22315363431474" in capsys.readouterr().out

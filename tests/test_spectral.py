@@ -267,7 +267,7 @@ def test_det_root_evaluation_budget(fig_params, monkeypatch):
     seen = count_calls(monkeypatch, instab.spectral, "det_I_plus_K")
     got = det_root(fig_params, 128, (0.2, 0.25), tol=1e-10)
     assert got == pytest.approx(LAM_STAR, abs=1e-8)
-    assert len(seen) <= 31
+    assert len(seen) <= 10
 
 
 def test_det_root_ends_below_float_spacing(fig_params, monkeypatch):
