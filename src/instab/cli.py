@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 usage/parameter errors (including non-finite
-numbers, orbit classes a computation does not support and an --output that
-cannot be written, checked before computing), 3 any InstabError: no
+numbers, orbit classes a computation does not support, grids above
+_MAX_GRID_POINTS and an --output that cannot be written, checked before
+computing), 3 any InstabError: no
 convergence, junction mismatch, threshold not found, or NoSignChange
 (including a failed root search in root, eigvec and verify).
 
@@ -128,6 +129,9 @@ def _require_positive_nu(params: FlowParams) -> None:
         raise UsageError("nu=0 (no dissipation) is supported only by `curve`")
 
 
+_MAX_GRID_POINTS = 100_000
+
+
 def _grid(lo: float | None, hi: float | None, step: float | None,
           what: str) -> list[float]:
     if lo is None or hi is None or step is None:
@@ -135,8 +139,9 @@ def _grid(lo: float | None, hi: float | None, step: float | None,
     if step <= 0:
         raise UsageError("--step must be positive")
     span = (hi - lo) / step
-    if not math.isfinite(span):
-        raise UsageError(f"{what} grid has too many points for --step {step:g}")
+    if not span < _MAX_GRID_POINTS:  # an infinite span too; before the list is built
+        raise UsageError(f"{what} grid has too many points for --step {step:g} "
+                         f"(at most {_MAX_GRID_POINTS})")
     count = int(math.floor(span + 1e-12)) + 1
     if count < 1:
         raise UsageError(f"empty {what} grid: max is below min")

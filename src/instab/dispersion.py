@@ -10,13 +10,16 @@ tails:
 
 value() evaluates the left-hand side; value_grid() evaluates it over a grid of
 lambda or nu in one batched pass, bit for bit; find_root() locates a positive
-root by a doubling scan, evaluated in one value_grid() pass, plus a bracketed
+root by a doubling scan in lambda from lambda = 0, plus a bracketed
 refinement; nu0_estimate() finds the smallest viscosity at which the lambda=0
 value crosses zero, i.e. the threshold below which the sign-change premise of
-the root search holds.  Both searches share one doubling schedule (_doubling),
-and both, with the determinant zero in spectral.det_root, share one
-refinement (_refine): ITP, which keeps the bracket of bisection and its
-worst case within one step, but converges superlinearly on smooth functions.
+the root search holds, by a doubling scan in nu.  Each scan is one batched
+pass (_grid_info) over a _doubling grid, which hands back the rows that fail
+at the depth cap as data; value_grid raises the first, find_root only one at
+or below its first crossing, and nu0_estimate skips them.  Both searches,
+with the determinant zero in spectral.det_root, share one refinement
+(_refine): ITP, which keeps the bracket of bisection and its worst case
+within one step, but converges superlinearly on smooth functions.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from .contfrac import (DEFAULT_MAX_DEPTH, Direction, TailSpec, _adaptive_rows, _trunc_rows,
                        eval_adaptive, eval_trunc)
-from .errors import NoConvergence, ThresholdNotFound
+from .errors import ThresholdNotFound
 from .lattice import PointClass
 from .models import CoefficientStream, FlowParams
 
@@ -106,11 +109,16 @@ def value_grid(spec: DispersionSpec, lam=0.0, nu=None, tol: float = 1e-10,
     such as a lambda array or a nu array at lambda = 0.  Each row equals value()
     bit for bit; at the depth cap the first failing row raises as value() does.
     """
-    return _grid_info(spec, lam, nu, tol, depth, max_depth)[:2]
+    values, a0, _, failed = _grid_info(spec, lam, nu, tol, depth, max_depth)
+    if failed:
+        raise next(iter(failed.values()))
+    return values, a0
 
 
 def _grid_info(spec, lam, nu, tol, depth, max_depth):
-    # value_grid's (values, a0) and each row's deepest tail depth, as _value_info's
+    # value_grid's (values, a0), each row's deepest tail depth, as _value_info's,
+    # and the rows that fail at the depth cap, in order, with what value() raises
+    # for them; a failed row's value is NaN
     lam, nu = np.broadcast_arrays(np.atleast_1d(np.asarray(lam, dtype=np.float64)),
                                   np.asarray(spec.params.nu if nu is None else nu))
     if np.any(lam < 0):
@@ -134,18 +142,22 @@ def _grid_info(spec, lam, nu, tol, depth, max_depth):
 
     a0 = (lam + nu * cs.diag_weight(0)) / cs._defined_rho(0)
     rows = lam.size * len(signs)
+    failed = {}
     if depth is None:
         # each row's TailSpec.bound, the same for both tails of a point
         bound = [np.repeat(np.broadcast_to(x, lam.shape), len(signs))
                  for x in cs.tail_bound(lam, nu)]
-        tails, depths = _adaptive_rows(coeffs, rows, bound, tol / 4.0, max_depth)
+        tails, depths, failed = _adaptive_rows(coeffs, rows, bound, tol / 4.0, max_depth)
     else:
         tails = _trunc_rows(coeffs(np.arange(rows), depth), np.zeros(rows))
         depths = np.full(rows, depth)
     total = a0
     for column in tails.reshape(-1, len(signs)).T:
         total = total + column
-    return total, a0, depths.reshape(-1, len(signs)).max(axis=1)
+    points = {}
+    for row, err in failed.items():  # value() raises for a point's first failing tail
+        points.setdefault(row // len(signs), err)
+    return total, a0, depths.reshape(-1, len(signs)).max(axis=1), points
 
 
 @dataclass(frozen=True)
@@ -181,25 +193,6 @@ def _doubling(start: float, cap: float):
         yield x
         x *= 2.0
     yield cap
-
-
-def _first_crossing(f, start: float, cap: float) -> tuple[float, float | None]:
-    """Doubling scan for the first sign change of f from positive to nonpositive.
-
-    Evaluates f at the _doubling points one by one, and never beyond ``cap``.
-    Returns the last point with f > 0 (0.0 if none) and the first point with
-    f <= 0 (None if none).  A point where f returns None is indeterminate and
-    skipped.
-    """
-    lo = 0.0
-    for x in _doubling(start, cap):
-        v = f(x)
-        if v is None:
-            continue
-        if v <= 0.0:
-            return lo, x
-        lo = x
-    return lo, None
 
 
 def _refine(f, lo: float, hi: float, tol: float, f_lo: float, f_hi: float
@@ -255,17 +248,18 @@ def find_root(spec: DispersionSpec, tol: float = 1e-10,
               max_depth: int = DEFAULT_MAX_DEPTH) -> RootResult:
     """Locate a positive dispersion root by a doubling scan plus ITP refinement.
 
-    Evaluates lambda = tol, 2*tol, 4*tol, ... below ``lambda_cap`` and then the
-    cap itself in one value_grid() pass, takes the first row <= 0 and the one
-    before it (or lambda = 0) as the bracket, then refines it to width <= tol
-    (_refine).  value(0) is the premise check.  ``cf_depth`` is the deepest
-    tail over lambda = 0, the scan rows up to the first crossing and the
-    refinement points; second-grade rows with lambda > 0 can be deeper than
-    lambda = 0.  If a row fails to converge at the depth cap, the rows are
-    evaluated one by one instead, so that only a row at or below the first
-    crossing can raise.  The scan can in principle straddle a root pair
-    (monotonicity in lambda is not established); tighten the cap or scan
-    manually via value() when that matters.
+    Evaluates lambda = 0, tol, 2*tol, 4*tol, ... below ``lambda_cap`` and then
+    the cap itself in one batched pass (_grid_info, the body of value_grid),
+    takes the first row <= 0 and the one before it as the bracket, then refines
+    it to width <= tol (_refine).  A first row <= 0 at lambda = 0 is the failed
+    premise value(0) > 0.  ``cf_depth`` is the deepest tail over the rows up to
+    the first crossing and the refinement points; second-grade rows with
+    lambda > 0 can be deeper than lambda = 0.  A row that fails to converge at
+    the depth cap raises only when it lies at or below the first crossing,
+    with the message value() gives for it; rows above the crossing are not
+    read.  The scan can in principle straddle a root pair (monotonicity in
+    lambda is not established); tighten the cap or scan manually via value()
+    when that matters.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -276,15 +270,32 @@ def find_root(spec: DispersionSpec, tol: float = 1e-10,
     if not lambda_cap > 0:  # NaN included: the scan could never reach it
         raise ValueError("lambda_cap must be positive")
 
-    v0, deepest = _value_info(0.0, spec, tol, depth, max_depth)
-    if v0 <= 0.0:
+    grid = [0.0, *_doubling(tol, lambda_cap)]
+    values, _, depths, failed = _grid_info(spec, grid, None, tol, depth, max_depth)
+    values, depths = values.tolist(), depths.tolist()
+    # the first row <= 0 (a failed row's NaN is not), else len(grid)
+    i = next((i for i, v in enumerate(values) if v <= 0.0), len(grid))
+    first_failed = next(iter(failed), i + 1)
+    if first_failed <= i:  # a failure above the first crossing is not read
+        raise failed[first_failed]
+    deepest = max(depths[:i + 1])
+    if i == 0:
         return RootResult(
-            lam=0.0, bracket=(0.0, 0.0), dispersion_residual=abs(v0),
+            lam=0.0, bracket=(0.0, 0.0), dispersion_residual=abs(values[0]),
             cf_depth=deepest, found=False,
             diagnostic=(
-                f"NoSignChange: value(0) = {v0:.6e} <= 0; the sign-change "
+                f"NoSignChange: value(0) = {values[0]:.6e} <= 0; the sign-change "
                 f"premise fails (nu may be at or above the threshold, or the "
                 f"class/instance admits no such root). Not a stability claim."
+            ),
+        )
+    if i == len(grid):
+        return RootResult(
+            lam=0.0, bracket=(0.0, lambda_cap), dispersion_residual=0.0,
+            cf_depth=deepest, found=False,
+            diagnostic=(
+                f"NoSignChange: no root found on (0, {lambda_cap:g}]; value "
+                f"stayed positive on the scan grid. Not a stability claim."
             ),
         )
 
@@ -297,29 +308,7 @@ def find_root(spec: DispersionSpec, tol: float = 1e-10,
         deepest = max(deepest, last_depth)
         return v
 
-    grid = list(_doubling(tol, lambda_cap))
-    try:
-        values, _, depths = _grid_info(spec, grid, None, tol, depth, max_depth)
-        values, depths = values.tolist(), depths.tolist()
-    except NoConvergence:
-        values, depths = [], []  # val books the depths of this path
-        for lam in grid:
-            values.append(val(lam))
-            if values[-1] <= 0.0:
-                break
-    i = next((i for i, v in enumerate(values) if v <= 0.0), None)
-    deepest = max([deepest, *depths[:len(values) if i is None else i + 1]])
-    if i is None:
-        return RootResult(
-            lam=0.0, bracket=(0.0, lambda_cap), dispersion_residual=0.0,
-            cf_depth=deepest, found=False,
-            diagnostic=(
-                f"NoSignChange: no root found on (0, {lambda_cap:g}]; value "
-                f"stayed positive on the scan grid. Not a stability claim."
-            ),
-        )
-    lo, f_lo = (grid[i - 1], values[i - 1]) if i else (0.0, v0)
-    lo, hi = _refine(val, lo, grid[i], tol, f_lo, values[i])
+    lo, hi = _refine(val, grid[i - 1], grid[i], tol, values[i - 1], values[i])
     root = 0.5 * (lo + hi)
     return RootResult(
         lam=root, bracket=(lo, hi), dispersion_residual=abs(val(root)),
@@ -336,9 +325,10 @@ def nu0_estimate(params: FlowParams, tol: float = 1e-8, *,
     so I+ uses only the backward tail and I- only the forward one).  h is
     positive for small nu and the first crossing bounds the viscosities for
     which the root search premise value(0) > 0 holds.  The scan doubles nu
-    from tol up to ``nu_cap``, one value() call per point, then refines the
-    bracket to width <= tol (_refine) from the two end values it already has.
-    Raises ThresholdNotFound if h never crosses by ``nu_cap``.
+    from tol up to ``nu_cap`` and evaluates every point in one batched pass
+    (_grid_info, the body of value_grid), then refines the bracket to width
+    <= tol (_refine) from the two end values it already has, one value() call
+    per trial point.  Raises ThresholdNotFound if h never crosses by ``nu_cap``.
 
     Scan points where the tails themselves fail to converge within the depth
     cap are skipped as indeterminate, and never enter the refined bracket.
@@ -354,32 +344,28 @@ def nu0_estimate(params: FlowParams, tol: float = 1e-8, *,
         raise ValueError("tol must be positive")
     if not nu_cap > 0:
         raise ValueError("nu_cap must be positive")
-    DispersionSpec(params)  # validates the class up front
+    spec = DispersionSpec(params)  # validates the class up front; the scan sets nu
+    tol_h = min(tol, 1e-9)
 
     def h(nu: float) -> float:
-        spec = DispersionSpec(dataclasses.replace(params, nu=nu))
-        return value(0.0, spec, tol=min(tol, 1e-9), max_depth=max_depth)
+        return value(0.0, DispersionSpec(dataclasses.replace(params, nu=nu)),
+                     tol=tol_h, max_depth=max_depth)
 
-    seen = {}
-
-    def h_or_skip(nu: float) -> float | None:
-        try:
-            seen[nu] = h(nu)
-        except NoConvergence:
-            return None  # indeterminate point: skip
-        return seen[nu]
-
-    lo, hi = _first_crossing(h_or_skip, tol, nu_cap)
-    if hi is None:
+    grid = list(_doubling(tol, nu_cap))
+    values, _, _, failed = _grid_info(spec, 0.0, grid, tol_h, None, max_depth)
+    values = values.tolist()  # a failed row is NaN, neither > 0 nor <= 0: skipped
+    i = next((i for i, v in enumerate(values) if v <= 0.0), None)
+    if i is None:
         raise ThresholdNotFound(
             f"value at lambda=0 stayed positive for nu up to cap {nu_cap:g}",
             cap=nu_cap,
         )
-    if lo == 0.0:
+    lo = next((j for j in reversed(range(i)) if j not in failed), None)
+    if lo is None:
         raise ThresholdNotFound(
             f"value at lambda=0 already nonpositive (or not evaluable) down "
             f"to the scan seed {tol:g}; no positive interval resolved",
             cap=nu_cap,
         )
-    lo, hi = _refine(h, lo, hi, tol, seen[lo], seen[hi])
+    lo, hi = _refine(h, grid[lo], grid[i], tol, values[lo], values[i])
     return 0.5 * (lo + hi)

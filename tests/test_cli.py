@@ -457,6 +457,26 @@ def test_curve_grid_too_large_rejected(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", *FIG, "--step", "1e-12"],  # 2e12 points on the default [0, 2]
+    ["curve", "--p", "3,1", "--q=-1,2", "--scan", "nu", "--nu-min", "1e-6",
+     "--nu-max", "1", "--step", "1e-12"],
+    ["det", *FIG, "--lambda-min", "0", "--lambda-max", "2", "--step", "1e-12"],
+])
+def test_huge_finite_grid_refused_before_it_is_built(capsys, monkeypatch, argv):
+    grids = count_calls(monkeypatch, instab.cli, "value_grid")
+    dets = count_calls(monkeypatch, instab.cli, "det_I_plus_K")
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert grids == dets == []
+
+
+def test_grid_point_limit():
+    assert len(instab.cli._grid(0.0, 99_999.0, 1.0, "lambda")) == 100_000
+    with pytest.raises(instab.cli.UsageError, match="at most 100000"):
+        instab.cli._grid(0.0, 100_000.0, 1.0, "lambda")
+
+
 def g17(x):
     return format(x, ".17g")
 
@@ -555,10 +575,11 @@ def test_output_file_has_lf_endings(tmp_path, capsys):
 def test_unwritable_output_refused_before_computing(tmp_path, capsys,
                                                     monkeypatch, argv):
     seen = count_calls(monkeypatch, instab.dispersion, "_value_info")
+    scans = count_calls(monkeypatch, instab.dispersion, "_grid_info")
     target = tmp_path / "missing" / "out"
     assert run([*argv, "--output", str(target)]) == 2
     assert capsys.readouterr().err.startswith("usage error: cannot write --output")
-    assert seen == []
+    assert seen == scans == []
     assert not target.exists()
 
 

@@ -21,7 +21,7 @@ from instab import (
     value,
     value_grid,
 )
-from instab.dispersion import _first_crossing, _refine
+from instab.dispersion import _refine
 from conftest import LAM_STAR, NU_STAR, count_calls, make_params
 from test_acceptance import TRIANGLE
 
@@ -160,6 +160,7 @@ def test_reference_root(fig_params):
     assert res.bracket[1] - res.bracket[0] <= 1e-12
     assert abs(res.dispersion_residual) <= 1e-11
     assert res.cf_depth >= 2
+    assert type(res.cf_depth) is int
     assert res.diagnostic is None
 
 
@@ -238,14 +239,14 @@ def test_root_scan_never_passes_the_cap(fig_params, monkeypatch):
     res = find_root(spec_of(fig_params), tol=1e-10, lambda_cap=0.1)
     assert not res.found
     assert [max(grid) for grid in grids] == [0.1]
-    assert max(seen) <= 0.1
+    assert seen == []  # with no root found, nothing is evaluated one by one
 
 
 def test_reference_root_evaluation_budget(fig_params, monkeypatch):
     seen = count_calls(monkeypatch, instab.dispersion, "_value_info")
     grids = record_scans(monkeypatch)
     assert find_root(spec_of(fig_params), tol=1e-12).found
-    assert len(seen) <= 11
+    assert len(seen) <= 10  # refinement and residual only: lambda = 0 is a scan row
     assert len(grids) == 1
 
 
@@ -272,17 +273,6 @@ def test_bisect_stops_at_adjacent_doubles():
     lo, hi = _refine(f, 0.0, 1.0, 1e-30, 0.3, -0.7)
     assert math.nextafter(lo, hi) == hi
     assert f(lo) > 0.0 >= f(hi)
-
-
-def test_first_crossing_skips_indeterminate_points():
-    skip = {0.5, 4.0}
-
-    def f(x):
-        return None if x in skip else 3.0 - x
-
-    assert _first_crossing(f, 0.25, 100.0) == (2.0, 8.0)
-    assert _first_crossing(f, 0.25, 2.5) == (2.5, None)
-    assert _first_crossing(f, 0.25, 4.0) == (2.0, None)
 
 
 def test_search_caps_reject_nan(fig_params):
@@ -343,6 +333,28 @@ def test_batched_scan_brackets_as_a_scalar_scan(case, monkeypatch):
     assert seen == [scalar_scan(spec, 1e-12, default_lambda_cap(spec.params))]
 
 
+def scalar_nu_scan(params, tol, cap=100.0):
+    """nu0_estimate's doubling scan one value() call per nu: (lo, hi, h(lo), h(hi))."""
+    def h(nu):
+        return value(0.0, spec_of(dataclasses.replace(params, nu=nu)), tol=min(tol, 1e-9))
+
+    lo, f_lo, nu = None, None, tol
+    while True:
+        nu = min(nu, cap)
+        f_nu = h(nu)
+        if f_nu <= 0.0:
+            return lo, nu, f_lo, f_nu
+        lo, f_lo, nu = nu, f_nu, 2.0 * nu
+
+
+@pytest.mark.parametrize("case", TRIANGLE, ids=triangle_id)
+def test_batched_nu_scan_brackets_as_a_scalar_scan(case, monkeypatch):
+    params = triangle_spec(case).params
+    seen = record_refinements(monkeypatch)
+    nu0_estimate(params, tol=1e-8)
+    assert seen == [scalar_nu_scan(params, 1e-8)]
+
+
 # find_root (tol 1e-12) lambda and cf_depth, nu0_estimate (tol 1e-8), and
 # det_root (N=128 on (0.9, 1.1)*lambda, tol 1e-10) as the doubling scan plus
 # bisection found them on the TRIANGLE instances, in order
@@ -395,20 +407,30 @@ def test_depth_capped_root_search_raises(alpha, nu, tol, max_depth, message):
         find_root(spec, tol=tol, max_depth=max_depth)
 
 
-def test_failed_batched_scan_goes_row_by_row_to_the_crossing(fig_params, monkeypatch):
-    # a row that fails at the depth cap need not be at or below the crossing:
-    # the rows are then evaluated one by one, up to the crossing only
+def test_row_failing_above_the_crossing_is_not_read(fig_params, monkeypatch):
+    # a row that fails at the depth cap above the first crossing changes
+    # neither the root nor cf_depth; one at or below the crossing raises
     expect = find_root(spec_of(fig_params), tol=1e-12)
+    inner, row = instab.dispersion._grid_info, None
 
     def failing(*args):
-        raise NoConvergence("a row above the crossing", depth=16, width=1.0)
+        values, a0, depths, failed = inner(*args)
+        values[row] = math.nan
+        depths[row] = 10 ** 6
+        err = NoConvergence(f"row {row}", depth=16, width=1.0)
+        return values, a0, depths, {**failed, row: err}
 
     monkeypatch.setattr(instab.dispersion, "_grid_info", failing)
-    seen = count_calls(monkeypatch, instab.dispersion, "_value_info")
-    got = find_root(spec_of(fig_params), tol=1e-12)
-    assert max(seen) == 1e-12 * 2 ** 38  # the first row <= 0
-    assert abs(got.lam - expect.lam) <= 1e-12
-    assert got.cf_depth == expect.cf_depth
+    # row 0 is lambda = 0, row k >= 1 is 1e-12 * 2**(k - 1), the crossing is
+    # row 39, lambda = 1e-12 * 2**38, and row 50 is the cap
+    crossing = 39
+    for row in (crossing + 1, 50):
+        got = find_root(spec_of(fig_params), tol=1e-12)
+        assert (got.lam, got.bracket, got.cf_depth) == (expect.lam, expect.bracket,
+                                                        expect.cf_depth)
+    for row in (0, crossing - 1):
+        with pytest.raises(NoConvergence, match=f"^row {row}$"):
+            find_root(spec_of(fig_params), tol=1e-12)
 
 
 @settings(max_examples=300, deadline=None)
@@ -452,9 +474,12 @@ def test_reference_threshold(fig_params):
 
 
 def test_threshold_evaluation_budget(fig_params, monkeypatch):
+    # the nu scan is one batched pass; value() is called by the refinement only
     seen = count_calls(monkeypatch, instab.dispersion, "value")
+    grids = count_calls(monkeypatch, instab.dispersion, "_grid_info")
     nu0_estimate(fig_params, tol=1e-8)
-    assert len(seen) <= 32
+    assert len(grids) == 1
+    assert len(seen) <= 7
 
 
 def test_threshold_is_a_sign_change(fig_params):
@@ -513,16 +538,14 @@ def test_threshold_rejects_nonpositive_nu_cap(fig_params, cap):
 def test_threshold_skips_indeterminate_scan_points(fig_params, monkeypatch):
     # at max_depth=16 the tails of the smallest scan viscosities do not
     # converge; those points are skipped and the threshold is unchanged
-    inner, skipped = instab.dispersion.value, []
+    inner, skipped = instab.dispersion._grid_info, []
 
-    def recording(lam, spec, **kwargs):
-        try:
-            return inner(lam, spec, **kwargs)
-        except NoConvergence:
-            skipped.append(spec.params.nu)
-            raise
+    def recording(spec, lam, nu, *args):
+        out = inner(spec, lam, nu, *args)
+        skipped.extend(nu[row] for row in out[3])
+        return out
 
-    monkeypatch.setattr(instab.dispersion, "value", recording)
+    monkeypatch.setattr(instab.dispersion, "_grid_info", recording)
     nu0 = nu0_estimate(fig_params, tol=1e-8, max_depth=16)
     assert len(skipped) == 18
     assert skipped[0] == 1e-8
