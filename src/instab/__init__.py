@@ -65,6 +65,7 @@ from .spectral import (
     build_K,
     build_L,
     det_I_plus_K,
+    det_grid,
     det_root,
     dominant_mode,
     growth_rate,
@@ -94,7 +95,7 @@ __all__ = [
     # spectral oracles
     "TruncatedOperator", "DeterminantSample",
     "build_L", "max_real_eig", "dominant_mode", "build_K",
-    "det_I_plus_K", "det_root", "growth_rate",
+    "det_I_plus_K", "det_grid", "det_root", "growth_rate",
     # errors
     "InstabError", "IndexUndefined", "DegenerateFraction", "NoConvergence",
     "NoSignChange", "MatchFailure", "ThresholdNotFound",

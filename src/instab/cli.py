@@ -13,7 +13,8 @@ digits) depending on --format, written with LF line endings to stdout or to
 CSV; root, nu0 and simulate to JSON; verify takes --format text|json (no
 CSV) and defaults to text.  det has three exclusive modes: one --lam, a
 lambda grid (--lambda-min/--lambda-max/--step), or --root-bracket (with its
---tol).
+--tol); the --lam and grid modes evaluate every lambda in one batched pass
+(spectral.det_grid).
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .eigensystem import build_w
 from .errors import InstabError, NoSignChange
 from .lattice import LatticeVector, canonical_rep, classify, enumerate_classes, wedge
 from .models import FlowParams, ModelKind
-from .spectral import _dt_max, build_L, det_I_plus_K, det_root, growth_rate, max_real_eig
+from .spectral import (_dt_max, build_L, det_I_plus_K, det_grid, det_root, growth_rate,
+                       max_real_eig)
 
 __all__ = ["run", "main"]
 
@@ -297,8 +299,8 @@ def _cmd_det(args) -> int:
         grid = [args.lam]
     else:
         grid = _grid(*grid_flags, "lambda")
-    samples = [det_I_plus_K(x, params, N) for x in grid]
-    header, rows = ["lambda", "det", "n"], [(s.lam, s.value, s.N) for s in samples]
+    header = ["lambda", "det", "n"]
+    rows = [(x, v, N) for x, v in zip(grid, det_grid(grid, params, N).tolist())]
     _emit(args, {**_flow_meta(params), "columns": header,
                  "rows": [list(r) for r in rows]}, header, rows)
     return 0

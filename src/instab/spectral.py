@@ -9,6 +9,14 @@ Three routes that never touch the continued fractions:
   initial vector.
 
 A certified instability must survive all three within stated tolerances.
+
+The determinant has two drivers of one scaled recurrence: det_I_plus_K runs
+it for one lambda as a Python float loop, and det_grid runs it for a whole
+lambda grid as one numpy pass with the same per-element arithmetic, so its
+values are == to the scalar loop's.  Grids go through det_grid.  det_root
+stays scalar: its refinement makes one evaluation at a time, and a one-row
+numpy pass costs 10 to 25 times the float loop (best of 50 on a 2-core Xeon:
+2.0 ms against 0.15 ms at N=128, 8.0 ms against 0.31 ms at N=512).
 """
 
 from __future__ import annotations
@@ -30,12 +38,20 @@ __all__ = [
     "dominant_mode",
     "build_K",
     "det_I_plus_K",
+    "det_grid",
     "det_root",
     "growth_rate",
 ]
 
 DENSE_CAP = 512
 RENORM_EVERY = 16  # RK4 steps per renormalization block of growth_rate
+# lambdas per det_grid pass: a pass holds about ten vectors of this length
+# (under 1 MB), so a grid of any length and window allocates no more
+DET_GRID_CHUNK = 1 << 13
+# both determinant drivers rescale a minor pair by an exact power of two once
+# its larger magnitude leaves [2^-256, 2^256]
+_RESCALE_LO, _RESCALE_HI = 2.0 ** -256, 2.0 ** 256
+_NEEDS_POSITIVE_LAMBDA = "the determinant factorization needs lambda > 0"
 
 
 @dataclass(frozen=True)
@@ -108,7 +124,7 @@ def build_K(lam: float, params: FlowParams, N: int) -> TruncatedOperator:
     determinants grow without limit in N.
     """
     if lam <= 0:
-        raise ValueError("the determinant factorization needs lambda > 0")
+        raise ValueError(_NEEDS_POSITIVE_LAMBDA)
     L = build_L(params, N)
     k = 1.0 / (L.diag - lam)
     return TruncatedOperator(N=N, diag=np.zeros(2 * N + 1),
@@ -132,14 +148,19 @@ def det_I_plus_K(lam: float, params: FlowParams, N: int) -> DeterminantSample:
     naming N and the magnitude.  The sections diverge that way where K is not
     trace class; a trace-class determinant can also be finite but too large
     (NavierStokes at nu = lambda = 1e-6, N = 512: about 1e635).
+
+    This is the one-lambda loop that det_root refines with, since a one-row
+    numpy pass costs more than it; det_grid is the grid path, and its values
+    are == to this loop's.
     """
     K = build_K(lam, params, N)
     d_prev2, d_prev = 1.0, 1.0  # empty minor and the first 1x1 block
     shift = 0
+    lo, hi = _RESCALE_LO, _RESCALE_HI  # locals: this loop is det_root's cost
     for sub, sup in zip(K.sub.tolist(), K.sup.tolist()):
         d = d_prev - sub * sup * d_prev2
         mag = max(abs(d), abs(d_prev))
-        if mag > 2.0 ** 256 or (0.0 < mag < 2.0 ** -256):
+        if mag > hi or (0.0 < mag < lo):
             _, e = math.frexp(mag)
             d = math.ldexp(d, -e)
             d_prev = math.ldexp(d_prev, -e)
@@ -148,11 +169,64 @@ def det_I_plus_K(lam: float, params: FlowParams, N: int) -> DeterminantSample:
     try:
         return DeterminantSample(lam=lam, value=math.ldexp(d_prev, shift), N=N)
     except OverflowError:
-        raise NoConvergence(
-            f"|det(I+K)| of the N={N} section is about 1e"
-            f"{math.log10(abs(d_prev)) + shift * math.log10(2.0):.0f}, beyond the "
-            "double range",
-            depth=N) from None
+        raise _beyond_double_range(d_prev, shift, N) from None
+
+
+def det_grid(lams, params: FlowParams, N: int) -> np.ndarray:
+    """det_I_plus_K(lam, params, N).value at each lambda of a 1-D grid, in grid order.
+
+    The section is built once; then each chunk of at most DET_GRID_CHUNK
+    lambdas runs the scaled recurrence once per step over its vector of
+    lambdas, with det_I_plus_K's per-element arithmetic: k = 1/(L_nn - lambda),
+    (k_{m+1}*sub_m)*(k_m*sup_m) times D_{m-2}, and the same power-of-two
+    rescaling.  So every value is == to the scalar loop's.  The k and band
+    products are formed one step at a time, so a chunk holds a few vectors
+    of its lambdas whatever N is.  A lambda <= 0 anywhere raises ValueError
+    before any work; a value beyond the double range raises the scalar
+    call's NoConvergence for the first such lambda.
+    """
+    lams = np.asarray(lams, dtype=np.float64)
+    if np.any(lams <= 0):
+        raise ValueError(_NEEDS_POSITIVE_LAMBDA)
+    L = build_L(params, N)
+    out = np.empty(lams.size)
+    for start in range(0, lams.size, DET_GRID_CHUNK):
+        chunk = slice(start, start + DET_GRID_CHUNK)
+        out[chunk] = _det_rows(L, lams[chunk])
+    return out
+
+
+def _det_rows(L: TruncatedOperator, lams: np.ndarray) -> np.ndarray:
+    d_prev2, d_prev = np.ones(lams.size), np.ones(lams.size)
+    shift = np.zeros(lams.size, dtype=np.int64)
+    k = 1.0 / (L.diag[0] - lams)  # build_K's k_n at each lambda, one n at a time
+    # Python float arithmetic overflows to inf and nan silently; so does this
+    with np.errstate(over="ignore", invalid="ignore"):
+        for diag, sub, sup in zip(L.diag[1:].tolist(), L.sub.tolist(), L.sup.tolist()):
+            k_next = 1.0 / (diag - lams)
+            d = d_prev - (k_next * sub) * (k * sup) * d_prev2
+            mag = np.maximum(np.abs(d), np.abs(d_prev))
+            rescale = (mag > _RESCALE_HI) | ((mag > 0.0) & (mag < _RESCALE_LO))
+            if rescale.any():
+                e = np.where(rescale, np.frexp(mag)[1], 0)
+                d = np.ldexp(d, -e)
+                d_prev = np.ldexp(d_prev, -e)
+                shift += e
+            d_prev2, d_prev, k = d_prev, d, k_next
+        values = np.ldexp(d_prev, shift)
+    beyond = np.flatnonzero(np.isinf(values) & np.isfinite(d_prev))
+    if beyond.size:
+        i = beyond[0]
+        raise _beyond_double_range(float(d_prev[i]), int(shift[i]), L.N)
+    return values
+
+
+def _beyond_double_range(mantissa: float, shift: int, N: int) -> NoConvergence:
+    return NoConvergence(
+        f"|det(I+K)| of the N={N} section is about 1e"
+        f"{math.log10(abs(mantissa)) + shift * math.log10(2.0):.0f}, beyond the "
+        "double range",
+        depth=N)
 
 
 def det_root(params: FlowParams, N: int, bracket: tuple[float, float],

@@ -9,7 +9,7 @@ determinant zero, and a time-stepped growth rate (all agreeing to ~1e-11).
 
 import pytest
 
-from instab import FlowParams, LatticeVector, ModelKind
+from instab import FlowParams, LatticeVector, ModelKind, PointClass, classify
 
 # Certified positive root of the reference instance (bisection to 1e-12,
 # matrix oracle at N=128 agrees to 2.4e-12).
@@ -49,6 +49,14 @@ MODELS = [
     (ModelKind.NS_VOIGT, 0.5, 0.04),
 ]
 CLASS_Q = [(-1, 2), (0, -2), (0, 2)]  # I0, I+, I-
+
+# every class-I orbit (p, q) with small coordinates, p up to sign
+CLASS_I_ORBITS = [
+    ((px, py), (qx, qy))
+    for px in range(5) for py in range(-4, 5) for qx in range(-4, 5) for qy in range(-4, 5)
+    if (px, py) > (0, 0) and px * qy != py * qx and classify(LatticeVector(qx, qy), LatticeVector(px, py)) in (
+        PointClass.TYPE_I0, PointClass.TYPE_I_PLUS, PointClass.TYPE_I_MINUS)
+]
 
 
 def make_params(model=ModelKind.NAVIER_STOKES, q=(-1, 2), nu=0.06,

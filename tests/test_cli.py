@@ -466,9 +466,10 @@ def test_curve_grid_too_large_rejected(capsys):
 def test_huge_finite_grid_refused_before_it_is_built(capsys, monkeypatch, argv):
     grids = count_calls(monkeypatch, instab.cli, "value_grid")
     dets = count_calls(monkeypatch, instab.cli, "det_I_plus_K")
+    det_grids = count_calls(monkeypatch, instab.cli, "det_grid")
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("usage error: ")
-    assert grids == dets == []
+    assert grids == dets == det_grids == []
 
 
 def test_grid_point_limit():

@@ -18,13 +18,12 @@ from instab import (
     b,
     beta,
     c,
-    classify,
     gamma,
     recurrence_coeff,
     rho,
     steady_state,
 )
-from conftest import make_params
+from conftest import CLASS_I_ORBITS, make_params
 
 ALL_MODELS = list(ModelKind)
 
@@ -263,15 +262,6 @@ def test_non_finite_inputs_rejected(field, bad):
 # ---------------------------------------------------------------------------
 # second-grade tail bound, checked in exact rational arithmetic
 # ---------------------------------------------------------------------------
-
-# every class-I orbit (p, q) with small coordinates, p up to sign
-CLASS_I_ORBITS = [
-    ((px, py), (qx, qy))
-    for px in range(5) for py in range(-4, 5) for qx in range(-4, 5) for qy in range(-4, 5)
-    if (px, py) > (0, 0) and px * qy != py * qx and classify(LatticeVector(qx, qy), LatticeVector(px, py)) in (
-        PointClass.TYPE_I0, PointClass.TYPE_I_PLUS, PointClass.TYPE_I_MINUS)
-]
-
 
 @settings(max_examples=150, deadline=None)
 @given(orbit=st.sampled_from(CLASS_I_ORBITS), alpha=st.floats(0.3, 2.0),

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import instab.spectral
 from instab import (
@@ -16,6 +17,7 @@ from instab import (
     build_K,
     build_L,
     det_I_plus_K,
+    det_grid,
     det_root,
     dominant_mode,
     find_root,
@@ -23,8 +25,8 @@ from instab import (
     max_real_eig,
     rho,
 )
-from instab.spectral import RENORM_EVERY
-from conftest import CLASS_Q, LAM_STAR, MODELS, count_calls, make_params
+from instab.spectral import DET_GRID_CHUNK, RENORM_EVERY
+from conftest import CLASS_I_ORBITS, CLASS_Q, LAM_STAR, MODELS, count_calls, make_params
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +238,67 @@ def test_det_overflow_message_holds_for_trace_class_k():
     assert str(exc.value) == ("|det(I+K)| of the N=512 section is about 1e635, "
                               "beyond the double range")
     assert exc.value.depth == 512
+
+
+def scalar_or_error(grid, pr, N):
+    # the scalar loop's values, or the message and depth of its first failure
+    try:
+        return [det_I_plus_K(x, pr, N).value for x in grid]
+    except NoConvergence as exc:
+        return str(exc), exc.depth
+
+
+def grid_or_error(grid, pr, N):
+    try:
+        return det_grid(grid, pr, N).tolist()
+    except NoConvergence as exc:
+        return str(exc), exc.depth
+
+
+@settings(max_examples=120, deadline=None)
+@given(model=st.sampled_from(MODELS), orbit=st.sampled_from(CLASS_I_ORBITS),
+       N=st.sampled_from([1, 2, 5, 32, 128, 256]),
+       grid=st.lists(st.floats(-6.0, 1.0).map(lambda e: 10.0 ** e),
+                     min_size=1, max_size=24))
+def test_det_grid_equals_scalar_loop(model, orbit, N, grid):
+    kind, alpha, nu = model
+    p, q = orbit
+    pr = make_params(model=kind, alpha=alpha, nu=nu, p=p, q=q)
+    assert grid_or_error(grid, pr, N) == scalar_or_error(grid, pr, N)
+
+
+def test_det_grid_refuses_nonpositive_lambda(fig_params, monkeypatch):
+    with pytest.raises(ValueError) as scalar:
+        det_I_plus_K(0.0, fig_params, 32)
+    rows = count_calls(monkeypatch, instab.spectral, "_det_rows")
+    for grid in ([0.1, 0.2, 0.0], [-1.0, 0.3], [0.2, -0.0]):
+        with pytest.raises(ValueError) as exc:
+            det_grid(grid, fig_params, 32)
+        assert str(exc.value) == str(scalar.value)
+    assert rows == []
+
+
+def test_det_grid_beyond_double_range_is_the_scalar_no_convergence():
+    # every lambda of this second-grade grid is beyond the double range at
+    # N=512; the grid raises what the scalar call raises at its first lambda
+    pr = make_params(model=ModelKind.SECOND_GRADE, alpha=0.5, nu=0.04)
+    grid = [0.1, 0.2, 0.3, 0.4, 0.5]
+    with pytest.raises(NoConvergence) as scalar:
+        det_I_plus_K(grid[0], pr, 512)
+    with pytest.raises(NoConvergence) as exc:
+        det_grid(grid, pr, 512)
+    assert str(exc.value) == str(scalar.value) == (
+        "|det(I+K)| of the N=512 section is about 1e657, beyond the double range")
+    assert exc.value.depth == scalar.value.depth == 512
+
+
+def test_det_grid_chunks_keep_grid_order(fig_params, monkeypatch):
+    # three chunks, the last one partial, on a grid that is not sorted
+    grid = np.random.default_rng(3).uniform(0.01, 2.0, 2 * DET_GRID_CHUNK + 7).tolist()
+    chunks = count_calls(monkeypatch, instab.spectral, "_det_rows")
+    assert det_grid(grid, fig_params, 5).tolist() == [
+        det_I_plus_K(x, fig_params, 5).value for x in grid]
+    assert len(chunks) == 3
 
 
 def test_det_root_agrees_with_dispersion(fig):
