@@ -31,9 +31,9 @@ from CoefficientStream.tail_bound's (a_max, first, fixed):
   [w_k, w_{k-1}], which needs no a_{k+2}.  Its width follows a_{k+1} - a_k, so
   it is narrow exactly when a_inf -> 0.
 
-One fraction runs as a Python float loop; a grid of them (_trunc_rows,
-_adaptive_rows) runs as one numpy pass with the same per-element arithmetic
-and depth sequence, so each of its values equals the scalar one bit for bit.
+One driver (_adaptive_rows) evaluates a grid of fractions, or one, in a pass
+whose truncations run on Python floats when narrow and on numpy when wide,
+with the same IEEE operations: a row's value does not depend on its pass.
 """
 
 from __future__ import annotations
@@ -58,6 +58,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DEPTH = 100_000
+_FETCH = 512  # coefficients an adaptive pass fetches at least at once
+_BLOCK = 2 ** 17  # coefficients at most in one block of an adaptive pass
+_FLOAT_WIDTH = 16  # fractions times states up to which _trunc_rows runs on floats
 
 
 class Direction(enum.Enum):
@@ -115,16 +118,8 @@ def eval_trunc(coeffs: Sequence[float], tail: float = 0.0) -> float:
     positive coefficients, free of convergent overflow.  Raises DegenerateFraction
     on a zero intermediate denominator (callers may perturb the depth by one).
     """
-    seq = np.asarray(coeffs, dtype=np.float64)
-    if seq.size == 0:
-        raise ValueError("continued fraction needs at least one coefficient")
-    t = tail
-    try:  # a float division by zero raises: the zero denominator check, for free
-        for a in seq[::-1].tolist():
-            t = 1.0 / (a + t)
-    except ZeroDivisionError:
-        raise DegenerateFraction("zero intermediate denominator") from None
-    return t
+    return float(_trunc_rows(np.asarray(coeffs, dtype=np.float64).reshape(-1, 1),
+                             np.array([tail], dtype=np.float64))[0])
 
 
 def eval_adaptive_coeffs(
@@ -134,39 +129,24 @@ def eval_adaptive_coeffs(
     start_depth: int = 2,
     bound: tuple[float, float, float] = UNBOUNDED,
 ) -> BracketedValue:
-    """Bracket the limit of [a1; a2; ...] between two truncations (see module).
+    """Bracket [a1; a2; ...] between two truncations: a one-row _adaptive_rows pass.
 
     ``coeffs_fn(k)`` must return the first k coefficients, for any k up to
-    ``max_depth + 1``.  Depth doubles until the bracket is within tol; the
-    final evaluation happens at ``max_depth`` exactly before giving up, so the
-    cap is part of the search.  ``bound`` is TailSpec.bound's (a_max, first,
-    fixed), which picks the enclosure of the remainder (see module).
+    ``max_depth + 1``.  Depth doubles from ``start_depth`` until the bracket
+    is within tol; the final evaluation happens at ``max_depth`` exactly
+    before giving up, so the cap is part of the search.  ``bound`` is
+    TailSpec.bound's (a_max, first, fixed), which picks the enclosure.
     """
-    arr = np.empty(0)
-    for m in _levels(tol, max_depth, start_depth):
-        if arr.size <= m:  # one call serves every level up to 256
-            arr = np.asarray(coeffs_fn(min(max(m, 256), max_depth) + 1), dtype=np.float64)
-        region, fixed = _enclosures(m, bound)
-        lo = float(_region_floor(arr[m], bound[0])) if region else 0.0
-        hi = eval_trunc(arr[m:m + 1], lo)
-        if fixed:
-            lo = max(lo, float(_fixed_point(arr[m])))
-            hi = min(hi, float(_fixed_point(arr[m - 1])))
-        even = eval_trunc(arr[:m], lo)
-        odd = eval_trunc(arr[:m], hi)
-        lower, upper = (even, odd) if even <= odd else (odd, even)
-        if upper - lower <= tol:
-            return BracketedValue(0.5 * (lower + upper), lower, upper, m + 1)
-    raise _no_convergence(upper - lower, tol, m, bound)
-
-
-def _enclosures(m: int, bound):
-    """Whether the value-region and the fixed-point enclosure hold at level m."""
-    return m + 1 >= bound[1], m >= bound[2]
+    value, lower, upper, depth, failed = _adaptive_rows(
+        lambda live, lo, hi: np.asarray(coeffs_fn(hi), dtype=np.float64)[lo:, None],
+        1, np.array(bound, dtype=np.float64)[:, None], tol, max_depth, start_depth)
+    if failed:
+        raise failed[0]
+    return BracketedValue(float(value[0]), float(lower[0]), float(upper[0]), int(depth[0]))
 
 
 def _levels(tol: float, max_depth: int, start: int = 2):
-    """The depths m of the adaptive (m, m + 1) pairs, shared by both drivers.
+    """The depths m of the adaptive (m, m + 1) pairs.
 
     ``start`` rounded down to even (at least 2), doubled up to the even cap
     at or below ``max_depth``, which is the last level.
@@ -185,66 +165,111 @@ def _levels(tol: float, max_depth: int, start: int = 2):
 
 
 def _no_convergence(width: float, tol: float, m: int, bound) -> NoConvergence:
-    region, fixed = _enclosures(m, bound)
-    name = "fixed-point" if fixed else "value-region" if region else "even/odd"
+    # named after the enclosure of the last level
+    name = ("fixed-point" if m >= bound[2] else "value-region" if m + 1 >= bound[1]
+            else "even/odd")
     return NoConvergence(
         f"{name} bracket width {width:.3e} above tol {tol:.3e} at depth cap {m}",
         depth=m, width=width,
     )
 
 
-def _trunc_rows(a: np.ndarray, t) -> np.ndarray:
-    """eval_trunc for many fractions at once, from the start state ``t``.
+def _trunc_rows(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """eval_trunc for many fractions at once, from the start states ``t``.
 
-    ``a[j]`` holds coefficient a_{j+1} of every fraction; ``t`` may stack
-    several states, each of which broadcasts against one ``a[j]``.
+    ``a[j]`` holds coefficient a_{j+1} of every fraction; ``t`` stacks one or
+    more start states per fraction.  Up to _FLOAT_WIDTH fractions times
+    states, Python float loops cost less than one numpy step per coefficient.
     """
     if len(a) == 0:
         raise ValueError("continued fraction needs at least one coefficient")
-    # overflow to inf stays quiet, as it does for Python floats
-    with np.errstate(divide="raise", over="ignore"):
-        try:
+    try:
+        if 0 < t.size <= _FLOAT_WIDTH:
+            columns = a[::-1].T.tolist()  # each fraction's coefficients, innermost first
+            states = t.reshape(-1, len(columns)).tolist()
+            for state in states:
+                for j, column in enumerate(columns):
+                    x = state[j]
+                    for aj in column:
+                        x = 1.0 / (aj + x)
+                    state[j] = x
+            return np.array(states).reshape(t.shape)
+        with np.errstate(divide="raise", over="ignore"):  # overflow to inf, as for floats
             for row in a[::-1]:
                 t = 1.0 / (row + t)
-        except FloatingPointError:
-            raise DegenerateFraction("zero intermediate denominator") from None
-    return t
+        return t
+    except (ZeroDivisionError, FloatingPointError):
+        raise DegenerateFraction("zero intermediate denominator") from None
 
 
-def _adaptive_rows(coeffs_fn: Callable[[np.ndarray, int], np.ndarray], rows: int,
-                   bound: Sequence[np.ndarray], tol: float,
-                   max_depth: int = DEFAULT_MAX_DEPTH
-                   ) -> tuple[np.ndarray, np.ndarray, dict[int, NoConvergence]]:
-    """eval_adaptive_coeffs from depth 2 over ``rows`` fractions at once.
+def _depth_slices(blocks, lo, hi):
+    # coefficients a_{lo+1}..a_hi as views into the depth-ordered blocks
+    out, start = [], 0
+    for block in blocks:
+        if lo < start + len(block) and start < hi:
+            out.append(block[max(lo - start, 0):hi - start])
+        start += len(block)
+    return out
 
-    ``coeffs_fn(live, k)`` gives the first k coefficients of the fractions
-    ``live`` as a (k, len(live)) array, ``bound`` each row's (a_max, first,
-    fixed).  Returns each row's value and depth, as BracketedValue's value and
-    depth, and the rows still open at the cap, in row order, each with the
-    NoConvergence that eval_adaptive_coeffs raises for it; their value is NaN.
+
+def _adaptive_rows(coeffs_fn: Callable[[np.ndarray, int, int], np.ndarray], rows: int,
+                   bound: np.ndarray, tol: float, max_depth: int = DEFAULT_MAX_DEPTH,
+                   start_depth: int = 2) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                  np.ndarray, dict[int, NoConvergence]]:
+    """The adaptive evaluation (see module) of ``rows`` fractions in one pass.
+
+    ``coeffs_fn(live, lo, hi)`` gives a_{lo+1}..a_hi of the fractions ``live``
+    as a (hi - lo, len(live)) array, ``bound`` is each row's (a_max, first,
+    fixed) as a (3, rows) array, and every row starts at ``start_depth``.
+    Coefficients are appended in blocks of at most _BLOCK, fetching at least
+    _FETCH at a time, and finished rows are dropped one block at a time.
+    Returns each row's value, lower, upper and depth, and the rows open at the
+    cap, in order, with the NoConvergence of each; their value is NaN.
     """
-    values, depths, live = np.full(rows, np.nan), np.empty(rows, dtype=np.int64), np.arange(rows)
-    for m in _levels(tol, max_depth):
-        a = coeffs_fn(live, m + 1)
-        row_bound = [x[live] for x in bound]
-        region, fixed = _enclosures(m, row_bound)
-        lo = np.zeros(live.size)
-        lo[region] = _region_floor(a[m, region], row_bound[0][region])
-        hi = _trunc_rows(a[m:], lo)
-        lo[fixed] = np.maximum(lo[fixed], _fixed_point(a[m, fixed]))
-        hi[fixed] = np.minimum(hi[fixed], _fixed_point(a[m - 1, fixed]))
-        even, odd = _trunc_rows(a[:m], np.stack([lo, hi]))
-        del a  # free this level's coefficients before the next level's
-        lower, upper = np.where(even <= odd, (even, odd), (odd, even))
-        done = upper - lower <= tol
-        values[live[done]] = (0.5 * (lower + upper))[done]
-        depths[live] = m + 1
-        if done.all():
+    even_odd_rows = np.empty((2, rows))  # each row's last even and odd truncation
+    depths = np.empty(rows, dtype=np.int64)
+    live = np.arange(rows)
+    # the first levels where a row may take the value-region or fixed-point enclosure
+    region_from, fixed_from = bound[1:].min(axis=1, initial=np.inf).tolist()
+    blocks, have = [], 0  # a_1..a_have of the live rows
+    for m in _levels(tol, max_depth, start_depth):
+        if not live.size:
             break
-        live = live[~done]
-    width = (upper - lower)[~done].tolist()
-    return values, depths, {row: _no_convergence(w, tol, m, [x[row] for x in bound])
-                            for row, w in zip(live.tolist(), width)}
+        if have <= m:
+            size = min(max(m + 1, have + _FETCH // live.size), max_depth + 1)
+            step = max(1, _BLOCK // live.size)
+            for start in range(have, size, step):
+                blocks.append(coeffs_fn(live, start, min(start + step, size)))
+            have = size
+        (a_m,) = _depth_slices(blocks, m, m + 1)
+        lo = np.zeros(live.size)
+        if m + 1 >= region_from:
+            region = m + 1 >= bound[1]
+            lo[region] = _region_floor(a_m[0, region], bound[0, region])
+        hi = _trunc_rows(a_m, lo)
+        if m >= fixed_from:
+            fixed = m >= bound[2]
+            (a_prev,) = _depth_slices(blocks, m - 1, m)
+            lo[fixed] = np.maximum(lo[fixed], _fixed_point(a_m[0, fixed]))
+            hi[fixed] = np.minimum(hi[fixed], _fixed_point(a_prev[0, fixed]))
+        even_odd = np.array([lo, hi])
+        for block in reversed(_depth_slices(blocks, 0, m)):
+            even_odd = _trunc_rows(block, even_odd)
+        even_odd_rows[:, live] = even_odd
+        depths[live] = m + 1
+        # |odd - even| is upper - lower exactly; a NaN width stays open
+        keep = ~(np.abs(even_odd[1] - even_odd[0]) <= tol)
+        if np.count_nonzero(keep) < live.size:  # drop the finished rows
+            live, bound = live[keep], bound[:, keep]
+            for i in range(len(blocks)):
+                blocks[i] = blocks[i][:, keep]
+    lower, upper = np.where(even_odd_rows[0] <= even_odd_rows[1], even_odd_rows,
+                            even_odd_rows[::-1])
+    value = 0.5 * (lower + upper)
+    value[live] = np.nan
+    width = (upper - lower)[live].tolist()
+    return (value, lower, upper, depths, {row: _no_convergence(w, tol, m, bound[:, j])
+                                          for j, (row, w) in enumerate(zip(live.tolist(), width))})
 
 
 def eval_adaptive(spec: TailSpec, tol: float,

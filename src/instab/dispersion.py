@@ -8,30 +8,30 @@ tails:
     I+:  a_0(lambda) + g(lambda) = 0           (forward tail undefined)
     I-:  a_0(lambda) + f(lambda) = 0           (backward tail undefined)
 
-value() evaluates the left-hand side; value_grid() evaluates it over a grid of
-lambda or nu in one batched pass, bit for bit; find_root() locates a positive
-root by a doubling scan in lambda from lambda = 0, plus a bracketed
-refinement; nu0_estimate() finds the smallest viscosity at which the lambda=0
-value crosses zero, i.e. the threshold below which the sign-change premise of
-the root search holds, by a doubling scan in nu.  Each scan is one batched
-pass (_grid_info) over a _doubling grid, which hands back the rows that fail
-at the depth cap as data; value_grid raises the first, find_root only one at
-or below its first crossing, and nu0_estimate skips them.  Both searches,
-with the determinant zero in spectral.det_root, share one refinement
-(_refine): ITP, which keeps the bracket of bisection and its worst case
-within one step, but converges superlinearly on smooth functions.
+Every value comes from one batched pass (_grid_info) over a grid of lambda
+or nu: value_grid() is that pass, and value() and the refinement points of
+both searches are passes of one point.  find_root() locates a positive root
+by a doubling scan in lambda from lambda = 0, plus a bracketed refinement;
+nu0_estimate() finds the smallest viscosity at which the lambda=0 value
+crosses zero, i.e. the threshold below which the sign-change premise of the
+root search holds, by a doubling scan in nu.  Each scan is one pass over a
+_doubling grid, which hands back the rows that fail at the depth cap as data;
+value_grid raises the first, find_root only one at or below its first
+crossing, and nu0_estimate skips them.  Both searches, with the determinant
+zero in spectral.det_root, share one refinement (_refine): ITP, which keeps
+the bracket of bisection and its worst case within one step, but converges
+superlinearly on smooth functions.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contfrac import (DEFAULT_MAX_DEPTH, Direction, TailSpec, _adaptive_rows, _trunc_rows,
-                       eval_adaptive, eval_trunc)
+from .contfrac import DEFAULT_MAX_DEPTH, Direction, _adaptive_rows, _trunc_rows
 from .errors import ThresholdNotFound
 from .lattice import PointClass
 from .models import CoefficientStream, FlowParams
@@ -69,35 +69,23 @@ class DispersionSpec:
     def tails(self) -> tuple[Direction, ...]:
         return _CLASS_TAILS[self.params.point_class]
 
-
-def _value_info(lam, spec, tol, depth, max_depth, start_depth=2):
-    # returns (value, deepest tail depth used)
-    a0 = float(CoefficientStream(spec.params).coeff(0, lam))
-    total = a0
-    deepest = 0
-    for direction in spec.tails:
-        tail = TailSpec(direction, spec.params, lam)
-        if depth is not None:
-            total += eval_trunc(tail.coeffs(depth))
-            deepest = max(deepest, depth)
-        else:
-            br = eval_adaptive(tail, tol / 4.0, max_depth, start_depth)
-            total += br.value
-            deepest = max(deepest, br.depth)
-    return total, deepest
+    @functools.cached_property
+    def _stream(self):
+        # what every pass reads: the stream, the tails' signs, d_0 and rho_0
+        cs = CoefficientStream(self.params)
+        signs = np.array([direction.value for direction in self.tails])
+        return cs, signs, cs.diag_weight(0), cs._defined_rho(0)
 
 
 def value(lam: float, spec: DispersionSpec, tol: float = 1e-10,
           depth: int | None = None, max_depth: int = DEFAULT_MAX_DEPTH) -> float:
-    """Dispersion value at lambda >= 0.
+    """Dispersion value at lambda >= 0: a one-point value_grid.
 
     Tails are evaluated adaptively to tol/4 each; passing ``depth`` switches
     to fixed-depth truncations instead (the comparison mode used for curve
     tables and the classic depth-10 picture).
     """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    return _value_info(lam, spec, tol, depth, max_depth)[0]
+    return float(value_grid(spec, lam, tol=tol, depth=depth, max_depth=max_depth)[0][0])
 
 
 def value_grid(spec: DispersionSpec, lam=0.0, nu=None, tol: float = 1e-10,
@@ -115,47 +103,49 @@ def value_grid(spec: DispersionSpec, lam=0.0, nu=None, tol: float = 1e-10,
     return values, a0
 
 
-def _grid_info(spec, lam, nu, tol, depth, max_depth):
-    # value_grid's (values, a0), each row's deepest tail depth, as _value_info's,
-    # and the rows that fail at the depth cap, in order, with what value() raises
-    # for them; a failed row's value is NaN
-    lam, nu = np.broadcast_arrays(np.atleast_1d(np.asarray(lam, dtype=np.float64)),
-                                  np.asarray(spec.params.nu if nu is None else nu))
-    if np.any(lam < 0):
+def _grid_info(spec, lam, nu, tol, depth, max_depth, start_depth=2):
+    # value_grid's (values, a0), each row's deepest tail depth, and the rows
+    # that fail at the depth cap, in order, with what value() raises for them;
+    # a failed row's value is NaN.  Every tail starts at ``start_depth``
+    nu = spec.params.nu if nu is None else nu
+    grid = np.empty((2, *np.broadcast(np.atleast_1d(lam), nu).shape))
+    grid[0], grid[1] = lam, nu  # lam and nu broadcast, cheaper than np.broadcast_arrays
+    lams, nus = grid
+    if (lams < 0).any():
         raise ValueError("lambda must be nonnegative")
-    if np.any(nu < 0):
+    if (nus < 0).any():
         raise ValueError("viscosity must be nonnegative")
-    cs = CoefficientStream(spec.params)
-    signs = np.array([direction.value for direction in spec.tails])
+    cs, signs, d0, rho0 = spec._stream
 
-    def coeffs(live, k):
-        # row r is tail r % len(signs) of point r // len(signs), value()'s order;
-        # a_n = (lambda + nu*d_n)/rho_n as in CoefficientStream.coeff, in place
+    def coeffs(live, lo, hi):
+        # row r is tail r % len(signs) of point r // len(signs), the tails'
+        # order; a_n = (lambda + nu*d_n)/rho_n as in CoefficientStream.coeff
         point, tail = np.divmod(live, len(signs))
-        n = np.arange(1, k + 1)[:, None] * signs
-        rho_n, a = cs._defined_rho(n), cs.diag_weight(n)[:, tail]
-        a *= nu[point]
-        a += lam[point]
-        for j in range(len(signs)):
-            np.divide(a, rho_n[:, j, None], out=a, where=tail == j)
+        n = np.arange(lo + 1, hi + 1)[:, None] * signs
+        a = cs.diag_weight(n)[:, tail]
+        a *= nus[point]
+        a += lams[point]
+        a /= cs._defined_rho(n)[:, tail]
         return a
 
-    a0 = (lam + nu * cs.diag_weight(0)) / cs._defined_rho(0)
-    rows = lam.size * len(signs)
+    a0 = (lams + nus * d0) / rho0
+    rows = lams.size * len(signs)
     failed = {}
     if depth is None:
-        # each row's TailSpec.bound, the same for both tails of a point
-        bound = [np.repeat(np.broadcast_to(x, lam.shape), len(signs))
-                 for x in cs.tail_bound(lam, nu)]
-        tails, depths, failed = _adaptive_rows(coeffs, rows, bound, tol / 4.0, max_depth)
+        # each row's TailSpec.bound, the same for both tails of a point, from
+        # lam and nu as given: a one-point pass computes it on scalars
+        bound = np.empty((3, lams.size, len(signs)))
+        bound[...] = np.reshape(cs.tail_bound(lam, nu), (3, -1, 1))
+        tails, *_, depths, failed = _adaptive_rows(
+            coeffs, rows, bound.reshape(3, rows), tol / 4.0, max_depth, start_depth)
     else:
-        tails = _trunc_rows(coeffs(np.arange(rows), depth), np.zeros(rows))
+        tails = _trunc_rows(coeffs(np.arange(rows), 0, depth), np.zeros(rows))
         depths = np.full(rows, depth)
     total = a0
     for column in tails.reshape(-1, len(signs)).T:
         total = total + column
     points = {}
-    for row, err in failed.items():  # value() raises for a point's first failing tail
+    for row, err in failed.items():  # a point fails with its first failing tail
         points.setdefault(row // len(signs), err)
     return total, a0, depths.reshape(-1, len(signs)).max(axis=1), points
 
@@ -302,11 +292,15 @@ def find_root(spec: DispersionSpec, tol: float = 1e-10,
     last_depth = 2
 
     def val(lam: float) -> float:
+        # a one-point pass, started at half the last point's depth
         nonlocal deepest, last_depth
-        v, last_depth = _value_info(lam, spec, tol, depth, max_depth,
-                                    start_depth=max(2, last_depth // 2))
+        v, _, d, failed = _grid_info(spec, lam, None, tol, depth, max_depth,
+                                     max(2, last_depth // 2))
+        if failed:
+            raise failed[0]
+        last_depth = int(d[0])
         deepest = max(deepest, last_depth)
-        return v
+        return float(v[0])
 
     lo, hi = _refine(val, grid[i - 1], grid[i], tol, values[i - 1], values[i])
     root = 0.5 * (lo + hi)
@@ -327,8 +321,8 @@ def nu0_estimate(params: FlowParams, tol: float = 1e-8, *,
     which the root search premise value(0) > 0 holds.  The scan doubles nu
     from tol up to ``nu_cap`` and evaluates every point in one batched pass
     (_grid_info, the body of value_grid), then refines the bracket to width
-    <= tol (_refine) from the two end values it already has, one value() call
-    per trial point.  Raises ThresholdNotFound if h never crosses by ``nu_cap``.
+    <= tol (_refine) from the two end values it already has, one pass of one
+    point per trial nu.  Raises ThresholdNotFound if h never crosses by ``nu_cap``.
 
     Scan points where the tails themselves fail to converge within the depth
     cap are skipped as indeterminate, and never enter the refined bracket.
@@ -348,8 +342,7 @@ def nu0_estimate(params: FlowParams, tol: float = 1e-8, *,
     tol_h = min(tol, 1e-9)
 
     def h(nu: float) -> float:
-        return value(0.0, DispersionSpec(dataclasses.replace(params, nu=nu)),
-                     tol=tol_h, max_depth=max_depth)
+        return float(value_grid(spec, 0.0, nu, tol=tol_h, max_depth=max_depth)[0][0])
 
     grid = list(_doubling(tol, nu_cap))
     values, _, _, failed = _grid_info(spec, 0.0, grid, tol_h, None, max_depth)

@@ -36,7 +36,6 @@ __all__ = [
     "EigenvectorResult",
     "build_u",
     "build_w",
-    "residual",
 ]
 
 _UNDERFLOW_GUARD = 1e-300
@@ -238,16 +237,3 @@ def build_w(lam: float, params: FlowParams, N: int, *,
         residual=_residual(w, lam, L), decay_rate=rate,
         sign_ok=_sign_pattern_ok(w, N), decay_r2=r2,
     )
-
-
-def residual(result: EigenvectorResult, params: FlowParams) -> float:
-    """Max scaled recurrence defect over the interior rows of the window.
-
-    max over n in [-N+1, N-1] of
-    |rho_{n-1} w_{n-1} - rho_{n+1} w_{n+1} - (lambda + nu*d_n) w_n| / max(1, |w_n|).
-    """
-    N = result.window
-    if N < 3:
-        raise ValueError("window N must be at least 3")
-    w = np.array([result.w.get(n, 0.0) for n in range(-N, N + 1)])
-    return _residual(w, result.lam, build_L(params, N))

@@ -271,7 +271,7 @@ class CoefficientStream:
         # rho_n where every recurrence coefficient a_n is defined, else IndexUndefined
         n = np.asarray(n)
         rho_n = self.rho(n)
-        if not np.all(rho_n):
+        if not rho_n.all():
             raise IndexUndefined(
                 f"rho({n[rho_n == 0.0][0]}) = 0 for {self.params.point_class.value}")
         return rho_n

@@ -78,12 +78,6 @@ class TruncatedOperator:
                 + np.diag(self.sub, -1)
                 + np.diag(self.sup, +1))
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[1:] += self.sub * v[:-1]
-        out[:-1] += self.sup * v[1:]
-        return out
-
 
 def build_L(params: FlowParams, N: int) -> TruncatedOperator:
     if N < 1:

@@ -7,9 +7,14 @@ continued-fraction root against the truncated-operator spectrum, the
 determinant zero, and a time-stepped growth rate (all agreeing to ~1e-11).
 """
 
+import math
+
+import numpy as np
 import pytest
 
-from instab import FlowParams, LatticeVector, ModelKind, PointClass, classify
+import instab.dispersion
+from instab import (DegenerateFraction, FlowParams, LatticeVector, ModelKind, NoConvergence,
+                    PointClass, classify)
 
 # Certified positive root of the reference instance (bisection to 1e-12,
 # matrix oracle at N=128 agrees to 2.4e-12).
@@ -39,6 +44,62 @@ def count_calls(monkeypatch, module, name, limit=None):
 
     monkeypatch.setattr(module, name, counting)
     return seen
+
+
+def record_passes(monkeypatch):
+    """Spy on dispersion._grid_info, the one evaluator of dispersion values.
+
+    Returns the (lam, nu) arguments of each pass, in call order.
+    """
+    inner, passes = instab.dispersion._grid_info, []
+
+    def recording(spec, lam, nu, *args):
+        passes.append((lam, nu))
+        return inner(spec, lam, nu, *args)
+
+    monkeypatch.setattr(instab.dispersion, "_grid_info", recording)
+    return passes
+
+
+def one_point(passes):
+    """The passes of one point, as value() and the search refinements make."""
+    return [(lam, nu) for lam, nu in passes if np.size(lam) == np.size(nu) == 1]
+
+
+def reference_adaptive(coeffs, tol, max_depth, start_depth=2, bound=(math.inf,) * 3):
+    """The adaptive bracket of one fraction, level by level in Python floats.
+
+    ``coeffs(k)`` gives a_1..a_k, ``bound`` is TailSpec.bound's (a_max, first,
+    fixed).  Returns (value, lower, upper, depth); raises NoConvergence with
+    the last level's depth and width, or DegenerateFraction.
+    """
+    def trunc(a, t):
+        try:
+            for x in reversed(a):
+                t = 1.0 / (x + t)
+        except ZeroDivisionError:
+            raise DegenerateFraction("zero intermediate denominator") from None
+        return t
+
+    a_max, first, fixed = bound
+    cap = max_depth - max_depth % 2
+    m = min(max(2, start_depth - start_depth % 2), cap)
+    while True:
+        a = [float(x) for x in coeffs(m + 1)]
+        lo = 0.0  # even/odd, or the value region [L, U] from index first on
+        if m + 1 >= first:
+            lo = 2.0 / (a_max * (1.0 + math.sqrt(1.0 + 4.0 / (a[m] * a_max))))
+        hi = trunc(a[m:], lo)
+        if m >= fixed:  # the fixed points of t -> 1/(a_{m+1} + t) and of a_m's map
+            lo = max(lo, 2.0 / (a[m] + math.sqrt(a[m] * a[m] + 4.0)))
+            hi = min(hi, 2.0 / (a[m - 1] + math.sqrt(a[m - 1] * a[m - 1] + 4.0)))
+        even, odd = trunc(a[:m], lo), trunc(a[:m], hi)
+        lower, upper = (even, odd) if even <= odd else (odd, even)
+        if upper - lower <= tol:
+            return 0.5 * (lower + upper), lower, upper, m + 1
+        if m >= cap:
+            raise NoConvergence("at the depth cap", depth=m, width=upper - lower)
+        m = min(2 * m, cap)
 
 
 # one (model, alpha, nu) per model, and one class-I orbit of p=(3,1) per class

@@ -7,12 +7,15 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from instab import (
+    CoefficientStream,
     DegenerateFraction,
     Direction,
+    DispersionSpec,
     ModelKind,
     NoConvergence,
     TailSpec,
@@ -22,9 +25,11 @@ from instab import (
     eval_adaptive_coeffs,
     eval_trunc,
     even_trunc_slope_at_zero,
+    value,
+    value_grid,
 )
-from instab.contfrac import UNBOUNDED
-from conftest import make_params
+from instab.contfrac import _FLOAT_WIDTH, UNBOUNDED, _trunc_rows
+from conftest import CLASS_I_ORBITS, MODELS, make_params, reference_adaptive
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +162,94 @@ def test_no_convergence_reports_depth():
         eval_adaptive_coeffs(lambda d: [1e-6] * d, tol=1e-10, max_depth=64)
     assert exc.value.depth == 64
     assert exc.value.width > 1.0
+
+
+# ---------------------------------------------------------------------------
+# one adaptive driver: equal to the scalar reference, in either branch
+# ---------------------------------------------------------------------------
+
+def outcome(fn):
+    # the bracket, or the failure with its depth and width
+    try:
+        got = fn()
+    except NoConvergence as exc:
+        return "NoConvergence", exc.depth, exc.width
+    except DegenerateFraction:
+        return "DegenerateFraction"
+    return (got.value, got.lower, got.upper, got.depth) if hasattr(got, "depth") else got
+
+
+def reference_value(lam, spec, tol, max_depth):
+    # value() as a0 + f + g, each tail to tol/4 from depth 2
+    total = float(CoefficientStream(spec.params).coeff(0, lam))
+    for direction in spec.tails:
+        tail = TailSpec(direction, spec.params, lam)
+        total += reference_adaptive(tail.coeffs, tol / 4.0, max_depth, 2, tail.bound())[0]
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=st.sampled_from(MODELS), orbit=st.sampled_from(CLASS_I_ORBITS),
+       lam=st.one_of(st.just(0.0), st.floats(0.0, 3.0),
+                     st.floats(-9.0, 0.0).map(lambda e: 10.0 ** e)),
+       nu=st.one_of(st.floats(-3.0, 0.0), st.floats(-7.0, -5.0)).map(lambda e: 10.0 ** e),
+       tol=st.floats(-13.0, -4.0).map(lambda e: 10.0 ** e),
+       start=st.integers(1, 300), max_depth=st.sampled_from([16, 4096]))
+def test_adaptive_driver_equals_the_scalar_reference(model, orbit, lam, nu, tol, start,
+                                                      max_depth):
+    kind, alpha, _ = model
+    p, q = orbit
+    spec = DispersionSpec(make_params(model=kind, alpha=alpha, nu=nu, p=p, q=q))
+    for direction in spec.tails:
+        tail = TailSpec(direction, spec.params, lam)
+        assert outcome(lambda: eval_adaptive(tail, tol, max_depth, start)) == outcome(
+            lambda: reference_adaptive(tail.coeffs, tol, max_depth, start, tail.bound()))
+    assert outcome(lambda: value(lam, spec, tol, max_depth=max_depth)) == outcome(
+        lambda: reference_value(lam, spec, tol, max_depth))
+
+
+def test_nan_bracket_runs_to_the_depth_cap(fig_params):
+    # a NaN width is not within tol, so the row stays open to the cap, as the
+    # reference's comparison leaves it, in a one-row pass and in a wide one
+    spec = DispersionSpec(fig_params)
+    with pytest.raises(NoConvergence, match="width nan .* at depth cap 64$"):
+        value(math.nan, spec, max_depth=64)
+    with pytest.raises(NoConvergence, match="width nan .* at depth cap 64$"):
+        value_grid(spec, [0.1] * 8 + [math.nan], max_depth=64)
+    with pytest.raises(NoConvergence):
+        reference_adaptive(lambda k: [math.nan] * k, 1e-10, 64)
+
+
+@pytest.mark.parametrize("states", [1, 2])
+def test_trunc_rows_branches_agree_across_the_float_width(states):
+    # a pass of _FLOAT_WIDTH fractions times states runs on floats, one more
+    # fraction runs on numpy; the shared fractions come out equal
+    rng = np.random.default_rng(5)
+    n = _FLOAT_WIDTH // states
+    a = rng.uniform(0.01, 10.0, (50, n + 1))
+    t = rng.uniform(0.0, 2.0, (n + 1,) if states == 1 else (states, n + 1))
+    floats, wide = _trunc_rows(a[:, :n], t[..., :n]), _trunc_rows(a, t)
+    assert floats.shape == t[..., :n].shape
+    assert floats.tolist() == wide[..., :n].tolist()
+
+
+@pytest.mark.parametrize("width", [_FLOAT_WIDTH, _FLOAT_WIDTH + 1])
+def test_trunc_rows_degenerate_in_both_branches(width):
+    # [1; -1] folds to a zero denominator in every column
+    a = np.array([[1.0] * width, [-1.0] * width])
+    with pytest.raises(DegenerateFraction):
+        _trunc_rows(a, np.zeros(width))
+
+
+def test_adaptive_pass_equal_across_the_float_width():
+    # 4 points (even/odd width 16, floats) and 5 points (width 20, numpy) in
+    # one pass: the value-region and fixed-point rows of second grade included
+    spec = DispersionSpec(make_params(model=ModelKind.SECOND_GRADE, alpha=1.0, nu=1e-5))
+    lams = [0.0, 1e-4, 0.01, 0.3, 1.0]
+    narrow = value_grid(spec, lams[:4], tol=1e-9)
+    wide = value_grid(spec, lams, tol=1e-9)
+    assert narrow[0].tolist() == wide[0][:4].tolist()
+    assert narrow[0].tolist() == [value(x, spec, tol=1e-9) for x in lams[:4]]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -22,7 +23,7 @@ from instab import (
     value_grid,
 )
 from instab.dispersion import _refine
-from conftest import LAM_STAR, NU_STAR, count_calls, make_params
+from conftest import LAM_STAR, NU_STAR, count_calls, make_params, one_point, record_passes
 from test_acceptance import TRIANGLE
 
 
@@ -221,39 +222,27 @@ def test_root_between_last_doubling_point_and_cap(fig_params):
     assert res.lam == pytest.approx(LAM_STAR, abs=1e-10)
 
 
-def record_scans(monkeypatch):
-    """Spy on the batched evaluator behind value_grid; returns the grids seen."""
-    inner, grids = instab.dispersion._grid_info, []
-
-    def recording(spec, lam, *args):
-        grids.append(lam)
-        return inner(spec, lam, *args)
-
-    monkeypatch.setattr(instab.dispersion, "_grid_info", recording)
-    return grids
-
-
 def test_root_scan_never_passes_the_cap(fig_params, monkeypatch):
-    grids = record_scans(monkeypatch)
-    seen = count_calls(monkeypatch, instab.dispersion, "_value_info")
+    passes = record_passes(monkeypatch)
     res = find_root(spec_of(fig_params), tol=1e-10, lambda_cap=0.1)
     assert not res.found
-    assert [max(grid) for grid in grids] == [0.1]
-    assert seen == []  # with no root found, nothing is evaluated one by one
+    # the scan up to the cap only: with no root found, no one-point pass follows
+    assert [max(lam) for lam, _ in passes] == [0.1]
 
 
 def test_reference_root_evaluation_budget(fig_params, monkeypatch):
-    seen = count_calls(monkeypatch, instab.dispersion, "_value_info")
-    grids = record_scans(monkeypatch)
+    passes = record_passes(monkeypatch)
     assert find_root(spec_of(fig_params), tol=1e-12).found
-    assert len(seen) <= 10  # refinement and residual only: lambda = 0 is a scan row
-    assert len(grids) == 1
+    points = one_point(passes)
+    assert len(points) <= 10  # refinement and residual only: lambda = 0 is a scan row
+    assert len(passes) - len(points) == 1
 
 
 def test_root_search_ends_below_float_spacing(fig_params, monkeypatch):
     # tol 1e-20 is below the spacing of doubles near the root (about 2.8e-17)
     spec = spec_of(fig_params)
-    count_calls(monkeypatch, instab.dispersion, "_value_info", limit=130)
+    # the scan and at most 130 one-point passes
+    count_calls(monkeypatch, instab.dispersion, "_grid_info", limit=131)
     res = find_root(spec, tol=1e-20)
     monkeypatch.undo()
     assert res.found
@@ -391,7 +380,7 @@ def test_cf_depth_counts_scan_rows_deeper_than_lambda_zero():
     # second grade at small nu: lambda = 0 needs depth 17, but rows below the
     # crossing need 513, the depth the scan plus bisection reported
     spec = spec_of(make_params(model=ModelKind.SECOND_GRADE, alpha=1.0, nu=1e-5))
-    assert instab.dispersion._value_info(0.0, spec, 1e-6, None, 100_000)[1] == 17
+    assert instab.dispersion._grid_info(spec, 0.0, None, 1e-6, None, 100_000)[2][0] == 17
     assert find_root(spec, tol=1e-6).cf_depth == 513
 
 
@@ -400,8 +389,8 @@ def test_cf_depth_counts_scan_rows_deeper_than_lambda_zero():
     (1.0, 1e-5, 1e-6, 32, "value-region bracket width 5.725e-06"),     # a scan row
 ])
 def test_depth_capped_root_search_raises(alpha, nu, tol, max_depth, message):
-    # the messages are those of the scalar scan: the first failing row at or
-    # below the crossing, found row by row once the batched scan fails
+    # the message is that of the first failing row at or below the crossing,
+    # the one a scan of one value() call per row would raise
     spec = spec_of(make_params(model=ModelKind.SECOND_GRADE, alpha=alpha, nu=nu))
     with pytest.raises(NoConvergence, match=message):
         find_root(spec, tol=tol, max_depth=max_depth)
@@ -413,8 +402,10 @@ def test_row_failing_above_the_crossing_is_not_read(fig_params, monkeypatch):
     expect = find_root(spec_of(fig_params), tol=1e-12)
     inner, row = instab.dispersion._grid_info, None
 
-    def failing(*args):
-        values, a0, depths, failed = inner(*args)
+    def failing(spec, lam, *args):
+        values, a0, depths, failed = inner(spec, lam, *args)
+        if np.ndim(lam) == 0:  # a one-point refinement pass
+            return values, a0, depths, failed
         values[row] = math.nan
         depths[row] = 10 ** 6
         err = NoConvergence(f"row {row}", depth=16, width=1.0)
@@ -474,12 +465,12 @@ def test_reference_threshold(fig_params):
 
 
 def test_threshold_evaluation_budget(fig_params, monkeypatch):
-    # the nu scan is one batched pass; value() is called by the refinement only
-    seen = count_calls(monkeypatch, instab.dispersion, "value")
-    grids = count_calls(monkeypatch, instab.dispersion, "_grid_info")
+    # the nu scan is one batched pass; the refinement makes one-point passes only
+    passes = record_passes(monkeypatch)
     nu0_estimate(fig_params, tol=1e-8)
-    assert len(grids) == 1
-    assert len(seen) <= 7
+    points = one_point(passes)
+    assert len(passes) - len(points) == 1
+    assert len(points) <= 7
 
 
 def test_threshold_is_a_sign_change(fig_params):

