@@ -27,7 +27,7 @@ from .dispersion import (
     value,
     value_grid,
 )
-from .eigensystem import EigenvectorResult, build_u, build_w
+from .eigensystem import EigenvectorResult, build_w
 from .errors import (
     DegenerateFraction,
     IndexUndefined,
@@ -91,7 +91,7 @@ __all__ = [
     "DispersionSpec", "RootResult", "value", "value_grid", "find_root",
     "default_lambda_cap", "nu0_estimate",
     # eigenvectors
-    "EigenvectorResult", "build_u", "build_w",
+    "EigenvectorResult", "build_w",
     # spectral oracles
     "TruncatedOperator", "DeterminantSample",
     "build_L", "max_real_eig", "dominant_mode", "build_K",

@@ -13,8 +13,7 @@ digits) depending on --format, written with LF line endings to stdout or to
 CSV; root, nu0 and simulate to JSON; verify takes --format text|json (no
 CSV) and defaults to text.  det has three exclusive modes: one --lam, a
 lambda grid (--lambda-min/--lambda-max/--step), or --root-bracket (with its
---tol); the --lam and grid modes evaluate every lambda in one batched pass
-(spectral.det_grid).
+--tol); the --lam and grid modes evaluate through spectral.det_grid.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ from .spectral import TruncatedOperator, build_L
 
 __all__ = [
     "EigenvectorResult",
-    "build_u",
     "build_w",
 ]
 
@@ -107,27 +106,6 @@ def _ratios(lam, params, N, tol, match_tol, max_depth):
     return fwd, bwd
 
 
-def build_u(lam: float, params: FlowParams, N: int, *,
-            tol: float = 1e-12, match_tol: float | None = None,
-            max_depth: int = DEFAULT_MAX_DEPTH) -> dict[int, float]:
-    """Tail ratios u_n on the window: forward for n >= 1, backward for n <= 0.
-
-    Both sides are seeded at depth N from adaptive tail evaluations (to
-    ``tol``) and marched to the junction, where consistency is checked to
-    ``match_tol`` (default 100*tol, matching how the root bracket's error
-    amplifies into u_0).  MatchFailure signals that lambda is not a root; for
-    diagnostics on deliberately off-root lambda pass match_tol=math.inf.
-
-    I+ builds only n <= 0, I- only n >= 0 (the other side's ratios involve
-    the vanishing rho).
-    """
-    fwd, bwd = _ratios(lam, params, N, tol, match_tol, max_depth)
-    u = {} if fwd is None else dict(zip(range(N + 1), fwd.tolist()))
-    if bwd is not None:  # the backward u_0 is kept at the junction
-        u.update(zip(range(-N, 1), bwd.tolist()))
-    return u
-
-
 def _fit_side(side, lo, hi):
     # least-squares decay of log|w_k|, k in [lo, hi], over the live entries
     k = np.arange(lo, hi + 1)
@@ -197,7 +175,9 @@ def build_w(lam: float, params: FlowParams, N: int, *,
     z-products are accumulated in log-magnitude plus sign (direct products
     underflow from about N = 100 for the NavierStokes instances), entries
     whose magnitude falls below exp(-745) become 0.0.  The I+/I- classes get
-    exact zeros beyond the single extra entry fixed by the junction row.
+    exact zeros beyond the single extra entry fixed by the junction row.  The
+    junction is checked to ``match_tol`` (default 100*tol); MatchFailure says
+    lambda is not a root, and match_tol=math.inf allows off-root diagnostics.
     """
     if N < 3:
         raise ValueError("window N must be at least 3")

@@ -10,13 +10,10 @@ Three routes that never touch the continued fractions:
 
 A certified instability must survive all three within stated tolerances.
 
-The determinant has two drivers of one scaled recurrence: det_I_plus_K runs
-it for one lambda as a Python float loop, and det_grid runs it for a whole
-lambda grid as one numpy pass with the same per-element arithmetic, so its
-values are == to the scalar loop's.  Grids go through det_grid.  det_root
-stays scalar: its refinement makes one evaluation at a time, and a one-row
-numpy pass costs 10 to 25 times the float loop (best of 50 on a 2-core Xeon:
-2.0 ms against 0.15 ms at N=128, 8.0 ms against 0.31 ms at N=512).
+The determinant has one driver, _det_rows: up to _FLOAT_WIDTH lambdas it runs
+the scaled recurrence as Python float loops, one lambda at a time, and wider
+passes take one numpy step per row with the same per-element arithmetic, so
+the width never changes a value.  det_I_plus_K is a one-lambda det_grid.
 """
 
 from __future__ import annotations
@@ -48,8 +45,11 @@ RENORM_EVERY = 16  # RK4 steps per renormalization block of growth_rate
 # lambdas per det_grid pass: a pass holds about ten vectors of this length
 # (under 1 MB), so a grid of any length and window allocates no more
 DET_GRID_CHUNK = 1 << 13
-# both determinant drivers rescale a minor pair by an exact power of two once
-# its larger magnitude leaves [2^-256, 2^256]
+# lambdas up to which _det_rows runs float loops: a numpy step per row costs
+# more below about 13 lambdas at N=128, and both costs scale with N
+_FLOAT_WIDTH = 8
+# the determinant recurrence rescales a minor pair by an exact power of two
+# once its larger magnitude leaves [2^-256, 2^256]
 _RESCALE_LO, _RESCALE_HI = 2.0 ** -256, 2.0 ** 256
 _NEEDS_POSITIVE_LAMBDA = "the determinant factorization needs lambda > 0"
 
@@ -115,7 +115,7 @@ def build_K(lam: float, params: FlowParams, N: int) -> TruncatedOperator:
     decays like n^-2), so K is trace class, det(I+K) converges as N grows and
     vanishes exactly at the eigenvalues.  The second-grade d_n is bounded and
     rho_n tends to a constant, so its K is not trace class: the sectioned
-    determinants grow without limit in N.
+    determinants grow without limit in N.  _det_rows forms these rows itself.
     """
     if lam <= 0:
         raise ValueError(_NEEDS_POSITIVE_LAMBDA)
@@ -133,7 +133,7 @@ class DeterminantSample:
 
 
 def det_I_plus_K(lam: float, params: FlowParams, N: int) -> DeterminantSample:
-    """det of the (2N+1)-section of I + K_lambda via the three-term recurrence.
+    """det of the (2N+1)-section of I + K_lambda: det_grid at one lambda.
 
     For a unit-diagonal tridiagonal matrix the leading principal minors obey
     D_m = D_{m-1} - sub_m*sup_{m-1}*D_{m-2}; the recurrence is run in scaled
@@ -142,44 +142,20 @@ def det_I_plus_K(lam: float, params: FlowParams, N: int) -> DeterminantSample:
     naming N and the magnitude.  The sections diverge that way where K is not
     trace class; a trace-class determinant can also be finite but too large
     (NavierStokes at nu = lambda = 1e-6, N = 512: about 1e635).
-
-    This is the one-lambda loop that det_root refines with, since a one-row
-    numpy pass costs more than it; det_grid is the grid path, and its values
-    are == to this loop's.
     """
-    K = build_K(lam, params, N)
-    d_prev2, d_prev = 1.0, 1.0  # empty minor and the first 1x1 block
-    shift = 0
-    lo, hi = _RESCALE_LO, _RESCALE_HI  # locals: this loop is det_root's cost
-    for sub, sup in zip(K.sub.tolist(), K.sup.tolist()):
-        d = d_prev - sub * sup * d_prev2
-        mag = max(abs(d), abs(d_prev))
-        if mag > hi or (0.0 < mag < lo):
-            _, e = math.frexp(mag)
-            d = math.ldexp(d, -e)
-            d_prev = math.ldexp(d_prev, -e)
-            shift += e
-        d_prev2, d_prev = d_prev, d
-    try:
-        return DeterminantSample(lam=lam, value=math.ldexp(d_prev, shift), N=N)
-    except OverflowError:
-        raise _beyond_double_range(d_prev, shift, N) from None
+    return DeterminantSample(lam, float(det_grid([lam], params, N)[0]), N)
 
 
 def det_grid(lams, params: FlowParams, N: int) -> np.ndarray:
     """det_I_plus_K(lam, params, N).value at each lambda of a 1-D grid, in grid order.
 
-    The section is built once; then each chunk of at most DET_GRID_CHUNK
-    lambdas runs the scaled recurrence once per step over its vector of
-    lambdas, with det_I_plus_K's per-element arithmetic: k = 1/(L_nn - lambda),
-    (k_{m+1}*sub_m)*(k_m*sup_m) times D_{m-2}, and the same power-of-two
-    rescaling.  So every value is == to the scalar loop's.  The k and band
-    products are formed one step at a time, so a chunk holds a few vectors
-    of its lambdas whatever N is.  A lambda <= 0 anywhere raises ValueError
-    before any work; a value beyond the double range raises the scalar
-    call's NoConvergence for the first such lambda.
+    The section is built once, and each chunk of at most DET_GRID_CHUNK lambdas
+    is one _det_rows pass.  A grid that is not 1-D, or a lambda <= 0 anywhere,
+    raises ValueError before any work.
     """
     lams = np.asarray(lams, dtype=np.float64)
+    if lams.ndim != 1:
+        raise ValueError("det_grid needs a 1-D grid of lambdas")
     if np.any(lams <= 0):
         raise ValueError(_NEEDS_POSITIVE_LAMBDA)
     L = build_L(params, N)
@@ -191,36 +167,58 @@ def det_grid(lams, params: FlowParams, N: int) -> np.ndarray:
 
 
 def _det_rows(L: TruncatedOperator, lams: np.ndarray) -> np.ndarray:
-    d_prev2, d_prev = np.ones(lams.size), np.ones(lams.size)
-    shift = np.zeros(lams.size, dtype=np.int64)
-    k = 1.0 / (L.diag[0] - lams)  # build_K's k_n at each lambda, one n at a time
-    # Python float arithmetic overflows to inf and nan silently; so does this
+    """det(I + K_lambda) of the section L at each lambda: the one determinant driver.
+
+    K's rows are build_K's k = 1/(L_nn - lambda) and (k_{m+1}*sub_m)*(k_m*sup_m),
+    the factor of D_{m-2}.  Up to _FLOAT_WIDTH lambdas run as float loops, one
+    at a time; wider passes step over the vector, holding a few vectors of it
+    whatever N is.  Both end in the power-of-two shift and NoConvergence for
+    the first lambda, in order, whose value is beyond the double range.
+    """
+    # Python float arithmetic overflows to inf and nan silently; so does numpy here
     with np.errstate(over="ignore", invalid="ignore"):
-        for diag, sub, sup in zip(L.diag[1:].tolist(), L.sub.tolist(), L.sup.tolist()):
-            k_next = 1.0 / (diag - lams)
-            d = d_prev - (k_next * sub) * (k * sup) * d_prev2
-            mag = np.maximum(np.abs(d), np.abs(d_prev))
-            rescale = (mag > _RESCALE_HI) | ((mag > 0.0) & (mag < _RESCALE_LO))
-            if rescale.any():
-                e = np.where(rescale, np.frexp(mag)[1], 0)
-                d = np.ldexp(d, -e)
-                d_prev = np.ldexp(d_prev, -e)
-                shift += e
-            d_prev2, d_prev, k = d_prev, d, k_next
+        if lams.size <= _FLOAT_WIDTH:
+            lo, hi = _RESCALE_LO, _RESCALE_HI  # locals: this loop is det_root's cost
+            d_prev, shift = [], []
+            for lam in lams.tolist():
+                k = 1.0 / (L.diag - lam)
+                d2, d1, e_sum = 1.0, 1.0, 0  # empty minor and the first 1x1 block
+                for sub, sup in zip((k[1:] * L.sub).tolist(), (k[:-1] * L.sup).tolist()):
+                    d = d1 - sub * sup * d2
+                    mag = max(abs(d), abs(d1))
+                    if mag > hi or (0.0 < mag < lo):
+                        _, e = math.frexp(mag)
+                        d = math.ldexp(d, -e)
+                        d1 = math.ldexp(d1, -e)
+                        e_sum += e
+                    d2, d1 = d1, d
+                d_prev.append(d1)
+                shift.append(e_sum)
+            d_prev, shift = np.array(d_prev), np.array(shift, dtype=np.int64)
+        else:
+            d_prev2, d_prev = np.ones(lams.size), np.ones(lams.size)
+            shift = np.zeros(lams.size, dtype=np.int64)
+            k = 1.0 / (L.diag[0] - lams)
+            for diag, sub, sup in zip(L.diag[1:].tolist(), L.sub.tolist(), L.sup.tolist()):
+                k_next = 1.0 / (diag - lams)
+                d = d_prev - (k_next * sub) * (k * sup) * d_prev2
+                mag = np.maximum(np.abs(d), np.abs(d_prev))
+                rescale = (mag > _RESCALE_HI) | ((mag > 0.0) & (mag < _RESCALE_LO))
+                if rescale.any():
+                    e = np.where(rescale, np.frexp(mag)[1], 0)
+                    d = np.ldexp(d, -e)
+                    d_prev = np.ldexp(d_prev, -e)
+                    shift += e
+                d_prev2, d_prev, k = d_prev, d, k_next
         values = np.ldexp(d_prev, shift)
     beyond = np.flatnonzero(np.isinf(values) & np.isfinite(d_prev))
     if beyond.size:
         i = beyond[0]
-        raise _beyond_double_range(float(d_prev[i]), int(shift[i]), L.N)
+        raise NoConvergence(
+            f"|det(I+K)| of the N={L.N} section is about 1e"
+            f"{math.log10(abs(float(d_prev[i]))) + int(shift[i]) * math.log10(2.0):.0f},"
+            " beyond the double range", depth=L.N)
     return values
-
-
-def _beyond_double_range(mantissa: float, shift: int, N: int) -> NoConvergence:
-    return NoConvergence(
-        f"|det(I+K)| of the N={N} section is about 1e"
-        f"{math.log10(abs(mantissa)) + shift * math.log10(2.0):.0f}, beyond the "
-        "double range",
-        depth=N)
 
 
 def det_root(params: FlowParams, N: int, bracket: tuple[float, float],
@@ -231,8 +229,8 @@ def det_root(params: FlowParams, N: int, bracket: tuple[float, float],
     lo, hi = bracket
     if not 0 < lo < hi < math.inf:
         raise ValueError("bracket must be finite with 0 < lo < hi")
-    f_lo = det_I_plus_K(lo, params, N).value
-    f_hi = det_I_plus_K(hi, params, N).value
+    L = build_L(params, N)  # once: each end and trial point is a _det_rows pass on it
+    f_lo, f_hi = _det_rows(L, np.array([lo, hi])).tolist()
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -241,7 +239,7 @@ def det_root(params: FlowParams, N: int, bracket: tuple[float, float],
     if s == math.copysign(1.0, f_hi):
         raise NoSignChange(
             f"det(I+K) has the same sign at both ends of [{lo:g}, {hi:g}]")
-    lo, hi = _refine(lambda lam: s * det_I_plus_K(lam, params, N).value, lo, hi, tol,
+    lo, hi = _refine(lambda lam: s * float(_det_rows(L, np.array([lam]))[0]), lo, hi, tol,
                      s * f_lo, s * f_hi)
     return 0.5 * (lo + hi)
 

@@ -14,7 +14,7 @@ import pytest
 
 import instab.dispersion
 from instab import (DegenerateFraction, FlowParams, LatticeVector, ModelKind, NoConvergence,
-                    PointClass, classify)
+                    PointClass, build_K, classify)
 
 # Certified positive root of the reference instance (bisection to 1e-12,
 # matrix oracle at N=128 agrees to 2.4e-12).
@@ -100,6 +100,31 @@ def reference_adaptive(coeffs, tol, max_depth, start_depth=2, bound=(math.inf,) 
         if m >= cap:
             raise NoConvergence("at the depth cap", depth=m, width=upper - lower)
         m = min(2 * m, cap)
+
+
+def reference_det(lam, pr, N):
+    """det(I + K_lambda) of the N-section as a Python float loop over build_K's rows.
+
+    The leading minors obey D_m = D_{m-1} - sub_m*sup_{m-1}*D_{m-2}, rescaled
+    by an exact power of two once the larger of a pair leaves
+    [2^-256, 2^256].  A value beyond the double range raises NoConvergence
+    with the library's message, at depth N.
+    """
+    K = build_K(lam, pr, N)
+    d_prev2, d_prev, shift = 1.0, 1.0, 0
+    for sub, sup in zip(K.sub.tolist(), K.sup.tolist()):
+        d = d_prev - sub * sup * d_prev2
+        mag = max(abs(d), abs(d_prev))
+        if mag > 2.0 ** 256 or 0.0 < mag < 2.0 ** -256:
+            _, e = math.frexp(mag)
+            d, d_prev, shift = math.ldexp(d, -e), math.ldexp(d_prev, -e), shift + e
+        d_prev2, d_prev = d_prev, d
+    try:
+        return math.ldexp(d_prev, shift)
+    except OverflowError:
+        exponent = math.log10(abs(d_prev)) + shift * math.log10(2.0)
+        raise NoConvergence(f"|det(I+K)| of the N={N} section is about 1e{exponent:.0f}, "
+                            "beyond the double range", depth=N) from None
 
 
 # one (model, alpha, nu) per model, and one class-I orbit of p=(3,1) per class

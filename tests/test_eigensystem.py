@@ -12,7 +12,6 @@ from instab import (
     ModelKind,
     PointClass,
     build_L,
-    build_u,
     build_w,
     c,
     dominant_mode,
@@ -21,7 +20,8 @@ from instab import (
     rho,
     value,
 )
-from instab.eigensystem import _residual
+from instab.contfrac import DEFAULT_MAX_DEPTH
+from instab.eigensystem import _ratios, _residual
 from conftest import CLASS_Q, MODELS, make_params
 
 
@@ -30,6 +30,15 @@ def residual(res, pr):
     N = res.window
     w = np.array([res.w.get(n, 0.0) for n in range(-N, N + 1)])
     return _residual(w, res.lam, build_L(pr, N))
+
+
+def ratios(lam, pr, N, match_tol=None):
+    """The tail ratios of both marches as {n: u_n}, the backward u_0 kept at the junction."""
+    fwd, bwd = _ratios(lam, pr, N, 1e-12, match_tol, DEFAULT_MAX_DEPTH)
+    u = {} if fwd is None else dict(zip(range(N + 1), fwd.tolist()))
+    if bwd is not None:
+        u.update(zip(range(-N, 1), bwd.tolist()))
+    return u
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +54,7 @@ def fig():
 
 def test_u_window_and_positivity(fig):
     pr, lam = fig
-    u = build_u(lam, pr, 8)
+    u = ratios(lam, pr, 8)
     assert set(u) == set(range(-8, 9))
     # away from the junction the ratios are dominated by their coefficient
     for n in range(1, 9):
@@ -55,31 +64,30 @@ def test_u_window_and_positivity(fig):
 def test_u_rejects_off_root_lambda(fig):
     pr, lam = fig
     with pytest.raises(MatchFailure) as exc:
-        build_u(lam + 1e-3, pr, 8)
+        ratios(lam + 1e-3, pr, 8)
     assert exc.value.mismatch > exc.value.tol
 
 
 def test_u_match_tol_override_allows_diagnostics(fig):
     pr, lam = fig
-    u = build_u(lam + 1e-3, pr, 8, match_tol=math.inf)
+    u = ratios(lam + 1e-3, pr, 8, match_tol=math.inf)
     assert set(u) == set(range(-8, 9))
 
 
-@pytest.mark.parametrize("build", [build_u, build_w])
-def test_negative_lambda_rejected(fig, build):
+def test_negative_lambda_rejected(fig):
     # value() rejects lambda < 0; the eigenvector path, even with the junction
     # check switched off, says the same before marching
     pr, _ = fig
     with pytest.raises(ValueError, match="lambda must be nonnegative"):
-        build(-0.5, pr, 8, match_tol=math.inf)
+        build_w(-0.5, pr, 8, match_tol=math.inf)
 
 
 def test_u_one_sided_for_boundary_classes(plus_params, minus_params):
     lam_p = find_root(DispersionSpec(plus_params), tol=1e-12).lam
-    u_p = build_u(lam_p, plus_params, 6)
+    u_p = ratios(lam_p, plus_params, 6)
     assert set(u_p) == set(range(-6, 1))
     lam_m = find_root(DispersionSpec(minus_params), tol=1e-12).lam
-    u_m = build_u(lam_m, minus_params, 6)
+    u_m = ratios(lam_m, minus_params, 6)
     assert set(u_m) == set(range(0, 7))
 
 
@@ -252,7 +260,7 @@ def orbit_root(request):
 def test_u_matches_reference_loops(orbit_root, N, offset):
     pr, lam = orbit_root
     lam += offset
-    assert build_u(lam, pr, N, match_tol=math.inf) == reference_u(lam, pr, N)
+    assert ratios(lam, pr, N, match_tol=math.inf) == reference_u(lam, pr, N)
 
 
 @pytest.mark.parametrize("N", [3, 64])
@@ -278,14 +286,13 @@ def test_junction_mismatch_is_the_dispersion_value(orbit_root):
     # every class checks |a_0 + f + g| over the tails it has
     pr, lam = orbit_root
     with pytest.raises(MatchFailure, match="u0 forward/backward mismatch") as exc:
-        build_u(lam + 1e-3, pr, 8)
+        ratios(lam + 1e-3, pr, 8)
     assert exc.value.mismatch == pytest.approx(
         abs(value(lam + 1e-3, DispersionSpec(pr), tol=1e-12)), rel=1e-6)
 
 
-@pytest.mark.parametrize("build", [build_u, build_w])
-def test_class_two_orbit_rejected(build):
+def test_class_two_orbit_rejected():
     pr = make_params(q=(0, -1))
     assert pr.point_class is PointClass.TYPE_II
     with pytest.raises(ValueError, match="classes I0/I\\+/I-"):
-        build(0.2, pr, 8)
+        build_w(0.2, pr, 8)

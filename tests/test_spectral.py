@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import instab.spectral
 from instab import (
@@ -25,8 +25,9 @@ from instab import (
     max_real_eig,
     rho,
 )
-from instab.spectral import DET_GRID_CHUNK, RENORM_EVERY
-from conftest import CLASS_I_ORBITS, CLASS_Q, LAM_STAR, MODELS, count_calls, make_params
+from instab.spectral import _FLOAT_WIDTH, DET_GRID_CHUNK, RENORM_EVERY
+from conftest import (CLASS_I_ORBITS, CLASS_Q, LAM_STAR, MODELS, count_calls, make_params,
+                      reference_det)
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +160,10 @@ def test_det_depth_zero_and_one(fig_params):
     assert got.value == pytest.approx(expect, rel=1e-13)
 
 
+def test_det_value_is_a_python_float(fig_params):
+    assert type(det_I_plus_K(0.3, fig_params, 8).value) is float
+
+
 def test_det_requires_positive_lambda(fig_params):
     with pytest.raises(ValueError):
         det_I_plus_K(0.0, fig_params, 4)
@@ -243,31 +248,68 @@ def test_det_overflow_message_holds_for_trace_class_k():
     assert exc.value.depth == 512
 
 
-def scalar_or_error(grid, pr, N):
-    # the scalar loop's values, or the message and depth of its first failure
+def values_or_error(values):
+    # the values, or the message and depth of the first failure
     try:
-        return [det_I_plus_K(x, pr, N).value for x in grid]
+        return values()
     except NoConvergence as exc:
         return str(exc), exc.depth
 
 
-def grid_or_error(grid, pr, N):
-    try:
-        return det_grid(grid, pr, N).tolist()
-    except NoConvergence as exc:
-        return str(exc), exc.depth
+# the second-grade sections pass the rescaling threshold by N=256 and the
+# double range at N=512, on either side of the float-loop width
+SECOND_GRADE = MODELS[1]
+DEEP_GRIDS = [np.linspace(0.1, 0.5, w).tolist() for w in (1, _FLOAT_WIDTH, _FLOAT_WIDTH + 1)]
 
 
 @settings(max_examples=120, deadline=None)
 @given(model=st.sampled_from(MODELS), orbit=st.sampled_from(CLASS_I_ORBITS),
        N=st.sampled_from([1, 2, 5, 32, 128, 256]),
        grid=st.lists(st.floats(-6.0, 1.0).map(lambda e: 10.0 ** e),
-                     min_size=1, max_size=24))
+                     min_size=1, max_size=3 * _FLOAT_WIDTH))
+@example(model=SECOND_GRADE, orbit=((3, 1), (-1, 2)), N=256, grid=DEEP_GRIDS[1])
+@example(model=SECOND_GRADE, orbit=((3, 1), (-1, 2)), N=256, grid=DEEP_GRIDS[2])
+@example(model=SECOND_GRADE, orbit=((3, 1), (-1, 2)), N=512, grid=DEEP_GRIDS[0])
+@example(model=SECOND_GRADE, orbit=((3, 1), (-1, 2)), N=512, grid=DEEP_GRIDS[2])
 def test_det_grid_equals_scalar_loop(model, orbit, N, grid):
+    # grids up to 3 * _FLOAT_WIDTH long, so both branches of _det_rows run
     kind, alpha, nu = model
     p, q = orbit
     pr = make_params(model=kind, alpha=alpha, nu=nu, p=p, q=q)
-    assert grid_or_error(grid, pr, N) == scalar_or_error(grid, pr, N)
+    expect = values_or_error(lambda: [reference_det(x, pr, N) for x in grid])
+    assert values_or_error(lambda: det_grid(grid, pr, N).tolist()) == expect
+    assert values_or_error(lambda: [det_I_plus_K(x, pr, N).value for x in grid]) == expect
+
+
+def test_det_rows_runs_float_loops_up_to_the_width(fig_params):
+    # the float loops read the lambdas with tolist(); the numpy steps never do
+    L = build_L(fig_params, 16)
+    read = []
+
+    class Lambdas(np.ndarray):
+        def tolist(self):
+            read.append(self.size)
+            return super().tolist()
+
+    for width in (1, _FLOAT_WIDTH, _FLOAT_WIDTH + 1, 2 * _FLOAT_WIDTH):
+        grid = np.linspace(0.1, 0.3, width)
+        read.clear()
+        got = np.asarray(instab.spectral._det_rows(L, grid.view(Lambdas)))
+        assert read == ([width] if width <= _FLOAT_WIDTH else [])
+        assert got.tolist() == [reference_det(x, fig_params, 16) for x in grid.tolist()]
+
+
+def test_det_grid_needs_a_1d_grid(fig_params, monkeypatch):
+    sections = count_calls(monkeypatch, instab.spectral, "build_L")
+    for grid in (0.2, [[0.1, 0.2]]):
+        with pytest.raises(ValueError, match="needs a 1-D grid of lambdas"):
+            det_grid(grid, fig_params, 32)
+    assert sections == []
+
+
+def test_det_grid_of_no_lambda_is_empty(fig_params):
+    got = det_grid([], fig_params, 32)
+    assert got.dtype == np.float64 and got.shape == (0,)
 
 
 def test_det_grid_refuses_nonpositive_lambda(fig_params, monkeypatch):
@@ -282,17 +324,18 @@ def test_det_grid_refuses_nonpositive_lambda(fig_params, monkeypatch):
 
 
 def test_det_grid_beyond_double_range_is_the_scalar_no_convergence():
-    # every lambda of this second-grade grid is beyond the double range at
-    # N=512; the grid raises what the scalar call raises at its first lambda
+    # every lambda of these second-grade grids is beyond the double range at
+    # N=512; either width raises what the scalar loop raises at its first lambda
     pr = make_params(model=ModelKind.SECOND_GRADE, alpha=0.5, nu=0.04)
-    grid = [0.1, 0.2, 0.3, 0.4, 0.5]
     with pytest.raises(NoConvergence) as scalar:
-        det_I_plus_K(grid[0], pr, 512)
-    with pytest.raises(NoConvergence) as exc:
-        det_grid(grid, pr, 512)
-    assert str(exc.value) == str(scalar.value) == (
+        reference_det(0.1, pr, 512)
+    assert str(scalar.value) == (
         "|det(I+K)| of the N=512 section is about 1e657, beyond the double range")
-    assert exc.value.depth == scalar.value.depth == 512
+    for grid in ([0.1, 0.2, 0.3, 0.4, 0.5], np.linspace(0.1, 0.5, 2 * _FLOAT_WIDTH)):
+        with pytest.raises(NoConvergence) as exc:
+            det_grid(grid, pr, 512)
+        assert str(exc.value) == str(scalar.value)
+        assert exc.value.depth == scalar.value.depth == 512
 
 
 def test_det_grid_chunks_keep_grid_order(fig_params, monkeypatch):
@@ -300,7 +343,7 @@ def test_det_grid_chunks_keep_grid_order(fig_params, monkeypatch):
     grid = np.random.default_rng(3).uniform(0.01, 2.0, 2 * DET_GRID_CHUNK + 7).tolist()
     chunks = count_calls(monkeypatch, instab.spectral, "_det_rows")
     assert det_grid(grid, fig_params, 5).tolist() == [
-        det_I_plus_K(x, fig_params, 5).value for x in grid]
+        reference_det(x, fig_params, 5) for x in grid]
     assert len(chunks) == 3
 
 
@@ -329,16 +372,29 @@ def test_det_root_rejects_non_finite_bracket(fig_params, hi):
         det_root(fig_params, 16, (0.1, hi), tol=1e-8)
 
 
+def test_det_root_builds_the_section_once(fig_params, monkeypatch):
+    sections = count_calls(monkeypatch, instab.spectral, "build_L")
+    det_root(fig_params, 128, (0.2, 0.25), tol=1e-10)
+    assert len(sections) == 1
+
+
 def test_det_root_evaluation_budget(fig_params, monkeypatch):
-    seen = count_calls(monkeypatch, instab.spectral, "det_I_plus_K")
+    # at most 10 lambdas, both ends included, over all _det_rows passes
+    inner, widths = instab.spectral._det_rows, []
+
+    def recording(L, lams):
+        widths.append(lams.size)
+        return inner(L, lams)
+
+    monkeypatch.setattr(instab.spectral, "_det_rows", recording)
     got = det_root(fig_params, 128, (0.2, 0.25), tol=1e-10)
     assert got == pytest.approx(LAM_STAR, abs=1e-8)
-    assert len(seen) <= 10
+    assert sum(widths) <= 10
 
 
 def test_det_root_ends_below_float_spacing(fig_params, monkeypatch):
     # tol 1e-20 is below the spacing of doubles near the root (about 2.8e-17)
-    count_calls(monkeypatch, instab.spectral, "det_I_plus_K", limit=60)
+    count_calls(monkeypatch, instab.spectral, "_det_rows", limit=60)
     got = det_root(fig_params, 128, (0.2, 0.25), tol=1e-20)
     monkeypatch.undo()
     assert got == pytest.approx(LAM_STAR, abs=1e-8)
