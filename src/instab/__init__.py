@@ -14,7 +14,6 @@ from .contfrac import (
     Direction,
     TailSpec,
     eval_adaptive,
-    eval_adaptive_coeffs,
     eval_trunc,
     even_trunc_slope_at_zero,
 )
@@ -85,7 +84,7 @@ __all__ = [
     "recurrence_coeff", "b", "steady_state",
     # continued fractions
     "Direction", "TailSpec", "BracketedValue", "DEFAULT_MAX_DEPTH",
-    "eval_trunc", "eval_adaptive", "eval_adaptive_coeffs",
+    "eval_trunc", "eval_adaptive",
     "even_trunc_slope_at_zero",
     # dispersion
     "DispersionSpec", "RootResult", "value", "value_grid", "find_root",

@@ -53,7 +53,6 @@ __all__ = [
     "BracketedValue",
     "eval_trunc",
     "eval_adaptive",
-    "eval_adaptive_coeffs",
     "even_trunc_slope_at_zero",
 ]
 
@@ -120,29 +119,6 @@ def eval_trunc(coeffs: Sequence[float], tail: float = 0.0) -> float:
     """
     return float(_trunc_rows(np.asarray(coeffs, dtype=np.float64).reshape(-1, 1),
                              np.array([tail], dtype=np.float64))[0])
-
-
-def eval_adaptive_coeffs(
-    coeffs_fn: Callable[[int], Sequence[float]],
-    tol: float,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    start_depth: int = 2,
-    bound: tuple[float, float, float] = UNBOUNDED,
-) -> BracketedValue:
-    """Bracket [a1; a2; ...] between two truncations: a one-row _adaptive_rows pass.
-
-    ``coeffs_fn(k)`` must return the first k coefficients, for any k up to
-    ``max_depth + 1``.  Depth doubles from ``start_depth`` until the bracket
-    is within tol; the final evaluation happens at ``max_depth`` exactly
-    before giving up, so the cap is part of the search.  ``bound`` is
-    TailSpec.bound's (a_max, first, fixed), which picks the enclosure.
-    """
-    value, lower, upper, depth, failed = _adaptive_rows(
-        lambda live, lo, hi: np.asarray(coeffs_fn(hi), dtype=np.float64)[lo:, None],
-        1, np.array(bound, dtype=np.float64)[:, None], tol, max_depth, start_depth)
-    if failed:
-        raise failed[0]
-    return BracketedValue(float(value[0]), float(lower[0]), float(upper[0]), int(depth[0]))
 
 
 def _levels(tol: float, max_depth: int, start: int = 2):
@@ -275,8 +251,18 @@ def _adaptive_rows(coeffs_fn: Callable[[np.ndarray, int, int], np.ndarray], rows
 def eval_adaptive(spec: TailSpec, tol: float,
                   max_depth: int = DEFAULT_MAX_DEPTH,
                   start_depth: int = 2) -> BracketedValue:
-    """Adaptive evaluation of a dispersion tail to a two-sided tolerance."""
-    return eval_adaptive_coeffs(spec.coeffs, tol, max_depth, start_depth, spec.bound())
+    """Adaptive evaluation of a dispersion tail to a two-sided tolerance.
+
+    A one-row _adaptive_rows pass, enclosed by TailSpec.bound: depth doubles
+    from ``start_depth``, and the last level is at ``max_depth`` exactly.
+    """
+    cs, s = CoefficientStream(spec.params), spec.direction.value
+    value, lower, upper, depth, failed = _adaptive_rows(
+        lambda rows, lo, hi: cs.coeff(np.arange(lo + 1, hi + 1)[:, None] * s, spec.lam),
+        1, np.array(spec.bound())[:, None], tol, max_depth, start_depth)
+    if failed:
+        raise failed[0]
+    return BracketedValue(float(value[0]), float(lower[0]), float(upper[0]), int(depth[0]))
 
 
 def even_trunc_slope_at_zero(k: int, direction: Direction,

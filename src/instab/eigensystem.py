@@ -1,19 +1,23 @@
 """Eigenvector reconstruction from a certified dispersion root.
 
 At a root lambda the three-term recurrence admits a decaying solution built
-from tail ratios u_n.  Each side s = +1 (forward) or -1 (backward) runs one
-march: seeded at depth N with the adaptively evaluated tail
-t_{N+1} = [a_{s(N+1)}; a_{s(N+2)}; ...], it steps toward the junction index 0
-with d_k = a_{sk} + t_{k+1} and t_k = 1/d_k.  The forward ratios are
-u_n = d_n (so u_0 = a_0 + f) and the backward ones u_{-m} = -t_{m+1} (so
-u_0 = -g).  Each step is the recurrence itself and contracts seed error, so
-the only defect of the assembled vector sits at the junction row, where it
-equals the dispersion residual: the junction check is |a_0 + f + g| for every
-class, over the tails that DispersionSpec gives the class.
+from the tail ratios of its sides.  Side s = +1 holds n >= 0 and side s = -1
+holds n <= 0; the orbit mirror n -> -n (q -> -q) maps one onto the other, so
+every side runs the same march.  Seeded at depth N with the adaptively
+evaluated tail t_{N+1} = [a_{s(N+1)}; a_{s(N+2)}; ...] (all seeds in one
+pass), it steps toward the junction index 0 with d_k = a_{sk} + t_{k+1} and
+t_k = 1/d_k.  The ratio u_{sk} = z_{s(k-1)}/z_{sk} of side s is s*d_k, so
+from z_0 = 1
 
-From the ratios, z_0 = 1, z_n = 1/(u_1...u_n) for n > 0 and
-z_{-m} = u_0 u_{-1}...u_{-m+1}; the eigenvector is w_n = z_n / rho_n.  The
-I+/I- classes have rho = 0 at one neighbour of the junction; there the
+    z_{sk} = s^k / (d_1 ... d_k),
+
+and the eigenvector is w_n = z_n / rho_n.  Each step is the recurrence itself
+and contracts seed error, so the only defect of the assembled vector sits at
+the junction row, where it equals the dispersion residual: the junction check
+is |a_0 + sum_s t^s_1| for every class, over the tails that DispersionSpec
+gives the class.
+
+The I+/I- classes have rho = 0 at one neighbour of the junction; there the
 one-sided vector ends with a single extra entry fixed by that row of the
 finite section (w_{+1} or w_{-1}) and exact zeros beyond.  The recurrence
 defect is read off the rows of the same section, spectral.build_L.
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contfrac import DEFAULT_MAX_DEPTH, Direction, eval_adaptive_coeffs
+from .contfrac import DEFAULT_MAX_DEPTH, _adaptive_rows
 from .dispersion import DispersionSpec
 from .errors import MatchFailure
 from .models import CoefficientStream, FlowParams
@@ -61,49 +65,44 @@ class EigenvectorResult:
     decay_r2: float
 
 
-def _march(lam, cs, s, N, tol, max_depth):
-    # d_k = a_{sk} + t_{k+1} for k = N..0 and t_k = 1/d_k for k >= 1, seeded
-    # with the adaptive tail t_{N+1} = [a_{s(N+1)}; a_{s(N+2)}; ...]
-    def tail(k):
-        return cs.coeff(s * np.arange(N + 1, N + 1 + k, dtype=np.int64), lam)
-
-    a = cs.coeff(s * np.arange(N + 1), lam).tolist()
-    t = [0.0] * (N + 1) + [eval_adaptive_coeffs(tail, tol, max_depth).value]
-    d = [0.0] * (N + 1)
-    for k in range(N, -1, -1):
-        d[k] = a[k] + t[k + 1]
-        if k:
-            t[k] = 1.0 / d[k]
-    return np.array(d), np.array(t[1:])
-
-
-def _ratios(lam, params, N, tol, match_tol, max_depth):
-    # (u_0..u_N or None, u_{-N}..u_0 or None), checked at the junction
+def _sides(lam, params, N, tol, match_tol, max_depth):
+    # each side's signs s, d_1..d_N and t_1..t_{N+1} as rows, checked at the junction
     if N < 1:
         raise ValueError("window N must be at least 1")
+    if not math.isfinite(lam):
+        raise ValueError("lambda must be finite")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    tails = DispersionSpec(params).tails
+    cs, signs, _, _ = DispersionSpec(params)._stream
     if match_tol is None:
         match_tol = 100.0 * tol
-    cs = CoefficientStream(params)
-    fwd = bwd = None
-    if Direction.FORWARD in tails:  # u_n = d_n
-        fwd = _march(lam, cs, 1, N, tol, max_depth)[0]
-    if Direction.BACKWARD in tails:  # u_{-m} = -t_{m+1}
-        bwd = -_march(lam, cs, -1, N, tol, max_depth)[1][::-1]
-    # a missing side stands in as u_0 = a_0 (forward) or 0 (backward), so the
-    # mismatch is |a_0 + f + g| over the tails the class has
-    u0_fwd = float(cs.coeff(0, lam)) if fwd is None else fwd[0]
-    u0_bwd = 0.0 if bwd is None else bwd[-1]
-    mismatch = abs(u0_fwd - u0_bwd)
+    # every seed t_{N+1} = [a_{s(N+1)}; ...] in one pass, under the even/odd bracket
+    seeds, *_, failed = _adaptive_rows(
+        lambda rows, lo, hi: cs.coeff(np.arange(N + lo + 1, N + hi + 1)[:, None] * signs[rows],
+                                      lam),
+        len(signs), np.full((3, len(signs)), np.inf), tol, max_depth)
+    if failed:
+        raise next(iter(failed.values()))
+    a = cs.coeff(np.arange(N + 1)[:, None] * signs, lam).T.tolist()
+    d, t = [], []
+    for a_s, x in zip(a, seeds.tolist()):  # d_k = a_{sk} + t_{k+1}, t_k = 1/d_k, k = N..1
+        d_s, t_s = [0.0] * N, [0.0] * N + [x]
+        for k in range(N - 1, -1, -1):
+            d_s[k] = a_s[k + 1] + x
+            x = t_s[k] = 1.0 / d_s[k]
+        d.append(d_s)
+        t.append(t_s)
+    junction = a[0][0]  # a_0 + sum_s t^s_1, the dispersion value
+    for t_s in t:
+        junction += t_s[0]
+    mismatch = abs(junction)
     if not mismatch <= match_tol:
         raise MatchFailure(
             f"u0 forward/backward mismatch {mismatch:.3e} exceeds {match_tol:.3e}; "
             f"lambda={lam!r} is not certified as a root",
             mismatch=mismatch, tol=match_tol,
         )
-    return fwd, bwd
+    return signs.tolist(), np.array(d), np.array(t)
 
 
 def _fit_side(side, lo, hi):
@@ -181,35 +180,23 @@ def build_w(lam: float, params: FlowParams, N: int, *,
     """
     if N < 3:
         raise ValueError("window N must be at least 3")
-    fwd, bwd = _ratios(lam, params, N, tol, match_tol, max_depth)
-    log_z = np.zeros(2 * N + 1)  # z_0 = 1
-    sign_z = np.ones(2 * N + 1)
-    if fwd is not None:  # z_n = 1/(u_1...u_n)
-        if not np.all(fwd[1:]):
-            raise ArithmeticError("zero tail ratio on the forward side")
-        log_z[N + 1:] = -np.cumsum(np.log(np.abs(fwd[1:])))
-        sign_z[N + 1:] = np.cumprod(np.sign(fwd[1:]))
-    if bwd is not None:  # z_{-m} = u_0 u_{-1}...u_{-m+1}
-        with np.errstate(divide="ignore"):  # a zero ratio kills everything below it
-            log_z[N - 1::-1] = np.cumsum(np.log(np.abs(bwd[:0:-1])))
-        sign_z[N - 1::-1] = np.cumprod(np.copysign(1.0, bwd[:0:-1]))
-
-    # w_n = z_n / rho_n on the built sides; the cut side of I+/I- stays 0.0
-    lo = -N if bwd is not None else 0
-    hi = N if fwd is not None else 0
-    rho = CoefficientStream(params).rho(np.arange(lo, hi + 1))
-    mag = log_z[lo + N:hi + N + 1] - np.log(np.abs(rho))
-    # libm exp, not np.exp: numpy's exp kernel depends on the CPU's SIMD
-    # level, and a last-bit change in w shows in the junction residual
-    w = np.zeros(2 * N + 1)
-    w[lo + N:hi + N + 1] = sign_z[lo + N:hi + N + 1] * np.copysign(1.0, rho) * [
-        math.exp(m) if m > -745.0 else 0.0 for m in mag.tolist()]
+    signs, d, _ = _sides(lam, params, N, tol, match_tol, max_depth)
+    cs = CoefficientStream(params)
+    w = np.zeros(2 * N + 1)  # the cut side of I+/I- stays 0.0
+    for s, d_s in zip(signs, d):
+        # z_{sk} = s^k/(d_1...d_k) in log-magnitude and sign, z_0 = 1; w = z/rho
+        log_z = np.concatenate(([0.0], -np.cumsum(np.log(np.abs(d_s)))))
+        sign_z = np.concatenate(([1.0], np.cumprod(s * np.sign(d_s))))
+        n = s * np.arange(N + 1)
+        rho = cs.rho(n)
+        # libm exp, not np.exp: numpy's exp kernel depends on the CPU's SIMD
+        # level, and a last-bit change in w shows in the junction residual
+        w[N + n] = sign_z * np.copysign(1.0, rho) * [
+            math.exp(m) if m > -745.0 else 0.0 for m in (log_z - np.log(np.abs(rho))).tolist()]
     L = build_L(params, N)
-    if fwd is None:
-        # section row n=1 fixes w_1; rho_1 = 0 wipes everything beyond
-        w[N + 1] = L.sub[N] * w[N] / (lam - L.diag[N + 1])
-    elif bwd is None:  # the mirror: row n=-1 fixes w_{-1}
-        w[N - 1] = L.sup[N - 1] * w[N] / (lam - L.diag[N - 1])
+    if len(signs) == 1:  # section row c = -s fixes w_c; rho_c = 0 wipes everything beyond
+        c = -signs[0]
+        w[N + c] = (L.sub[N] if c > 0 else L.sup[N - 1]) * w[N] / (lam - L.diag[N + c])
 
     rate, r2 = _fit_decay(w, N)
     return EigenvectorResult(

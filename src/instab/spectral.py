@@ -117,6 +117,8 @@ def build_K(lam: float, params: FlowParams, N: int) -> TruncatedOperator:
     rho_n tends to a constant, so its K is not trace class: the sectioned
     determinants grow without limit in N.  _det_rows forms these rows itself.
     """
+    if not math.isfinite(lam):
+        raise ValueError("lambda must be finite")
     if lam <= 0:
         raise ValueError(_NEEDS_POSITIVE_LAMBDA)
     L = build_L(params, N)
@@ -150,12 +152,14 @@ def det_grid(lams, params: FlowParams, N: int) -> np.ndarray:
     """det_I_plus_K(lam, params, N).value at each lambda of a 1-D grid, in grid order.
 
     The section is built once, and each chunk of at most DET_GRID_CHUNK lambdas
-    is one _det_rows pass.  A grid that is not 1-D, or a lambda <= 0 anywhere,
-    raises ValueError before any work.
+    is one _det_rows pass.  A grid that is not 1-D, or a lambda that is not
+    finite or is <= 0 anywhere, raises ValueError before any work.
     """
     lams = np.asarray(lams, dtype=np.float64)
     if lams.ndim != 1:
         raise ValueError("det_grid needs a 1-D grid of lambdas")
+    if not np.isfinite(lams).all():
+        raise ValueError("lambda must be finite")
     if np.any(lams <= 0):
         raise ValueError(_NEEDS_POSITIVE_LAMBDA)
     L = build_L(params, N)

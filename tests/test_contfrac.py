@@ -22,13 +22,12 @@ from instab import (
     b,
     c,
     eval_adaptive,
-    eval_adaptive_coeffs,
     eval_trunc,
     even_trunc_slope_at_zero,
     value,
     value_grid,
 )
-from instab.contfrac import _FLOAT_WIDTH, UNBOUNDED, _trunc_rows
+from instab.contfrac import _FLOAT_WIDTH, UNBOUNDED, _adaptive_rows, _trunc_rows
 from conftest import CLASS_I_ORBITS, MODELS, make_params, reference_adaptive
 
 
@@ -51,13 +50,20 @@ def test_constant_two_converges_to_sqrt2_minus_1():
     assert got == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-15)
 
 
+def constant_fraction(a, tol, max_depth=100_000):
+    # a one-row _adaptive_rows pass over [a; a; ...] under the even/odd bracket
+    return _adaptive_rows(lambda rows, lo, hi: np.full((hi - lo, 1), a), 1,
+                          np.full((3, 1), np.inf), tol, max_depth)
+
+
 @pytest.mark.parametrize("a", [0.16, 1.0, 7.5])
 def test_constant_fraction_fixed_point(a):
     # x = 1/(a + x) has positive solution (sqrt(a^2+4) - a)/2
     expect = (math.sqrt(a * a + 4.0) - a) / 2.0
-    got = eval_adaptive_coeffs(lambda d: [a] * d, tol=1e-14)
-    assert got.value == pytest.approx(expect, rel=1e-13)
-    assert got.lower <= got.value <= got.upper
+    value, lower, upper, _, failed = constant_fraction(a, tol=1e-14)
+    assert not failed
+    assert value[0] == pytest.approx(expect, rel=1e-13)
+    assert lower[0] <= value[0] <= upper[0]
 
 
 def test_empty_truncation_rejected():
@@ -158,10 +164,9 @@ def test_tail_continuous_at_zero(fig_params):
 
 def test_no_convergence_reports_depth():
     # constant coefficients 1e-6: truncations oscillate between ~1e6 and ~1e-6
-    with pytest.raises(NoConvergence) as exc:
-        eval_adaptive_coeffs(lambda d: [1e-6] * d, tol=1e-10, max_depth=64)
-    assert exc.value.depth == 64
-    assert exc.value.width > 1.0
+    *_, failed = constant_fraction(1e-6, tol=1e-10, max_depth=64)
+    assert failed[0].depth == 64
+    assert failed[0].width > 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import instab.eigensystem
 from instab import (
     CoefficientStream,
     DispersionSpec,
@@ -15,14 +16,13 @@ from instab import (
     build_w,
     c,
     dominant_mode,
-    eval_adaptive_coeffs,
     find_root,
     rho,
     value,
 )
 from instab.contfrac import DEFAULT_MAX_DEPTH
-from instab.eigensystem import _ratios, _residual
-from conftest import CLASS_Q, MODELS, make_params
+from instab.eigensystem import _residual, _sides
+from conftest import CLASS_Q, MODELS, count_calls, make_params, reference_adaptive
 
 
 def residual(res, pr):
@@ -33,11 +33,17 @@ def residual(res, pr):
 
 
 def ratios(lam, pr, N, match_tol=None):
-    """The tail ratios of both marches as {n: u_n}, the backward u_0 kept at the junction."""
-    fwd, bwd = _ratios(lam, pr, N, 1e-12, match_tol, DEFAULT_MAX_DEPTH)
-    u = {} if fwd is None else dict(zip(range(N + 1), fwd.tolist()))
-    if bwd is not None:
-        u.update(zip(range(-N, 1), bwd.tolist()))
+    """The tail ratios of both sides as {n: u_n}, the backward u_0 kept at the junction.
+
+    Forward u_0 = a_0 + t_1 and u_n = d_n; backward u_{-m} = -t_{m+1}.
+    """
+    signs, d, t = _sides(lam, pr, N, 1e-12, match_tol, DEFAULT_MAX_DEPTH)
+    u = {}
+    for s, d_s, t_s in zip(signs, d.tolist(), t.tolist()):
+        if s > 0:
+            u.update(enumerate([float(CoefficientStream(pr).coeff(0, lam)) + t_s[0], *d_s]))
+        else:
+            u.update(zip(range(0, -N - 1, -1), (-x for x in t_s)))
     return u
 
 
@@ -80,6 +86,16 @@ def test_negative_lambda_rejected(fig):
     pr, _ = fig
     with pytest.raises(ValueError, match="lambda must be nonnegative"):
         build_w(-0.5, pr, 8, match_tol=math.inf)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_non_finite_lambda_rejected(fig, monkeypatch, lam):
+    # refused before any pass: NaN used to run both seeds to the depth cap
+    pr, _ = fig
+    passes = count_calls(monkeypatch, instab.eigensystem, "_adaptive_rows")
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        build_w(lam, pr, 8, match_tol=math.inf)
+    assert passes == []
 
 
 def test_u_one_sided_for_boundary_classes(plus_params, minus_params):
@@ -230,16 +246,16 @@ def reference_u(lam, pr, N, tol=1e-12):
     cs = CoefficientStream(pr)
     u = {}
     if pr.point_class is not PointClass.TYPE_I_PLUS:
-        tail = eval_adaptive_coeffs(
-            lambda k: cs.coeff(np.arange(N + 1, N + 1 + k), lam), tol).value
+        tail = reference_adaptive(
+            lambda k: cs.coeff(np.arange(N + 1, N + 1 + k), lam), tol, DEFAULT_MAX_DEPTH)[0]
         fwd = cs.coeff(np.arange(N + 1), lam).tolist()
         fwd[N] += tail
         for n in range(N - 1, -1, -1):
             fwd[n] += 1.0 / fwd[n + 1]
         u.update(enumerate(fwd))
     if pr.point_class is not PointClass.TYPE_I_MINUS:
-        tail = eval_adaptive_coeffs(
-            lambda k: cs.coeff(-np.arange(N + 1, N + 1 + k), lam), tol).value
+        tail = reference_adaptive(
+            lambda k: cs.coeff(-np.arange(N + 1, N + 1 + k), lam), tol, DEFAULT_MAX_DEPTH)[0]
         bwd = [-tail]
         for a_n in cs.coeff(np.arange(-N, 0), lam).tolist():
             bwd.append(-1.0 / (a_n - bwd[-1]))
@@ -289,6 +305,29 @@ def test_junction_mismatch_is_the_dispersion_value(orbit_root):
         ratios(lam + 1e-3, pr, 8)
     assert exc.value.mismatch == pytest.approx(
         abs(value(lam + 1e-3, DispersionSpec(pr), tol=1e-12)), rel=1e-6)
+
+
+def test_one_seed_pass_per_eigenvector(orbit_root, monkeypatch):
+    # every side's seed tail comes from one _adaptive_rows pass, on I0, I+
+    # and I- alike
+    pr, lam = orbit_root
+    passes = count_calls(monkeypatch, instab.eigensystem, "_adaptive_rows")
+    build_w(lam, pr, 16)
+    assert len(passes) == 1
+
+
+@pytest.mark.parametrize("model,alpha,nu", MODELS)
+@pytest.mark.parametrize("q", [(-1, 2), (0, -2)])
+@pytest.mark.parametrize("N", [3, 64, 300])
+def test_mirror_orbit_gives_the_mirrored_eigenvector(model, alpha, nu, q, N):
+    # n -> -n maps the orbit of q onto that of -q, and both sides run one
+    # march, so at one lambda |w_n| of q is |w_{-n}| of -q bit for bit
+    pr = make_params(model=model, alpha=alpha, nu=nu, q=q)
+    mirror = make_params(model=model, alpha=alpha, nu=nu, q=(-q[0], -q[1]))
+    lam = find_root(DispersionSpec(pr), tol=1e-12).lam
+    w = build_w(lam, pr, N, match_tol=math.inf).w
+    w_mirror = build_w(lam, mirror, N, match_tol=math.inf).w
+    assert [abs(w[n]) for n in range(-N, N + 1)] == [abs(w_mirror[-n]) for n in range(-N, N + 1)]
 
 
 def test_class_two_orbit_rejected():

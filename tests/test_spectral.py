@@ -323,6 +323,20 @@ def test_det_grid_refuses_nonpositive_lambda(fig_params, monkeypatch):
     assert rows == []
 
 
+def test_det_refuses_non_finite_lambda(fig_params, monkeypatch):
+    # NaN gave nan and +inf gave 1.0; the determinant, like det_root's
+    # bracket, takes finite lambdas only, and says so before any pass
+    rows = count_calls(monkeypatch, instab.spectral, "_det_rows")
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            det_grid([0.2, lam], fig_params, 32)
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            det_I_plus_K(lam, fig_params, 32)
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            build_K(lam, fig_params, 32)
+    assert rows == []
+
+
 def test_det_grid_beyond_double_range_is_the_scalar_no_convergence():
     # every lambda of these second-grade grids is beyond the double range at
     # N=512; either width raises what the scalar loop raises at its first lambda
