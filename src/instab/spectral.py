@@ -42,6 +42,11 @@ __all__ = [
 
 DENSE_CAP = 512
 RENORM_EVERY = 16  # RK4 steps per renormalization block of growth_rate
+# growth_rate samples up to this many blocks (512 steps) per matrix product,
+# with their stacked propagator within this many elements (256 KB)
+_CHUNK_BLOCKS = 32
+_CHUNK_ELEMS = 1 << 15
+MAX_RK4_STEPS = 1 << 24  # growth_rate refuses longer runs before any work
 # lambdas per det_grid pass: a pass holds about ten vectors of this length
 # (under 1 MB), so a grid of any length and window allocates no more
 DET_GRID_CHUNK = 1 << 13
@@ -72,11 +77,15 @@ class TruncatedOperator:
     sup: np.ndarray   # length 2N, sup[i] = entry (i, i+1)
 
     def dense(self) -> np.ndarray:
-        if self.N > DENSE_CAP:
-            raise ValueError(f"window N={self.N} above dense cap {DENSE_CAP}")
+        _check_dense_cap(self.N)
         return (np.diag(self.diag)
                 + np.diag(self.sub, -1)
                 + np.diag(self.sup, +1))
+
+
+def _check_dense_cap(N: int) -> None:
+    if N > DENSE_CAP:
+        raise ValueError(f"window N={N} above dense cap {DENSE_CAP}")
 
 
 def build_L(params: FlowParams, N: int) -> TruncatedOperator:
@@ -249,8 +258,17 @@ def det_root(params: FlowParams, N: int, bracket: tuple[float, float],
 
 
 def _dt_max(op: TruncatedOperator) -> float:
-    """Largest step the explicit integrator accepts on this section."""
-    return 1.0 / (4.0 * float(np.max(np.abs(op.diag))) + 4.0)
+    """Largest step the explicit integrator accepts on this section.
+
+    1/(4*max|diag| + max(4, R)), with R the largest off-diagonal row sum
+    |rho_{n-1}| + |rho_{n+1}|.  It keeps ||dt*L||_inf <= 1, so the RK4
+    polynomial P has ||P||_inf <= 1 + 1 + 1/2 + 1/6 + 1/24 < e, and a chunk of
+    growth_rate's 512 steps grows a vector by at most e^512 (about 1e222) in
+    the inf-norm.  Where R <= 4 it is 1/(4*max|diag| + 4), the diagonal-only
+    bound.
+    """
+    rows = np.pad(np.abs(op.sub), (1, 0)) + np.pad(np.abs(op.sup), (0, 1))
+    return 1.0 / (4.0 * float(np.max(np.abs(op.diag))) + max(4.0, float(np.max(rows))))
 
 
 def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
@@ -258,10 +276,17 @@ def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
     """Growth rate of dw/dt = L_truncated w from (seeded) random initial data.
 
     Classic 4-stage explicit integration as a block propagator: the RK4
-    polynomial P = I + A + A^2/2 + A^3/6 + A^4/24 of A = dt*L and P^RENORM_EVERY
-    are formed once (an O(n^3 log RENORM_EVERY) setup), then each renormalization
-    block is one matvec; accumulated log-norm shifts keep growth and decay in
-    range. Returns the least-squares slope of log||w(t)|| over the final half.
+    polynomial P = I + A + A^2/2 + A^3/6 + A^4/24 of A = dt*L and
+    B = P^RENORM_EVERY are formed once.  log||w|| is sampled at t = 0, at the
+    end of each block of RENORM_EVERY steps and at the last step.  A chunk of k
+    consecutive blocks is one product with S = [B; B^2; ...; B^k], built by
+    doubling, and is renormalized by its last row; the last steps % RENORM_EVERY
+    steps are one product with their power of P.  k is at most _CHUNK_BLOCKS
+    (512 steps, which dt <= _dt_max keeps below e^512 in the inf-norm, so S @ w
+    is finite) and keeps S within _CHUNK_ELEMS elements (256 KB): 30 blocks at
+    N = 16, one block from N = 64 on.  Returns the least-squares slope of the
+    samples over the final half.  A step count above MAX_RK4_STEPS, or a final
+    half holding fewer than two samples, raises ValueError before any work.
     """
     op = build_L(params, N)
     dt_max = _dt_max(op)
@@ -269,6 +294,15 @@ def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
         raise ValueError(f"dt={dt:g} unstable for explicit stepping; need dt <= {dt_max:g}")
     if not (math.isfinite(t_final) and t_final > 0):
         raise ValueError("t_final must be positive and finite")
+    _check_dense_cap(N)
+    if t_final / dt > MAX_RK4_STEPS:
+        raise ValueError(f"t_final/dt = {t_final / dt:.3g} RK4 steps, above the step cap "
+                         f"of {MAX_RK4_STEPS}; raise dt or lower t_final")
+    steps = max(1, math.ceil(t_final / dt))
+    t = np.minimum(np.arange(0, steps + RENORM_EVERY, RENORM_EVERY), steps) * dt
+    half = t >= 0.5 * t_final
+    if int(np.sum(half)) < 2:
+        raise ValueError("not enough samples in the final half; lower dt or raise t_final")
     if w0 is None:
         w = np.random.default_rng(seed).standard_normal(2 * N + 1)
     else:
@@ -279,24 +313,29 @@ def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
             raise ValueError("w0 must be finite")
         if not np.any(w):
             raise ValueError("w0 is identically zero: degenerate initial data")
+    n = 2 * N + 1
     A = dt * op.dense()
-    eye = np.eye(2 * N + 1)
+    eye = np.eye(n)
     P = eye + A @ (eye + A @ (eye + A @ (eye + A / 4.0) / 3.0) / 2.0)
 
-    steps = max(1, int(math.ceil(t_final / dt)))
-    B = np.linalg.matrix_power(P, RENORM_EVERY) if steps >= RENORM_EVERY else None
-    log_shift = 0.0
-    samples = [(0.0, math.log(float(np.linalg.norm(w))))]
-    for end in range(RENORM_EVERY, steps + RENORM_EVERY, RENORM_EVERY):
-        step = min(end, steps)
-        w = (B if step == end else np.linalg.matrix_power(P, steps % RENORM_EVERY)) @ w
-        nrm = float(np.linalg.norm(w))
-        log_shift += math.log(nrm)
-        samples.append((step * dt, log_shift))
-        w /= nrm
-    t, y = np.asarray(samples).T
-    half = t >= 0.5 * t_final
-    if int(np.sum(half)) < 2:
-        raise ValueError("not enough samples in the final half; lower dt or raise t_final")
+    full, rest = divmod(steps, RENORM_EVERY)
+    k = max(1, min(full, _CHUNK_BLOCKS, _CHUNK_ELEMS // n ** 2))
+    if full:
+        S = np.linalg.matrix_power(P, RENORM_EVERY)
+        while len(S) < k * n:  # [B; ...; B^m] @ B^m appends B^(m+1) .. B^(2m)
+            S = np.vstack([S, S[:k * n - len(S)] @ S[-n:]])
+    y = np.empty(t.size)
+    nrm0 = float(np.linalg.norm(w))
+    y[0] = log_shift = math.log(nrm0)
+    w = w / nrm0
+    for i in range(0, full, k):
+        W = (S[:min(k, full - i) * n] @ w).reshape(-1, n)
+        nrm = np.linalg.norm(W, axis=1)
+        y[i + 1:i + 1 + len(W)] = log_shift + np.log(nrm)
+        log_shift = float(y[i + len(W)])
+        w = W[-1] / nrm[-1]
+    if rest:
+        w = np.linalg.matrix_power(P, rest) @ w
+        y[-1] = log_shift + math.log(float(np.linalg.norm(w)))
     slope, _ = np.polyfit(t[half], y[half], 1)
     return float(slope)

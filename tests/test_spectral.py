@@ -25,9 +25,11 @@ from instab import (
     max_real_eig,
     rho,
 )
-from instab.spectral import _FLOAT_WIDTH, DET_GRID_CHUNK, RENORM_EVERY
+from instab.spectral import (_CHUNK_BLOCKS, _CHUNK_ELEMS, _FLOAT_WIDTH, DET_GRID_CHUNK,
+                             MAX_RK4_STEPS, RENORM_EVERY, TruncatedOperator, _dt_max)
 from conftest import (CLASS_I_ORBITS, CLASS_Q, LAM_STAR, MODELS, count_calls, make_params,
                       reference_det)
+from test_acceptance import TRIANGLE
 
 
 @pytest.fixture(scope="module")
@@ -542,3 +544,65 @@ def test_growth_rate_single_partial_block(fig_params):
         staged_rk4_slope(fig_params, 8, 10, dt, RENORM_EVERY)
     with pytest.raises(ValueError, match="final half"):
         growth_rate(fig_params, 8, (10 - 0.5) * dt, dt)
+
+
+@pytest.mark.parametrize("model, alpha, nu", [
+    (ModelKind.NAVIER_STOKES, None, 0.06),
+    (ModelKind.NS_ALPHA, 1.0, 0.05),
+], ids=["ns", "ns-alpha"])
+def test_growth_rate_matches_staged_rk4_across_chunks(model, alpha, nu):
+    # 70 full blocks at N=16 are chunks of 30, 30 and 10 blocks, then a 5-step
+    # partial block
+    pr = make_params(model=model, alpha=alpha, nu=nu)
+    chunk = min(_CHUNK_BLOCKS, _CHUNK_ELEMS // 33 ** 2)
+    assert 2 * chunk < 70 and 70 % chunk
+    steps = RENORM_EVERY * 70 + 5
+    dt = stable_dt(pr, 16)
+    want = staged_rk4_slope(pr, 16, steps, dt, RENORM_EVERY)
+    assert growth_rate(pr, 16, (steps - 0.5) * dt, dt) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("N", [8, 16])
+@pytest.mark.parametrize("model, alpha, q, nu", [
+    (ModelKind.NAVIER_STOKES, None, (-1, 2), 0.06),
+    (ModelKind.NAVIER_STOKES, None, (0, -2), 0.05),
+    (ModelKind.NAVIER_STOKES, None, (0, 2), 0.05),
+    (ModelKind.NS_ALPHA, 1.0, (-1, 2), 0.05),
+    (ModelKind.NAVIER_STOKES, None, (-1, 2), 1.0),
+], ids=["ns-I0", "ns-I-", "ns-I+", "ns-alpha-I0", "ns-I0-stable"])
+def test_dt_max_is_the_diagonal_bound_where_bands_are_small(model, alpha, q, nu, N):
+    # off-diagonal row sums of at most 4 leave the diagonal-only bound as it was
+    pr = make_params(model=model, alpha=alpha, q=q, nu=nu)
+    assert _dt_max(build_L(pr, N)) == stable_dt(pr, N)
+
+
+@pytest.mark.parametrize("q", [(0, -2), (0, 2)])
+def test_dt_max_accounts_for_off_diagonal_rows(q):
+    # the NS-alpha q=(0,+-2) rows of the oracle triangle sum to 5.46
+    (nu,) = [row[3] for row in TRIANGLE if row[0] is ModelKind.NS_ALPHA and row[2] == q]
+    pr = make_params(model=ModelKind.NS_ALPHA, alpha=1.0, q=q, nu=nu)
+    op = build_L(pr, 16)
+    rows = np.abs(op.dense() - np.diag(op.diag)).sum(axis=1)
+    assert np.max(rows) == pytest.approx(5.46, abs=0.01)
+    assert _dt_max(op) == 1.0 / (4.0 * np.max(np.abs(op.diag)) + np.max(rows))
+    assert _dt_max(op) < stable_dt(pr, 16)
+
+
+def test_default_step_is_stable_on_wide_bands():
+    # the diagonal-only bound took dt = 0.25 here, where the bands sum to
+    # 1.45e3, and reported a slope of 11.27; the top eigenvalue is -3.4e-6
+    pr = make_params(model=ModelKind.SECOND_GRADE, alpha=0.5, p=(20, 7), q=(-3, 1), nu=1e-6)
+    slope = growth_rate(pr, 2, 40.0, _dt_max(build_L(pr, 2)))
+    assert abs(slope) < 1e-3
+
+
+@pytest.mark.parametrize("t_final, dt, match", [
+    (1.0, 1e-300, "step cap"),
+    (1.5e-4 * MAX_RK4_STEPS, 1e-4, "step cap"),
+    (10.5e-4, 1e-4, "final half"),
+], ids=["dt-1e-300", "1.5-cap", "one-sample"])
+def test_growth_rate_refuses_before_dense(fig_params, monkeypatch, t_final, dt, match):
+    dense = count_calls(monkeypatch, TruncatedOperator, "dense")
+    with pytest.raises(ValueError, match=match):
+        growth_rate(fig_params, 8, t_final, dt)
+    assert dense == []
