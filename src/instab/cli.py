@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 usage/parameter errors (including non-finite
-numbers, orbit classes a computation does not support, grids above
-_MAX_GRID_POINTS and an --output that cannot be written, checked before
+numbers, orbit classes a computation does not support, grids and classify
+disks above _MAX_GRID_POINTS and an --output that cannot be written, checked before
 computing), 3 any InstabError: no
 convergence, junction mismatch, threshold not found, or NoSignChange
 (including a failed root search in root, eigvec and verify).
@@ -191,6 +191,9 @@ def _cmd_classify(args) -> int:
     if args.radius is not None:
         if args.radius <= 0:
             raise UsageError("--radius must be positive")
+        if (2 * int(args.radius) + 3) ** 2 > _MAX_GRID_POINTS:  # enumerate_classes' scan
+            raise UsageError(f"--radius {args.radius:g} scans more than "
+                             f"{_MAX_GRID_POINTS} lattice points")
         orbits = enumerate_classes(p, args.radius)
         _emit(args, {
             "p": [p.x, p.y],

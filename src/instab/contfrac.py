@@ -51,6 +51,7 @@ __all__ = [
     "Direction",
     "TailSpec",
     "BracketedValue",
+    "DEFAULT_MAX_DEPTH",
     "eval_trunc",
     "eval_adaptive",
     "even_trunc_slope_at_zero",

@@ -42,6 +42,7 @@ __all__ = [
     "value",
     "value_grid",
     "find_root",
+    "default_lambda_cap",
     "nu0_estimate",
 ]
 

@@ -4,6 +4,16 @@ Every routine that can fail for a structural (non-programming) reason raises
 one of these, so callers can tell "the math said no" apart from a bug.
 """
 
+__all__ = [
+    "InstabError",
+    "IndexUndefined",
+    "DegenerateFraction",
+    "NoConvergence",
+    "NoSignChange",
+    "MatchFailure",
+    "ThresholdNotFound",
+]
+
 
 class InstabError(Exception):
     """Base class for toolkit failures."""

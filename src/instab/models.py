@@ -38,7 +38,6 @@ from .lattice import LatticeVector, PointClass, canonical_rep, classify, wedge
 __all__ = [
     "ModelKind",
     "FlowParams",
-    "SteadyState",
     "CoefficientStream",
     "beta",
     "gamma",
@@ -46,7 +45,6 @@ __all__ = [
     "recurrence_coeff",
     "b",
     "c",
-    "steady_state",
 ]
 
 UNBOUNDED = (math.inf,) * 3  # CoefficientStream.tail_bound where none is proven
@@ -114,15 +112,6 @@ class FlowParams:
     @property
     def alpha_sq(self) -> float:
         return 0.0 if self.alpha is None else self.alpha * self.alpha
-
-
-@dataclass(frozen=True)
-class SteadyState:
-    """Amplitudes of the steady vorticity, forcing, and stream function."""
-
-    vorticity_amplitude: float
-    forcing_amplitude: float
-    stream_amplitude: float
 
 
 def beta(p: LatticeVector, k: LatticeVector, model: ModelKind,
@@ -300,14 +289,3 @@ def b(n: int, params: FlowParams) -> float:
     cn = c(n, params)
     return cn * cn / (cn - params.p_norm_sq)
 
-
-def steady_state(params: FlowParams) -> SteadyState:
-    """Amplitudes of the steady flow the instance linearizes about."""
-    g = gamma(params)
-    pp = float(params.p_norm_sq)
-    reg = 1.0 + params.alpha_sq * pp
-    if params.model in (ModelKind.SECOND_GRADE, ModelKind.NS_VOIGT):
-        return SteadyState(g, pp * g / reg, g / (pp * reg))  # forcing filtered too
-    # NSAlpha, and NavierStokes with reg = 1: dissipation acts on the full
-    # Laplacian; transport is filtered
-    return SteadyState(g, pp * g, g / (pp * reg))

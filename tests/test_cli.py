@@ -477,6 +477,17 @@ def test_grid_point_limit():
         instab.cli._grid(0.0, 100_000.0, 1.0, "lambda")
 
 
+@pytest.mark.parametrize("radius, code", [("156", 0), ("156.9", 0), ("157", 2)])
+def test_classify_radius_limit(capsys, monkeypatch, radius, code):
+    # (2*156 + 3)^2 = 99,225 scanned points pass, (2*157 + 3)^2 = 100,489 do not
+    scans = []
+    monkeypatch.setattr(instab.cli, "enumerate_classes",
+                        lambda p, r: scans.append(r) or [])
+    assert run(["classify", "--p", "3,1", "--radius", radius]) == code
+    capsys.readouterr()
+    assert scans == ([float(radius)] if code == 0 else [])
+
+
 def g17(x):
     return format(x, ".17g")
 
@@ -730,6 +741,8 @@ def test_bad_pair_is_usage_error(capsys):
       "--nu-max", "0.1", "--step", "0.05"], "the nu grid must be strictly positive"),
     (["curve", "--p", "3,1", "--q=-1,2", "--scan", "nu"],
      "nu grid needs --nu-min, --nu-max and --step"),
+    (["classify", "--p", "3,1", "--radius", "1e6"],
+     "--radius 1e+06 scans more than 100000 lattice points"),
 ])
 def test_usage_error_messages(capsys, argv, err):
     assert run(argv) == 2

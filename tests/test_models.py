@@ -21,7 +21,6 @@ from instab import (
     gamma,
     recurrence_coeff,
     rho,
-    steady_state,
 )
 from conftest import CLASS_I_ORBITS, make_params
 
@@ -171,36 +170,6 @@ def test_stream_matches_scalar_helpers(fig_params):
         assert cs.c(n) == c(n, fig_params)
         assert cs.rho(n) == rho(n, fig_params)
         assert cs.coeff(n, 0.11) == recurrence_coeff(n, 0.11, fig_params)
-
-
-# ---------------------------------------------------------------------------
-# steady state amplitudes
-# ---------------------------------------------------------------------------
-
-def test_steady_state_navier_stokes(fig_params):
-    ss = steady_state(fig_params)
-    g = gamma(fig_params)
-    assert ss.vorticity_amplitude == pytest.approx(g)
-    assert ss.forcing_amplitude == pytest.approx(10 * g)
-    assert ss.stream_amplitude == pytest.approx(g / 10)
-
-
-def test_steady_state_filtering():
-    # transport filtering divides the stream amplitude by 1 + alpha^2 ||p||^2
-    pp, alpha = 10.0, 0.5
-    reg = 1 + alpha ** 2 * pp
-    ns_alpha = steady_state(make_params(model=ModelKind.NS_ALPHA, alpha=alpha))
-    sg = steady_state(make_params(model=ModelKind.SECOND_GRADE, alpha=alpha))
-    voigt = steady_state(make_params(model=ModelKind.NS_VOIGT, alpha=alpha))
-    for ss in (ns_alpha, sg, voigt):
-        assert ss.stream_amplitude * pp * reg == pytest.approx(
-            ss.vorticity_amplitude, rel=1e-12)
-    # dissipation unfiltered for ns-alpha, filtered for the other two
-    assert ns_alpha.forcing_amplitude == pytest.approx(
-        pp * ns_alpha.vorticity_amplitude, rel=1e-12)
-    for ss in (sg, voigt):
-        assert ss.forcing_amplitude * reg == pytest.approx(
-            pp * ss.vorticity_amplitude, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
