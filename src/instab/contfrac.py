@@ -34,6 +34,8 @@ from CoefficientStream.tail_bound's (a_max, first, fixed):
 One driver (_adaptive_rows) evaluates a grid of fractions, or one, in a pass
 whose truncations run on Python floats when narrow and on numpy when wide,
 with the same IEEE operations: a row's value does not depend on its pass.
+A caller's stop rule may end rows before tol (the dispersion scans stop a
+row once its sign is decided); the others keep the values they would have.
 """
 
 from __future__ import annotations
@@ -191,8 +193,9 @@ def _depth_slices(blocks, lo, hi):
 
 def _adaptive_rows(coeffs_fn: Callable[[np.ndarray, int, int], np.ndarray], rows: int,
                    bound: np.ndarray, tol: float, max_depth: int = DEFAULT_MAX_DEPTH,
-                   start_depth: int = 2) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                                  np.ndarray, dict[int, NoConvergence]]:
+                   start_depth: int = 2, retire: Callable | None = None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                              dict[int, NoConvergence]]:
     """The adaptive evaluation (see module) of ``rows`` fractions in one pass.
 
     ``coeffs_fn(live, lo, hi)`` gives a_{lo+1}..a_hi of the fractions ``live``
@@ -200,8 +203,10 @@ def _adaptive_rows(coeffs_fn: Callable[[np.ndarray, int, int], np.ndarray], rows
     fixed) as a (3, rows) array, and every row starts at ``start_depth``.
     Coefficients are appended in blocks of at most _BLOCK, fetching at least
     _FETCH at a time, and finished rows are dropped one block at a time.
-    Returns each row's value, lower, upper and depth, and the rows open at the
-    cap, in order, with the NoConvergence of each; their value is NaN.
+    A row also finishes where the mask ``retire(brackets, live)`` over the
+    live rows says so, given every row's latest (lower, upper) as a (2, rows)
+    array.  Returns each row's value, lower, upper and depth, and the rows
+    open at the cap, in order, with the NoConvergence of each; their value is NaN.
     """
     even_odd_rows = np.empty((2, rows))  # each row's last even and odd truncation
     depths = np.empty(rows, dtype=np.int64)
@@ -236,6 +241,9 @@ def _adaptive_rows(coeffs_fn: Callable[[np.ndarray, int, int], np.ndarray], rows
         depths[live] = m + 1
         # |odd - even| is upper - lower exactly; a NaN width stays open
         keep = ~(np.abs(even_odd[1] - even_odd[0]) <= tol)
+        if retire is not None:
+            keep &= ~retire(np.array([np.minimum(*even_odd_rows),
+                                      np.maximum(*even_odd_rows)]), live)
         if np.count_nonzero(keep) < live.size:  # drop the finished rows
             live, bound = live[keep], bound[:, keep]
             for i in range(len(blocks)):

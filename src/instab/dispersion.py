@@ -15,7 +15,9 @@ by a doubling scan in lambda from lambda = 0, plus a bracketed refinement;
 nu0_estimate() finds the smallest viscosity at which the lambda=0 value
 crosses zero, i.e. the threshold below which the sign-change premise of the
 root search holds, by a doubling scan in nu.  Each scan is one pass over a
-_doubling grid, which hands back the rows that fail at the depth cap as data;
+_doubling grid that reads only signs: a row stops once its bracket decides
+its point's sign, and only the two points around the first crossing run to
+tol.  The pass hands back the rows that fail at the depth cap as data;
 value_grid raises the first, find_root only one at or below its first
 crossing, and nu0_estimate skips them.  Both searches, with the determinant
 zero in spectral.det_root, share one refinement (_refine): ITP, which keeps
@@ -104,10 +106,11 @@ def value_grid(spec: DispersionSpec, lam=0.0, nu=None, tol: float = 1e-10,
     return values, a0
 
 
-def _grid_info(spec, lam, nu, tol, depth, max_depth, start_depth=2):
+def _grid_info(spec, lam, nu, tol, depth, max_depth, start_depth=2, *, scan=False):
     # value_grid's (values, a0), each row's deepest tail depth, and the rows
     # that fail at the depth cap, in order, with what value() raises for them;
-    # a failed row's value is NaN.  Every tail starts at ``start_depth``
+    # a failed row's value is NaN.  Every tail starts at ``start_depth``, and
+    # a ``scan`` reads only the signs up to the first crossing (below)
     nu = spec.params.nu if nu is None else nu
     grid = np.empty((2, *np.broadcast(np.atleast_1d(lam), nu).shape))
     grid[0], grid[1] = lam, nu  # lam and nu broadcast, cheaper than np.broadcast_arrays
@@ -130,6 +133,10 @@ def _grid_info(spec, lam, nu, tol, depth, max_depth, start_depth=2):
         return a
 
     a0 = (lams + nus * d0) / rho0
+
+    def total(tails):  # a_0 plus each point's tails, in the tails' order
+        return functools.reduce(np.add, tails.reshape(-1, len(signs)).T, a0)
+
     rows = lams.size * len(signs)
     failed = {}
     if depth is None:
@@ -137,18 +144,31 @@ def _grid_info(spec, lam, nu, tol, depth, max_depth, start_depth=2):
         # lam and nu as given: a one-point pass computes it on scalars
         bound = np.empty((3, lams.size, len(signs)))
         bound[...] = np.reshape(cs.tail_bound(lam, nu), (3, -1, 1))
+        # a ``scan``'s first-crossing rule: a point's sign is decided, then
+        # frozen, once a_0 + its tails' lower ends > 0 or upper ends <= 0 (float
+        # sums, not outward rounded).  With j the first point not decided
+        # positive, those below j - 1 stop, and all but j - 1 and j once j is
+        # non-positive: the crossing pair runs to tol, the rest keep a midpoint
+        positive, nonpositive = np.zeros((2, lams.size), dtype=bool)
+
+        def retire(brackets, live):
+            positive[...] |= (total(brackets[0]) > 0.0) & ~nonpositive
+            nonpositive[...] |= (total(brackets[1]) <= 0.0) & ~positive
+            j = int(np.argmin(np.append(positive, False)))
+            stop = np.arange(lams.size) < j - 1
+            if j < lams.size and nonpositive[j]:
+                stop[j + 1:] = True
+            return stop[live // len(signs)]
         tails, *_, depths, failed = _adaptive_rows(
-            coeffs, rows, bound.reshape(3, rows), tol / 4.0, max_depth, start_depth)
+            coeffs, rows, bound.reshape(3, rows), tol / 4.0, max_depth, start_depth,
+            retire if scan else None)
     else:
         tails = _trunc_rows(coeffs(np.arange(rows), 0, depth), np.zeros(rows))
         depths = np.full(rows, depth)
-    total = a0
-    for column in tails.reshape(-1, len(signs)).T:
-        total = total + column
     points = {}
     for row, err in failed.items():  # a point fails with its first failing tail
         points.setdefault(row // len(signs), err)
-    return total, a0, depths.reshape(-1, len(signs)).max(axis=1), points
+    return total(tails), a0, depths.reshape(-1, len(signs)).max(axis=1), points
 
 
 @dataclass(frozen=True)
@@ -240,17 +260,18 @@ def find_root(spec: DispersionSpec, tol: float = 1e-10,
     """Locate a positive dispersion root by a doubling scan plus ITP refinement.
 
     Evaluates lambda = 0, tol, 2*tol, 4*tol, ... below ``lambda_cap`` and then
-    the cap itself in one batched pass (_grid_info, the body of value_grid),
-    takes the first row <= 0 and the one before it as the bracket, then refines
-    it to width <= tol (_refine).  A first row <= 0 at lambda = 0 is the failed
-    premise value(0) > 0.  ``cf_depth`` is the deepest tail over the rows up to
-    the first crossing and the refinement points; second-grade rows with
-    lambda > 0 can be deeper than lambda = 0.  A row that fails to converge at
-    the depth cap raises only when it lies at or below the first crossing,
-    with the message value() gives for it; rows above the crossing are not
-    read.  The scan can in principle straddle a root pair (monotonicity in
-    lambda is not established); tighten the cap or scan manually via value()
-    when that matters.
+    the cap itself in one batched sign-only pass (_grid_info), takes the
+    first row <= 0 and the one before it as the bracket, then refines it to
+    width <= tol (_refine).  The two bracket ends run to tol, as value()
+    would, and the other rows stop once their sign is decided, most at depth
+    3.  A first row <= 0 at lambda = 0 is the failed premise value(0) > 0.
+    ``cf_depth`` is the deepest tail over the scan rows up to the first
+    crossing, the bracket ends included, and the refinement points.
+    A row that fails to converge at the depth cap raises only when it lies at
+    or below the first crossing, with the message value() gives for it; rows
+    above the crossing are not read.  The scan can in principle straddle a
+    root pair (monotonicity in lambda is not established); tighten the cap or
+    scan manually via value() when that matters.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -262,7 +283,7 @@ def find_root(spec: DispersionSpec, tol: float = 1e-10,
         raise ValueError("lambda_cap must be positive")
 
     grid = [0.0, *_doubling(tol, lambda_cap)]
-    values, _, depths, failed = _grid_info(spec, grid, None, tol, depth, max_depth)
+    values, _, depths, failed = _grid_info(spec, grid, None, tol, depth, max_depth, scan=True)
     values, depths = values.tolist(), depths.tolist()
     # the first row <= 0 (a failed row's NaN is not), else len(grid)
     i = next((i for i, v in enumerate(values) if v <= 0.0), len(grid))
@@ -320,20 +341,18 @@ def nu0_estimate(params: FlowParams, tol: float = 1e-8, *,
     so I+ uses only the backward tail and I- only the forward one).  h is
     positive for small nu and the first crossing bounds the viscosities for
     which the root search premise value(0) > 0 holds.  The scan doubles nu
-    from tol up to ``nu_cap`` and evaluates every point in one batched pass
-    (_grid_info, the body of value_grid), then refines the bracket to width
-    <= tol (_refine) from the two end values it already has, one pass of one
-    point per trial nu.  Raises ThresholdNotFound if h never crosses by ``nu_cap``.
+    from tol up to ``nu_cap`` and evaluates every point in one batched
+    sign-only pass (_grid_info, as in find_root), then refines the bracket to
+    width <= tol (_refine) from the two end values it already has, one pass
+    of one point per trial nu.  Raises ThresholdNotFound if h never crosses
+    by ``nu_cap``.
 
-    Scan points where the tails themselves fail to converge within the depth
-    cap are skipped as indeterminate, and never enter the refined bracket.
-    The second-grade coefficient streams flatten to O(nu) constants as
-    nu -> 0, where the even/odd bracket would need a depth of order 1/nu.
-    Past the indices of TailSpec.bound their value-region bracket, whose
-    width falls as 1/(alpha^2 c_k), and then the fixed-point enclosure, whose
-    width follows the O(nu) increments a_{k+1} - a_k, take over (see contfrac),
-    so second-grade scan points no longer skip and end within a few hundred
-    terms.  NavierStokes, NSAlpha and NSVoigt tails keep the even/odd bracket.
+    Scan points still undecided at the depth cap, and bracket ends that do
+    not reach tol by then, are skipped as indeterminate; the bracket then
+    falls back to the nearest point below, which may hold a decided bracket's
+    midpoint.  Refinement points run to tol; near nu -> 0 the second-grade
+    ones end within a few hundred terms through the value-region and
+    fixed-point enclosures (see contfrac).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -346,7 +365,7 @@ def nu0_estimate(params: FlowParams, tol: float = 1e-8, *,
         return float(value_grid(spec, 0.0, nu, tol=tol_h, max_depth=max_depth)[0][0])
 
     grid = list(_doubling(tol, nu_cap))
-    values, _, _, failed = _grid_info(spec, 0.0, grid, tol_h, None, max_depth)
+    values, _, _, failed = _grid_info(spec, 0.0, grid, tol_h, None, max_depth, scan=True)
     values = values.tolist()  # a failed row is NaN, neither > 0 nor <= 0: skipped
     i = next((i for i, v in enumerate(values) if v <= 0.0), None)
     if i is None:

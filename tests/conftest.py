@@ -53,9 +53,9 @@ def record_passes(monkeypatch):
     """
     inner, passes = instab.dispersion._grid_info, []
 
-    def recording(spec, lam, nu, *args):
+    def recording(spec, lam, nu, *args, **kwargs):
         passes.append((lam, nu))
-        return inner(spec, lam, nu, *args)
+        return inner(spec, lam, nu, *args, **kwargs)
 
     monkeypatch.setattr(instab.dispersion, "_grid_info", recording)
     return passes

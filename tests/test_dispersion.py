@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -344,16 +345,17 @@ def test_batched_nu_scan_brackets_as_a_scalar_scan(case, monkeypatch):
     assert seen == [scalar_nu_scan(params, 1e-8)]
 
 
-# find_root (tol 1e-12) lambda and cf_depth, nu0_estimate (tol 1e-8), and
-# det_root (N=128 on (0.9, 1.1)*lambda, tol 1e-10) as the doubling scan plus
-# bisection found them on the TRIANGLE instances, in order
+# find_root (tol 1e-12) lambda, nu0_estimate (tol 1e-8), and det_root (N=128
+# on (0.9, 1.1)*lambda, tol 1e-10) as the doubling scan plus bisection found
+# them on the TRIANGLE instances, in order, with cf_depth as the sign-only
+# scan gives it
 BISECTION = [
     (0.22315363431475005, 9, 0.08964539500000002, 0.22315363435631566),
     (0.30410407774625003, 9, 0.09424095500000002, 0.30410407771792813),
     (0.30410407774625003, 9, 0.09424095500000002, 0.30410407771792813),
-    (1.2036914999925, 129, 0.5082461649999999, 1.2036915000205255),
-    (1.2188637052665001, 129, 0.5392509475, 1.2188637052381213),
-    (1.2188637052665001, 129, 0.5392509475, 1.2188637052381213),
+    (1.2036914999925, 17, 0.5082461649999999, 1.2036915000205255),
+    (1.2188637052665001, 17, 0.5392509475, 1.2188637052381213),
+    (1.2188637052665001, 17, 0.5392509475, 1.2188637052381213),
     (1.1145723818777498, 9, 0.18871248750000005, 1.114572381851799),
     (1.2535822725505001, 9, 0.20421729500000005, 1.2535822725213128),
     (1.2535822725505001, 9, 0.20421729500000005, 1.2535822725213128),
@@ -376,24 +378,102 @@ def test_searches_agree_with_bisection_within_tol(case, before):
     assert abs(got - det_lam) <= 1e-10
 
 
-def test_cf_depth_counts_scan_rows_deeper_than_lambda_zero():
-    # second grade at small nu: lambda = 0 needs depth 17, but rows below the
-    # crossing need 513, the depth the scan plus bisection reported
+def test_cf_depth_counts_the_crossing_pair_and_refinement_points():
+    # second grade at small nu: at tol, lambda = 0 needs depth 17 and the rows
+    # below the crossing 513; in the scan they stop at depth 3 once their sign
+    # is decided, and the crossing pair (17 and 9) sets cf_depth
     spec = spec_of(make_params(model=ModelKind.SECOND_GRADE, alpha=1.0, nu=1e-5))
     assert instab.dispersion._grid_info(spec, 0.0, None, 1e-6, None, 100_000)[2][0] == 17
-    assert find_root(spec, tol=1e-6).cf_depth == 513
+    grid = [0.0, *instab.dispersion._doubling(1e-6, default_lambda_cap(spec.params))]
+    depths = instab.dispersion._grid_info(spec, grid, None, 1e-6, None, 100_000,
+                                          scan=True)[2]
+    assert depths.tolist() == [3] * 21 + [17, 9] + [3] * 6
+    assert find_root(spec, tol=1e-6).cf_depth == 17
+
+
+def scan_depths(spec, tol):
+    """find_root's scan grid, each point's depth in the sign-only scan, and
+    the first crossing."""
+    grid = [0.0, *instab.dispersion._doubling(tol, default_lambda_cap(spec.params))]
+    values, _, depths, _ = instab.dispersion._grid_info(spec, grid, None, tol, None,
+                                                        100_000, scan=True)
+    return grid, depths.tolist(), next(i for i, v in enumerate(values) if v <= 0.0)
+
+
+def test_sign_only_scan_rows_stop_at_depth_three(fig_params):
+    # nu -> 0: run to tol, the rows below the crossing would need depth 4097;
+    # only the crossing pair runs to tol, with the depths value() reaches there
+    spec = spec_of(dataclasses.replace(fig_params, nu=1e-9))
+    grid, depths, i = scan_depths(spec, 1e-12)
+    assert (len(grid), i) == (49, 41)
+    at_tol = [instab.dispersion._grid_info(spec, grid[j], None, 1e-12, None,
+                                           100_000)[2][0] for j in (i - 1, i)]
+    assert at_tol == [65, 33]
+    assert depths == [3] * (i - 1) + at_tol + [3] * (len(grid) - i - 1)
+    # above the threshold the premise fails at lambda = 0, the only row to tol
+    spec = spec_of(dataclasses.replace(fig_params, nu=0.2))
+    grid, depths, i = scan_depths(spec, 1e-12)
+    assert i == 0
+    assert depths == [9] + [3] * (len(grid) - 1)
+
+
+def to_tol_scans(monkeypatch):
+    """Make both scans evaluate every row to tol, as value_grid does."""
+    inner = instab.dispersion._grid_info
+
+    def to_tol(*args, scan=False, **kwargs):
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(instab.dispersion, "_grid_info", to_tol)
+
+
+@pytest.mark.parametrize("params", [
+    *(triangle_spec(case).params for case in TRIANGLE),
+    make_params(nu=1e-9),
+    make_params(nu=1e-6),
+], ids=[*map(triangle_id, TRIANGLE), "ns-nu1e-9", "ns-nu1e-6"])
+def test_sign_only_scans_equal_scans_to_tol(params, monkeypatch):
+    # the crossing pair runs to tol, so the refinement starts from the same
+    # bracket and end values as after a scan of every row to tol
+    spec = spec_of(params)
+    got = find_root(spec, tol=1e-12)
+    got_nu0 = nu0_estimate(params, tol=1e-8)
+    to_tol_scans(monkeypatch)
+    expect = find_root(spec, tol=1e-12)
+    assert (got.lam, got.bracket, got.dispersion_residual) == (
+        expect.lam, expect.bracket, expect.dispersion_residual)
+    assert got_nu0 == nu0_estimate(params, tol=1e-8)
+
+
+@pytest.mark.parametrize("alpha,nu,tol,max_depth,lam", [
+    (0.5, 0.04, 1e-10, 16, 1.2036914999730364),  # lambda = 0 needs more at tol
+    (1.0, 1e-5, 1e-6, 32, 1.5384121011376382),   # as do the rows below the crossing
+])
+def test_depth_capped_root_search_reads_only_the_crossing(alpha, nu, tol, max_depth, lam):
+    # rows that would fail at the cap if run to tol stop once their sign is
+    # decided; the crossing pair and the refinement converge below the cap
+    spec = spec_of(make_params(model=ModelKind.SECOND_GRADE, alpha=alpha, nu=nu))
+    got = find_root(spec, tol=tol, max_depth=max_depth)
+    expect = find_root(spec, tol=tol)
+    assert got.found
+    assert got.lam == expect.lam == lam
+    assert got.bracket == expect.bracket
 
 
 @pytest.mark.parametrize("alpha,nu,tol,max_depth,message", [
-    (0.5, 0.04, 1e-10, 16, "fixed-point bracket width 7.594e-07"),     # at lambda = 0
-    (1.0, 1e-5, 1e-6, 32, "value-region bracket width 5.725e-06"),     # a scan row
+    (0.5, 0.04, 1e-10, 12,
+     "value-region bracket width 3.584e-10 above tol 2.500e-11 at depth cap 12"),
+    (1.0, 1e-5, 1e-6, 14,
+     "even/odd bracket width 4.440e-07 above tol 2.500e-07 at depth cap 14"),
 ])
-def test_depth_capped_root_search_raises(alpha, nu, tol, max_depth, message):
-    # the message is that of the first failing row at or below the crossing,
-    # the one a scan of one value() call per row would raise
+def test_depth_capped_root_search_raises(alpha, nu, tol, max_depth, message, monkeypatch):
+    # the crossing pair's lower end fails at the cap: the scan raises its
+    # message, and no refinement starts
     spec = spec_of(make_params(model=ModelKind.SECOND_GRADE, alpha=alpha, nu=nu))
-    with pytest.raises(NoConvergence, match=message):
+    seen = record_refinements(monkeypatch)
+    with pytest.raises(NoConvergence, match=f"^{re.escape(message)}$"):
         find_root(spec, tol=tol, max_depth=max_depth)
+    assert seen == []
 
 
 def test_row_failing_above_the_crossing_is_not_read(fig_params, monkeypatch):
@@ -402,8 +482,8 @@ def test_row_failing_above_the_crossing_is_not_read(fig_params, monkeypatch):
     expect = find_root(spec_of(fig_params), tol=1e-12)
     inner, row = instab.dispersion._grid_info, None
 
-    def failing(spec, lam, *args):
-        values, a0, depths, failed = inner(spec, lam, *args)
+    def failing(spec, lam, *args, **kwargs):
+        values, a0, depths, failed = inner(spec, lam, *args, **kwargs)
         if np.ndim(lam) == 0:  # a one-point refinement pass
             return values, a0, depths, failed
         values[row] = math.nan
@@ -526,22 +606,25 @@ def test_threshold_rejects_nonpositive_nu_cap(fig_params, cap):
         nu0_estimate(fig_params, nu_cap=cap)
 
 
-def test_threshold_skips_indeterminate_scan_points(fig_params, monkeypatch):
-    # at max_depth=16 the tails of the smallest scan viscosities do not
-    # converge; those points are skipped and the threshold is unchanged
+def test_threshold_skips_indeterminate_scan_points(monkeypatch):
+    # at max_depth=4 the lower end of the crossing pair, nu = 1e-4 * 2**10,
+    # does not converge; it is skipped, the bracket falls back to the decided
+    # point below it, and the threshold stays within tol of the uncapped one
+    # (not equal to it: that point's value is a bracket midpoint)
+    params = make_params(model=ModelKind.NS_ALPHA, alpha=1.0, nu=0.05)
     inner, skipped = instab.dispersion._grid_info, []
 
-    def recording(spec, lam, nu, *args):
-        out = inner(spec, lam, nu, *args)
+    def recording(spec, lam, nu, *args, **kwargs):
+        out = inner(spec, lam, nu, *args, **kwargs)
         skipped.extend(nu[row] for row in out[3])
         return out
 
     monkeypatch.setattr(instab.dispersion, "_grid_info", recording)
-    nu0 = nu0_estimate(fig_params, tol=1e-8, max_depth=16)
-    assert len(skipped) == 18
-    assert skipped[0] == 1e-8
+    nu0 = nu0_estimate(params, tol=1e-4, max_depth=4)
+    assert skipped == [1e-4 * 2 ** 10]
+    assert nu0 == 0.18873565625629565
     monkeypatch.undo()
-    assert nu0 == nu0_estimate(fig_params, tol=1e-8)
+    assert abs(nu0 - nu0_estimate(params, tol=1e-4)) <= 1e-4
 
 
 def test_threshold_not_found_when_nonpositive_at_seed(fig_params):
