@@ -410,11 +410,11 @@ def _cmd_verify(args) -> int:
 # -------------------------------------------------------------------- parser
 
 
-def _add_flow_args(sp, *, q_required: bool = True) -> None:
+def _add_flow_args(sp) -> None:
     sp.add_argument("--model", choices=[k.value for k in ModelKind], default="ns")
     sp.add_argument("--p", required=True, metavar="X,Y",
                     help="forcing wavevector (integers, e.g. 3,1)")
-    sp.add_argument("--q", required=q_required, metavar="X,Y",
+    sp.add_argument("--q", required=True, metavar="X,Y",
                     help="perturbation wavevector; use --q=-1,2 for negatives")
     sp.add_argument("--nu", type=_finite_float, default=None, help="viscosity")
     sp.add_argument("--alpha", type=_finite_float, default=None,

@@ -46,8 +46,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateFraction, NoConvergence
-from .models import UNBOUNDED, CoefficientStream, FlowParams, b
+from .errors import DegenerateFraction, NoConvergence, _check_positive
+from .models import CoefficientStream, FlowParams, b
 
 __all__ = [
     "Direction",
@@ -79,8 +79,7 @@ class TailSpec:
     lam: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        _check_positive("lambda", self.lam, zero_ok=True)
 
     def coeffs(self, depth: int) -> np.ndarray:
         """Recurrence coefficients a_{s*1..s*depth}, s the direction sign."""
@@ -113,15 +112,15 @@ class BracketedValue:
     depth: int
 
 
-def eval_trunc(coeffs: Sequence[float], tail: float = 0.0) -> float:
+def eval_trunc(coeffs: Sequence[float]) -> float:
     """Evaluate the finite continued fraction [a1; ...; ak] by backward recurrence.
 
-    Innermost term first, from the remainder ``tail`` after a_k; stable for
-    positive coefficients, free of convergent overflow.  Raises DegenerateFraction
-    on a zero intermediate denominator (callers may perturb the depth by one).
+    Innermost term first; stable for positive coefficients, free of convergent
+    overflow.  Raises DegenerateFraction on a zero intermediate denominator
+    (callers may perturb the depth by one).
     """
     return float(_trunc_rows(np.asarray(coeffs, dtype=np.float64).reshape(-1, 1),
-                             np.array([tail], dtype=np.float64))[0])
+                             np.zeros(1))[0])
 
 
 def _levels(tol: float, max_depth: int, start: int = 2):
@@ -130,8 +129,7 @@ def _levels(tol: float, max_depth: int, start: int = 2):
     ``start`` rounded down to even (at least 2), doubled up to the even cap
     at or below ``max_depth``, which is the last level.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_positive("tol", tol)
     if max_depth < 2:
         raise ValueError("max_depth must be at least 2")
     cap = max_depth - max_depth % 2
@@ -258,17 +256,16 @@ def _adaptive_rows(coeffs_fn: Callable[[np.ndarray, int, int], np.ndarray], rows
 
 
 def eval_adaptive(spec: TailSpec, tol: float,
-                  max_depth: int = DEFAULT_MAX_DEPTH,
-                  start_depth: int = 2) -> BracketedValue:
+                  max_depth: int = DEFAULT_MAX_DEPTH) -> BracketedValue:
     """Adaptive evaluation of a dispersion tail to a two-sided tolerance.
 
     A one-row _adaptive_rows pass, enclosed by TailSpec.bound: depth doubles
-    from ``start_depth``, and the last level is at ``max_depth`` exactly.
+    from 2, and the last level is at ``max_depth`` exactly.
     """
     cs, s = CoefficientStream(spec.params), spec.direction.value
     value, lower, upper, depth, failed = _adaptive_rows(
         lambda rows, lo, hi: cs.coeff(np.arange(lo + 1, hi + 1)[:, None] * s, spec.lam),
-        1, np.array(spec.bound())[:, None], tol, max_depth, start_depth)
+        1, np.array(spec.bound())[:, None], tol, max_depth)
     if failed:
         raise failed[0]
     return BracketedValue(float(value[0]), float(lower[0]), float(upper[0]), int(depth[0]))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contfrac import DEFAULT_MAX_DEPTH, Direction, _adaptive_rows, _trunc_rows
-from .errors import ThresholdNotFound
+from .errors import ThresholdNotFound, _check_positive
 from .lattice import PointClass
 from .models import CoefficientStream, FlowParams
 
@@ -115,6 +115,8 @@ def _grid_info(spec, lam, nu, tol, depth, max_depth, start_depth=2, *, scan=Fals
     grid = np.empty((2, *np.broadcast(np.atleast_1d(lam), nu).shape))
     grid[0], grid[1] = lam, nu  # lam and nu broadcast, cheaper than np.broadcast_arrays
     lams, nus = grid
+    if not np.isfinite(grid).all():
+        raise ValueError(f"{'viscosity' if np.isfinite(lams).all() else 'lambda'} must be finite")
     if (lams < 0).any():
         raise ValueError("lambda must be nonnegative")
     if (nus < 0).any():
@@ -273,14 +275,12 @@ def find_root(spec: DispersionSpec, tol: float = 1e-10,
     root pair (monotonicity in lambda is not established); tighten the cap or
     scan manually via value() when that matters.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_positive("tol", tol)
     if spec.params.nu == 0:
         raise ValueError("root search requires nu > 0; nu=0 is curve-table only")
     if lambda_cap is None:
         lambda_cap = default_lambda_cap(spec.params)
-    if not lambda_cap > 0:  # NaN included: the scan could never reach it
-        raise ValueError("lambda_cap must be positive")
+    _check_positive("lambda_cap", lambda_cap)
 
     grid = [0.0, *_doubling(tol, lambda_cap)]
     values, _, depths, failed = _grid_info(spec, grid, None, tol, depth, max_depth, scan=True)
@@ -354,10 +354,8 @@ def nu0_estimate(params: FlowParams, tol: float = 1e-8, *,
     ones end within a few hundred terms through the value-region and
     fixed-point enclosures (see contfrac).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if not nu_cap > 0:
-        raise ValueError("nu_cap must be positive")
+    _check_positive("tol", tol)
+    _check_positive("nu_cap", nu_cap)
     spec = DispersionSpec(params)  # validates the class up front; the scan sets nu
     tol_h = min(tol, 1e-9)
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .contfrac import DEFAULT_MAX_DEPTH, _adaptive_rows
 from .dispersion import DispersionSpec
-from .errors import MatchFailure
+from .errors import MatchFailure, _check_positive
 from .models import CoefficientStream, FlowParams
 from .spectral import TruncatedOperator, build_L
 
@@ -69,10 +69,7 @@ def _sides(lam, params, N, tol, match_tol, max_depth):
     # each side's signs s, d_1..d_N and t_1..t_{N+1} as rows, checked at the junction
     if N < 1:
         raise ValueError("window N must be at least 1")
-    if not math.isfinite(lam):
-        raise ValueError("lambda must be finite")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    _check_positive("lambda", lam, zero_ok=True)
     cs, signs, _, _ = DispersionSpec(params)._stream
     if match_tol is None:
         match_tol = 100.0 * tol

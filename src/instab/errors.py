@@ -4,6 +4,8 @@ Every routine that can fail for a structural (non-programming) reason raises
 one of these, so callers can tell "the math said no" apart from a bug.
 """
 
+import math
+
 __all__ = [
     "InstabError",
     "IndexUndefined",
@@ -57,3 +59,15 @@ class ThresholdNotFound(InstabError):
     def __init__(self, message: str, *, cap: float | None = None):
         super().__init__(message)
         self.cap = cap
+
+
+def _check_positive(name: str, x: float, *, zero_ok: bool = False) -> None:
+    """Refuse a tolerance, cap or radius that is NaN, infinite or <= 0 (< 0 if zero_ok).
+
+    The ValueError names ``name``; callers check at entry, so such a value is
+    never chased to a depth cap.
+    """
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite")
+    if x < 0 or (x == 0 and not zero_ok):
+        raise ValueError(f"{name} must be {'nonnegative' if zero_ok else 'positive'}")

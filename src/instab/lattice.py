@@ -23,6 +23,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .errors import _check_positive
+
 __all__ = [
     "LatticeVector",
     "PointClass",
@@ -105,13 +107,8 @@ def canonical_rep(q: LatticeVector, p: LatticeVector) -> OrbitRep:
     pp = p.norm_sq
     # floor of the real vertex; exact for negative values too
     n0 = -q.dot(p) // pp
-    best_n = None
-    best_norm = None
-    for n in (n0 - 1, n0, n0 + 1, n0 + 2):
-        norm = (q + p.scaled(n)).norm_sq
-        if best_norm is None or norm < best_norm or (norm == best_norm and n > best_n):
-            best_n, best_norm = n, norm
-    return OrbitRep(rep=q + p.scaled(best_n), shift=best_n)
+    n = n0 + 1 if (q + p.scaled(n0 + 1)).norm_sq <= (q + p.scaled(n0)).norm_sq else n0
+    return OrbitRep(rep=q + p.scaled(n), shift=n)
 
 
 def classify(q: LatticeVector, p: LatticeVector) -> PointClass:
@@ -148,8 +145,7 @@ def enumerate_classes(
     """
     if p.is_zero():
         raise ValueError("p must be nonzero")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    _check_positive("radius", radius, zero_ok=True)
     r_sq = radius * radius
     bound = int(radius) + 1
     seen: dict[LatticeVector, PointClass] = {}

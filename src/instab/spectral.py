@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import _refine
-from .errors import NoConvergence, NoSignChange
+from .errors import NoConvergence, NoSignChange, _check_positive
 from .models import CoefficientStream, FlowParams
 
 __all__ = [
@@ -237,8 +237,7 @@ def _det_rows(L: TruncatedOperator, lams: np.ndarray) -> np.ndarray:
 def det_root(params: FlowParams, N: int, bracket: tuple[float, float],
              tol: float) -> float:
     """Zero of the sectioned determinant on a sign-changing bracket (dispersion._refine)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_positive("tol", tol)
     lo, hi = bracket
     if not 0 < lo < hi < math.inf:
         raise ValueError("bracket must be finite with 0 < lo < hi")
@@ -272,8 +271,8 @@ def _dt_max(op: TruncatedOperator) -> float:
 
 
 def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
-                seed: int = 0, w0: np.ndarray | None = None) -> float:
-    """Growth rate of dw/dt = L_truncated w from (seeded) random initial data.
+                seed: int = 0) -> float:
+    """Growth rate of dw/dt = L_truncated w from seeded random initial data.
 
     Classic 4-stage explicit integration as a block propagator: the RK4
     polynomial P = I + A + A^2/2 + A^3/6 + A^4/24 of A = dt*L and
@@ -292,8 +291,7 @@ def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
     dt_max = _dt_max(op)
     if not 0 < dt <= dt_max:
         raise ValueError(f"dt={dt:g} unstable for explicit stepping; need dt <= {dt_max:g}")
-    if not (math.isfinite(t_final) and t_final > 0):
-        raise ValueError("t_final must be positive and finite")
+    _check_positive("t_final", t_final)
     _check_dense_cap(N)
     if t_final / dt > MAX_RK4_STEPS:
         raise ValueError(f"t_final/dt = {t_final / dt:.3g} RK4 steps, above the step cap "
@@ -303,17 +301,8 @@ def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
     half = t >= 0.5 * t_final
     if int(np.sum(half)) < 2:
         raise ValueError("not enough samples in the final half; lower dt or raise t_final")
-    if w0 is None:
-        w = np.random.default_rng(seed).standard_normal(2 * N + 1)
-    else:
-        w = np.asarray(w0, dtype=np.float64).copy()
-        if w.shape != (2 * N + 1,):
-            raise ValueError(f"w0 must have shape ({2 * N + 1},)")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("w0 must be finite")
-        if not np.any(w):
-            raise ValueError("w0 is identically zero: degenerate initial data")
     n = 2 * N + 1
+    w = np.random.default_rng(seed).standard_normal(n)
     A = dt * op.dense()
     eye = np.eye(n)
     P = eye + A @ (eye + A @ (eye + A @ (eye + A / 4.0) / 3.0) / 2.0)

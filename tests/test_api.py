@@ -1,11 +1,15 @@
 """The public surface: each module's __all__ is the one list of its public
-names, and the package re-exports exactly those lists."""
+names, the package re-exports exactly those lists, and every numeric
+parameter refuses NaN and inf at entry."""
 
 import inspect
+import math
 
 import pytest
 
 import instab
+from instab import Direction, DispersionSpec, LatticeVector, TailSpec
+from conftest import make_params
 
 LIBRARY = [instab.lattice, instab.models, instab.contfrac, instab.dispersion,
            instab.eigensystem, instab.spectral, instab.errors]
@@ -41,3 +45,34 @@ def test_public_definitions_are_listed(module):
                and (inspect.isfunction(obj) or inspect.isclass(obj))
                and obj.__module__ == module.__name__}
     assert defined <= set(module.__all__)
+
+
+FIG = make_params()
+SPEC = DispersionSpec(FIG)
+
+# (parameter named in the message, call with the value x)
+NUMERIC_PARAMETERS = {
+    "value": ("lambda", lambda x: instab.value(x, SPEC)),
+    "value_grid": ("viscosity", lambda x: instab.value_grid(SPEC, 0.0, [0.1, x])),
+    "find_root-tol": ("tol", lambda x: instab.find_root(SPEC, tol=x)),
+    "find_root-lambda_cap": ("lambda_cap", lambda x: instab.find_root(SPEC, lambda_cap=x)),
+    "nu0_estimate-tol": ("tol", lambda x: instab.nu0_estimate(FIG, tol=x)),
+    "nu0_estimate-nu_cap": ("nu_cap", lambda x: instab.nu0_estimate(FIG, nu_cap=x)),
+    "det_root": ("tol", lambda x: instab.det_root(FIG, 16, (0.1, 0.3), tol=x)),
+    "build_w": ("tol", lambda x: instab.build_w(0.2, FIG, 8, tol=x)),
+    "eval_adaptive": ("tol", lambda x: instab.eval_adaptive(
+        TailSpec(Direction.FORWARD, FIG, 0.1), x)),
+    "TailSpec": ("lambda", lambda x: TailSpec(Direction.FORWARD, FIG, x)),
+    "growth_rate": ("t_final", lambda x: instab.growth_rate(FIG, 8, t_final=x, dt=1e-3)),
+    "enumerate_classes": ("radius", lambda x: instab.enumerate_classes(LatticeVector(3, 1), x)),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+@pytest.mark.parametrize("call", NUMERIC_PARAMETERS)
+def test_non_finite_numeric_parameter_is_refused(call, x):
+    # a ValueError naming the parameter: not a NaN chased to the depth cap, a
+    # math domain error, an overflow or a returned value
+    name, fn = NUMERIC_PARAMETERS[call]
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        fn(x)

@@ -6,8 +6,11 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ import instab.cli
 import instab.dispersion
 import instab.spectral
 from instab import DispersionSpec, det_I_plus_K, det_root, recurrence_coeff, value
-from instab.cli import run
+from instab.cli import build_parser, run
 from conftest import LAM_STAR, NU_STAR, count_calls, make_params, record_passes
 
 
@@ -685,6 +688,25 @@ def test_flag_abbreviation_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+# every `instab` command of the CI workflow, cut at its redirections and
+# pipes and without a `timeout N` prefix; the workflow only runs on a CI
+# runner, so this is the local check that its commands use real flags
+WORKFLOW_COMMANDS = [shlex.split(cmd) for cmd in re.findall(
+    r"^\s*(?:timeout \d+ )?instab (.*?)(?:\s+(?:\d?>|\|).*)?$",
+    (Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml").read_text(
+        encoding="utf-8"), re.MULTILINE)]
+
+
+def test_workflow_commands_are_found():
+    assert len(WORKFLOW_COMMANDS) > 20
+
+
+@pytest.mark.parametrize("argv", [argv for argv in WORKFLOW_COMMANDS if "--help" not in argv],
+                         ids=lambda argv: argv[0])
+def test_workflow_command_parses(argv):
+    assert callable(build_parser().parse_args(argv).func)
 
 
 def test_module_entry_point_help_exits_zero():

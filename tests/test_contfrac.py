@@ -27,7 +27,8 @@ from instab import (
     value,
     value_grid,
 )
-from instab.contfrac import _FLOAT_WIDTH, UNBOUNDED, _adaptive_rows, _trunc_rows
+from instab.contfrac import _FLOAT_WIDTH, _adaptive_rows, _trunc_rows
+from instab.models import UNBOUNDED
 from conftest import CLASS_I_ORBITS, MODELS, make_params, reference_adaptive
 
 
@@ -184,6 +185,16 @@ def outcome(fn):
     return (got.value, got.lower, got.upper, got.depth) if hasattr(got, "depth") else got
 
 
+def one_row(tail, tol, max_depth, start):
+    # eval_adaptive's one-row pass, started at ``start`` as _grid_info's warm start is
+    value, lower, upper, depth, failed = _adaptive_rows(
+        lambda rows, lo, hi: tail.coeffs(hi)[lo:, None], 1, np.array(tail.bound())[:, None],
+        tol, max_depth, start)
+    if failed:
+        raise failed[0]
+    return value[0], lower[0], upper[0], depth[0]
+
+
 def reference_value(lam, spec, tol, max_depth):
     # value() as a0 + f + g, each tail to tol/4 from depth 2
     total = float(CoefficientStream(spec.params).coeff(0, lam))
@@ -207,20 +218,23 @@ def test_adaptive_driver_equals_the_scalar_reference(model, orbit, lam, nu, tol,
     spec = DispersionSpec(make_params(model=kind, alpha=alpha, nu=nu, p=p, q=q))
     for direction in spec.tails:
         tail = TailSpec(direction, spec.params, lam)
-        assert outcome(lambda: eval_adaptive(tail, tol, max_depth, start)) == outcome(
+        assert outcome(lambda: one_row(tail, tol, max_depth, start)) == outcome(
             lambda: reference_adaptive(tail.coeffs, tol, max_depth, start, tail.bound()))
     assert outcome(lambda: value(lam, spec, tol, max_depth=max_depth)) == outcome(
         lambda: reference_value(lam, spec, tol, max_depth))
 
 
-def test_nan_bracket_runs_to_the_depth_cap(fig_params):
+def test_nan_bracket_runs_to_the_depth_cap():
     # a NaN width is not within tol, so the row stays open to the cap, as the
     # reference's comparison leaves it, in a one-row pass and in a wide one
-    spec = DispersionSpec(fig_params)
-    with pytest.raises(NoConvergence, match="width nan .* at depth cap 64$"):
-        value(math.nan, spec, max_depth=64)
-    with pytest.raises(NoConvergence, match="width nan .* at depth cap 64$"):
-        value_grid(spec, [0.1] * 8 + [math.nan], max_depth=64)
+    # (the library refuses a NaN lambda or nu before any pass)
+    for rows in (1, 9):
+        *_, failed = _adaptive_rows(
+            lambda live, lo, hi: np.where(live == rows - 1, math.nan, 2.0) + np.zeros((hi - lo, 1)),
+            rows, np.full((3, rows), np.inf), 1e-10, 64)
+        assert list(failed) == [rows - 1]
+        with pytest.raises(NoConvergence, match="width nan .* at depth cap 64$"):
+            raise failed[rows - 1]
     with pytest.raises(NoConvergence):
         reference_adaptive(lambda k: [math.nan] * k, 1e-10, 64)
 

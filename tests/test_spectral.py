@@ -452,24 +452,12 @@ def test_growth_rate_seed_reproducible(fig_params):
     assert a != c
 
 
-def test_growth_rate_accepts_explicit_start(fig):
-    pr, lam = fig
-    _, vec = dominant_mode(pr, 16)
-    slope = growth_rate(pr, 16, t_final=20.0, dt=stable_dt(pr, 16), w0=vec)
-    assert slope == pytest.approx(lam, rel=1e-8)
-
-
 def test_growth_rate_input_validation(fig_params):
     dt = stable_dt(fig_params, 8)
     with pytest.raises(ValueError):
         growth_rate(fig_params, 8, t_final=10.0, dt=1.0)  # unstable step
     with pytest.raises(ValueError):
         growth_rate(fig_params, 8, t_final=0.0, dt=dt)
-    with pytest.raises(ValueError):
-        growth_rate(fig_params, 8, t_final=10.0, dt=dt,
-                    w0=np.zeros(17))
-    with pytest.raises(ValueError):
-        growth_rate(fig_params, 8, t_final=10.0, dt=dt, w0=np.ones(5))
 
 
 def test_growth_rate_rejects_infinite_t_final(fig_params):
@@ -480,20 +468,6 @@ def test_growth_rate_rejects_infinite_t_final(fig_params):
 def test_growth_rate_rejects_nan_t_final(fig_params):
     with pytest.raises(ValueError, match="t_final"):
         growth_rate(fig_params, 8, t_final=math.nan, dt=stable_dt(fig_params, 8))
-
-
-def test_growth_rate_rejects_nan_start(fig_params):
-    w0 = np.ones(17)
-    w0[3] = math.nan
-    with pytest.raises(ValueError):
-        growth_rate(fig_params, 8, t_final=10.0, dt=stable_dt(fig_params, 8), w0=w0)
-
-
-def test_growth_rate_rejects_infinite_start(fig_params):
-    w0 = np.ones(17)
-    w0[3] = -math.inf
-    with pytest.raises(ValueError):
-        growth_rate(fig_params, 8, t_final=10.0, dt=stable_dt(fig_params, 8), w0=w0)
 
 
 def staged_rk4_slope(params, N, steps, dt, renorm_every, seed=0):
