@@ -14,7 +14,8 @@ over a_1..a_k from its two ends bracket the limit.  Three enclosures apply,
 from CoefficientStream.tail_bound's (a_max, first, fixed):
 
 * even/odd, everywhere: r_k lies in [0, 1/a_{k+1}], i.e. the even and odd
-  truncations.  This is all NavierStokes, NSAlpha and NSVoigt tails use.
+  truncations.  This is all NSVoigt tails, and NavierStokes and NSAlpha tails
+  at nu > 0, use.
 * value-region, once k + 1 >= first: if a_{k+1} <= a_n <= M for all n > k,
   r_k lies in [L, U], L = 1/(M + U), U = 1/(a_{k+1} + L) (Lorentzen &
   Waadeland, Continued Fractions Vol. 1, 2008).  M = inf is the even/odd
@@ -29,7 +30,12 @@ from CoefficientStream.tail_bound's (a_max, first, fixed):
   A positive, rising a_n that is concave in n from fixed on meets all three
   from j = fixed on, and |delta_k| <= |delta_{k-1}| then puts r_k in
   [w_k, w_{k-1}], which needs no a_{k+2}.  Its width follows a_{k+1} - a_k, so
-  it is narrow exactly when a_inf -> 0.
+  it is narrow exactly when a_inf -> 0.  The mirror form: if from j on
+  delta_j >= 0 and delta_j does not increase, r_j lies in [w_j - delta_j, w_j],
+  since e_j = -r_j w_j (e_{j+1} + delta_j) and r_j w_j <= w_j^2 < 1.  At
+  nu = 0 the NavierStokes, SecondGrade and NSAlpha a_n fall to lam/s and meet
+  it from j = fixed - 1 on, so r_k lies in [w_{k-1}, w_k]; the step takes the
+  min and max of w_k and w_{k-1}, one code path for both directions.
 
 One driver (_adaptive_rows) evaluates a grid of fractions, or one, in a pass
 whose truncations run on Python floats when narrow and on numpy when wide,
@@ -230,8 +236,9 @@ def _adaptive_rows(coeffs_fn: Callable[[np.ndarray, int, int], np.ndarray], rows
         if m >= fixed_from:
             fixed = m >= bound[2]
             (a_prev,) = _depth_slices(blocks, m - 1, m)
-            lo[fixed] = np.maximum(lo[fixed], _fixed_point(a_m[0, fixed]))
-            hi[fixed] = np.minimum(hi[fixed], _fixed_point(a_prev[0, fixed]))
+            w, w_prev = _fixed_point(a_m[0, fixed]), _fixed_point(a_prev[0, fixed])
+            lo[fixed] = np.maximum(lo[fixed], np.minimum(w, w_prev))
+            hi[fixed] = np.minimum(hi[fixed], np.maximum(w, w_prev))
         even_odd = np.array([lo, hi])
         for block in reversed(_depth_slices(blocks, 0, m)):
             even_odd = _trunc_rows(block, even_odd)

@@ -113,7 +113,11 @@ def _grid_info(spec, lam, nu, tol, depth, max_depth, start_depth=2, *, scan=Fals
     # a ``scan`` reads only the signs up to the first crossing (below)
     nu = spec.params.nu if nu is None else nu
     grid = np.empty((2, *np.broadcast(np.atleast_1d(lam), nu).shape))
-    grid[0], grid[1] = lam, nu  # lam and nu broadcast, cheaper than np.broadcast_arrays
+    for row, x in zip(grid, (lam, nu)):  # broadcast, cheaper than np.broadcast_arrays
+        try:
+            row[...] = x
+        except OverflowError:  # a Python int beyond the float range
+            row[...] = np.inf
     lams, nus = grid
     if not np.isfinite(grid).all():
         raise ValueError(f"{'viscosity' if np.isfinite(lams).all() else 'lambda'} must be finite")

@@ -71,8 +71,6 @@ def _sides(lam, params, N, tol, match_tol, max_depth):
         raise ValueError("window N must be at least 1")
     _check_positive("lambda", lam, zero_ok=True)
     cs, signs, _, _ = DispersionSpec(params)._stream
-    if match_tol is None:
-        match_tol = 100.0 * tol
     # every seed t_{N+1} = [a_{s(N+1)}; ...] in one pass, under the even/odd bracket
     seeds, *_, failed = _adaptive_rows(
         lambda rows, lo, hi: cs.coeff(np.arange(N + lo + 1, N + hi + 1)[:, None] * signs[rows],
@@ -80,6 +78,8 @@ def _sides(lam, params, N, tol, match_tol, max_depth):
         len(signs), np.full((3, len(signs)), np.inf), tol, max_depth)
     if failed:
         raise next(iter(failed.values()))
+    if match_tol is None:  # after the pass, which refuses a non-finite tol
+        match_tol = 100.0 * tol
     a = cs.coeff(np.arange(N + 1)[:, None] * signs, lam).T.tolist()
     d, t = [], []
     for a_s, x in zip(a, seeds.tolist()):  # d_k = a_{sk} + t_{k+1}, t_k = 1/d_k, k = N..1

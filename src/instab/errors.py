@@ -4,7 +4,7 @@ Every routine that can fail for a structural (non-programming) reason raises
 one of these, so callers can tell "the math said no" apart from a bug.
 """
 
-import math
+import sys
 
 __all__ = [
     "InstabError",
@@ -67,7 +67,7 @@ def _check_positive(name: str, x: float, *, zero_ok: bool = False) -> None:
     The ValueError names ``name``; callers check at entry, so such a value is
     never chased to a depth cap.
     """
-    if not math.isfinite(x):
+    if not abs(x) <= sys.float_info.max:  # also a Python int beyond the float range
         raise ValueError(f"{name} must be finite")
     if x < 0 or (x == 0 and not zero_ok):
         raise ValueError(f"{name} must be {'nonnegative' if zero_ok else 'positive'}")

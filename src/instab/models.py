@@ -208,8 +208,9 @@ class CoefficientStream:
 
     def tail_bound(self, lam, nu):
         """(a_max, first, fixed) at each (lam, nu), in either direction: from
-        index first on a_n rises to a_max, and from index fixed on it is also
-        concave in n.  UNBOUNDED where nothing is proven.
+        index first on a_n rises to a_max, and from index fixed on the fixed
+        points w of t -> 1/(a_n + t) move monotonically, with increments that
+        do not grow.  UNBOUNDED where nothing is proven.
 
         Second-grade coefficients at scale s > 0 read a(c) = (lam c + B c^2) /
         (s Q(c)), Q = alpha^2 c^2 + c - K, B = lam alpha^2 + nu, K = |p|^2 (1 +
@@ -219,20 +220,43 @@ class CoefficientStream:
         and c'' = 2|p|^2, so s Q^3 a(c(x))'' / 2 is the quartic F(c) = 2(g'Q -
         2gQ')(|p|^2 c - W^2) + |p|^2 g Q, with leading coefficient -3 alpha^2 nu |p|^2:
         F <= 0 wherever each of its m positive lower terms is at most 1/m of the
-        leading one.  c_{+-n} = |q +- n p|^2 >= (n|p| - |q|)^2 rises with n >= 1
+        leading one, and a rising a_n concave in n has w falling, convex in n.
+        c_{+-n} = |q +- n p|^2 >= (n|p| - |q|)^2 rises with n >= 1
         because q is the orbit's minimizer, so first and fixed are where that
         floor passes c* and the larger of c* and F's threshold.
+
+        At nu = 0 and lam > 0 the NS, second-grade and NS-alpha coefficients
+        read a = A (1 + h), A = lam/s, h = K/G, G = P(c) - K, P(c) = c +
+        alpha^2 c^2 (alpha = 0 for NS): past c = |p|^2 they fall to A, so w
+        rises.  As dw/da = -w/R and d2w/da2 = w (R + a)/R^3, R = sqrt(a^2 + 4),
+        w is concave in x where (R + a) a'^2 <= R^2 a'' (' = d/dx along c(x));
+        R^2/(R + a) >= R/2 >= a/2, so 2 h'^2 <= (1 + h) h'' suffices, which
+        is 2 G'^2 >= P G''.  With dP/dc = 1 + 2 alpha^2 c that reads c'^2 (1 +
+        3 alpha^2 c + 3 alpha^4 c^2) >= |p|^2 c (1 + 3 alpha^2 c + 2 alpha^4 c^2),
+        which holds once 4(|p|^2 c - W^2) >= |p|^2 c.  So fixed is where the
+        floor passes max(|p|^2, 4 W^2 / (3 |p|^2)), whatever lam > 0.
         """
         params = self.params
         s = _scale(params)
-        if params.model is not ModelKind.SECOND_GRADE or not s > 0:
+        graded, viscous = params.model is ModelKind.SECOND_GRADE, np.asarray(nu).all()
+        if params.model is ModelKind.NS_VOIGT or not s > 0 or viscous and not graded:
             return UNBOUNDED
         # [()] makes scalar inputs numpy scalars, whose arithmetic is cheaper
         lam = np.asarray(lam, dtype=np.float64)[()]
-        pos = np.asarray(nu) > 0.0
-        nu = np.where(pos, nu, 1.0)[()]  # a placeholder where the bound does not hold
         a2, pp = params.alpha_sq, params.p_norm_sq
         w2 = float(wedge(params.p, params.q)) ** 2
+
+        def index(c_min, where):
+            # first n >= 1 with (n|p| - |q|)^2 >= c_min, where ``where`` holds
+            return np.where(where, np.maximum(1.0, np.ceil(
+                (np.sqrt(c_min) + math.sqrt(params.q.norm_sq)) / math.sqrt(pp))), math.inf)
+
+        fixed = math.inf if viscous else index(max(pp, 4.0 * w2 / (3.0 * pp)),
+                                                (np.asarray(nu) == 0.0) & (lam > 0.0))
+        if not graded:
+            return np.full_like(fixed, math.inf), np.full_like(fixed, math.inf), fixed
+        pos = np.asarray(nu) > 0.0
+        nu = np.where(pos, nu, 1.0)[()]  # a placeholder where the bound does not hold
         k = pp * (1.0 + a2 * pp)
         bk = (lam * a2 + nu) * k
         c_star = (bk + np.sqrt(bk * bk + nu * lam * k)) / nu
@@ -248,13 +272,8 @@ class CoefficientStream:
         c_fixed = c_star
         for j, fj in enumerate(f):
             c_fixed = np.maximum(c_fixed, (share * fj) ** (1.0 / (4 - j)))
-
-        def index(c_min):
-            # first n >= 1 with (n|p| - |q|)^2 >= c_min
-            return np.where(pos, np.maximum(1.0, np.ceil(
-                (np.sqrt(c_min) + math.sqrt(params.q.norm_sq)) / math.sqrt(pp))), math.inf)
-
-        return np.where(pos, (lam + nu / a2) / s, math.inf), index(c_star), index(c_fixed)
+        return (np.where(pos, (lam + nu / a2) / s, math.inf), index(c_star, pos),
+                np.minimum(fixed, index(c_fixed, pos)))
 
     def _defined_rho(self, n) -> np.ndarray:
         # rho_n where every recurrence coefficient a_n is defined, else IndexUndefined

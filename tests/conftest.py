@@ -90,7 +90,9 @@ def reference_adaptive(coeffs, tol, max_depth, start_depth=2, bound=(math.inf,) 
         if m + 1 >= first:
             lo = 2.0 / (a_max * (1.0 + math.sqrt(1.0 + 4.0 / (a[m] * a_max))))
         hi = trunc(a[m:], lo)
-        if m >= fixed:  # the fixed points of t -> 1/(a_{m+1} + t) and of a_m's map
+        # the fixed points of t -> 1/(a_{m+1} + t) and of a_m's map; at nu = 0,
+        # where the a_n fall, lo and hi swap, which the sorted ends below undo
+        if m >= fixed:
             lo = max(lo, 2.0 / (a[m] + math.sqrt(a[m] * a[m] + 4.0)))
             hi = min(hi, 2.0 / (a[m - 1] + math.sqrt(a[m - 1] * a[m - 1] + 4.0)))
         even, odd = trunc(a[:m], lo), trunc(a[:m], hi)

@@ -68,11 +68,12 @@ NUMERIC_PARAMETERS = {
 }
 
 
-@pytest.mark.parametrize("x", [math.nan, math.inf])
+@pytest.mark.parametrize("x", [math.nan, math.inf, pytest.param(10 ** 400, id="int1e400")])
 @pytest.mark.parametrize("call", NUMERIC_PARAMETERS)
 def test_non_finite_numeric_parameter_is_refused(call, x):
     # a ValueError naming the parameter: not a NaN chased to the depth cap, a
-    # math domain error, an overflow or a returned value
+    # math domain error, an overflow or a returned value; a Python int beyond
+    # the float range is not finite either
     name, fn = NUMERIC_PARAMETERS[call]
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         fn(x)

@@ -406,7 +406,7 @@ def test_curve_euler_limit(capsys):
 @pytest.mark.parametrize("argv, err", [
     (["curve", "--p", "3,1", "--q=-1,2", "--nu", "0", "--lambda-min", "0.008",
       "--step", "0.008", "--depth-cap", "64"],
-     "error: NoConvergence: even/odd bracket width 3.236e+00 above tol "
+     "error: NoConvergence: fixed-point bracket width 1.690e-08 above tol "
      "2.500e-11 at depth cap 64\n"),
     (["curve", "--model", "second-grade", "--alpha", "1", "--p", "3,1", "--q=-1,2",
       "--scan", "nu", "--nu-min", "1e-4", "--nu-max", "0.05", "--step", "0.001",
@@ -427,6 +427,52 @@ def test_curve_second_grade_nu_scan_at_small_nu(capsys):
                             "--p", "3,1", "--q=-1,2", "--scan", "nu", "--nu-min", "1e-6",
                             "--nu-max", "3e-6", "--step", "1e-6"])
     assert len(rows) == 4
+
+
+INVISCID = ["curve", "--p", "3,1", "--q=-1,2", "--nu", "0"]
+
+
+def record_depths(monkeypatch):
+    """Spy on dispersion._grid_info; returns each pass's row depths."""
+    inner, depths = instab.dispersion._grid_info, []
+
+    def recording(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        depths.append(out[2].tolist())
+        return out
+
+    monkeypatch.setattr(instab.dispersion, "_grid_info", recording)
+    return depths
+
+
+def test_curve_inviscid_rows_take_the_fixed_point_enclosure(capsys, monkeypatch):
+    # the 250-point nu = 0 grid: under the even/odd bracket alone its rows ran
+    # from depth 17 to 4097
+    depths = record_depths(monkeypatch)
+    rows = run_csv(capsys, [*INVISCID, "--lambda-min", "0.008", "--lambda-max", "2",
+                            "--step", "0.008"])
+    assert len(rows) == 251
+    (got,) = depths
+    assert len(got) == 250 and max(got) <= 513
+
+
+def test_curve_inviscid_small_lambda(capsys):
+    # the even/odd bracket reached the depth cap of 100,000 on these rows
+    rows = run_csv(capsys, [*INVISCID, "--lambda-min", "0.00001", "--lambda-max", "0.001",
+                            "--step", "0.00001"])
+    assert len(rows) == 101
+
+
+@pytest.mark.parametrize("alpha", ["0.5", "1"])
+def test_curve_alpha_euler_identity(capsys, monkeypatch, alpha):
+    # at nu = 0 second grade and NS-alpha are one equation, alpha-Euler: the
+    # same rho_n, and the d_n where they differ are multiplied by nu = 0
+    depths = record_depths(monkeypatch)
+    grid = ["--lambda-min", "0.008", "--lambda-max", "2", "--step", "0.008"]
+    tables = [run_csv(capsys, ["curve", "--model", model, "--alpha", alpha,
+                               *INVISCID[1:], *grid]) for model in ("second-grade", "ns-alpha")]
+    assert tables[0] == tables[1]
+    assert depths[0] == depths[1]
 
 
 def test_curve_has_no_per_point_coefficient_loop(capsys, monkeypatch):

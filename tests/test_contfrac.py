@@ -1,7 +1,8 @@
 """Continued-fraction evaluation: closed-form fixtures, the even/odd
 truncation bracket (verified in exact rational arithmetic), the value-region
-bracket and the fixed-point enclosure of second-grade tails (checked against
-mpmath at 30 digits), and the slope-at-zero formulas."""
+bracket and the fixed-point enclosure of second-grade tails and, mirrored, of
+inviscid tails (checked against mpmath at 30 digits), and the slope-at-zero
+formulas."""
 
 import math
 from fractions import Fraction
@@ -208,7 +209,8 @@ def reference_value(lam, spec, tol, max_depth):
 @given(model=st.sampled_from(MODELS), orbit=st.sampled_from(CLASS_I_ORBITS),
        lam=st.one_of(st.just(0.0), st.floats(0.0, 3.0),
                      st.floats(-9.0, 0.0).map(lambda e: 10.0 ** e)),
-       nu=st.one_of(st.floats(-3.0, 0.0), st.floats(-7.0, -5.0)).map(lambda e: 10.0 ** e),
+       nu=st.one_of(st.floats(-3.0, 0.0), st.floats(-7.0, -5.0)).map(lambda e: 10.0 ** e)
+       | st.just(0.0),
        tol=st.floats(-13.0, -4.0).map(lambda e: 10.0 ** e),
        start=st.integers(1, 300), max_depth=st.sampled_from([16, 4096]))
 def test_adaptive_driver_equals_the_scalar_reference(model, orbit, lam, nu, tol, start,
@@ -282,7 +284,7 @@ SG = ModelKind.SECOND_GRADE
     (make_params(nu=0.06), 0.1),
     (make_params(model=ModelKind.NS_ALPHA, alpha=1.0, nu=1e-4), 0.0),
     (make_params(model=ModelKind.NS_VOIGT, alpha=0.5, nu=1e-4), 0.0),
-    (make_params(model=SG, alpha=1.0, nu=0.0), 0.3),
+    (make_params(model=ModelKind.NS_VOIGT, alpha=0.5, nu=0.0), 0.3),  # a_n rise unbounded
     (make_params(model=SG, alpha=1.0, nu=1e-4), 0.5),  # converges before c*
 ])
 @pytest.mark.parametrize("direction", list(Direction))
@@ -298,15 +300,16 @@ def test_bracket_is_even_odd_outside_the_bounded_region(params, lam, direction):
 
 def mp_coeffs(params, direction, lam, depth):
     # a_n = (lambda + nu d_n)/rho_n from the model definition, at the
-    # normalized scale, over the exact integers c_n
-    a2 = mpmath.mpf(params.alpha) ** 2
+    # normalized scale, over the exact integers c_n (alpha = 0 for NS, whose
+    # limit is taken only at nu = 0)
+    a2 = mpmath.mpf(params.alpha or 0) ** 2
     k = params.p_norm_sq * (1 + a2 * params.p_norm_sq)
 
     def a(cn):
         return (lam + params.nu * cn / (1 + a2 * cn)) / (1 - k / (cn * (1 + a2 * cn)))
 
     cs = [c(direction.value * n, params) for n in range(1, depth + 2)]
-    return [a(mpmath.mpf(cn)) for cn in cs], a, lam + params.nu / a2
+    return [a(mpmath.mpf(cn)) for cn in cs], a, lam + (params.nu / a2 if params.nu else 0)
 
 
 def mp_trunc(coeffs, t):
@@ -397,6 +400,85 @@ def test_fixed_point_enclosure_ends_small_nu_tails_early():
     for cap, name in [(4, "even/odd"), (8, "value-region"), (16, "fixed-point")]:
         with pytest.raises(NoConvergence, match=f"^{name} bracket width .* at depth cap {cap}$"):
             eval_adaptive(tail, tol=1e-15, max_depth=cap)
+
+
+def test_fixed_point_step_is_intersected_with_the_value_region():
+    # second grade at nu = 1, lambda = 0: at depth cap 8 the value region's
+    # upper end U lies below w_7, so r_8 is enclosed by [w_8, U]
+    tail = TailSpec(Direction.FORWARD, make_params(model=SG, alpha=0.5, nu=1.0), 0.0)
+    a_max, first, fixed = tail.bound()
+    assert max(first, fixed) <= 8
+    a = tail.coeffs(9).tolist()
+    lower = 2.0 / (a_max * (1.0 + math.sqrt(1.0 + 4.0 / (a[8] * a_max))))
+    upper = 1.0 / (a[8] + lower)
+    w, w_prev = (2.0 / (x + math.sqrt(x * x + 4.0)) for x in (a[8], a[7]))
+    assert lower <= w <= upper < w_prev
+
+    def trunc(t):
+        for x in reversed(a[:8]):
+            t = 1.0 / (x + t)
+        return t
+
+    with pytest.raises(NoConvergence) as err:
+        eval_adaptive(tail, tol=1e-15, max_depth=8)
+    assert err.value.width == abs(trunc(upper) - trunc(w)) < abs(trunc(w_prev) - trunc(w))
+
+
+# ---------------------------------------------------------------------------
+# inviscid tails: the mirrored fixed-point enclosure
+# ---------------------------------------------------------------------------
+
+INVISCID = [(ModelKind.NAVIER_STOKES, None), (SG, 0.5), (ModelKind.NS_ALPHA, 1.0)]
+
+
+@pytest.mark.parametrize("model,alpha,lam", [
+    *((model, alpha, lam) for model, alpha in INVISCID for lam in (1e-5, 0.008, 0.7)),
+    (SG, 1.0, 0.3),
+])
+@pytest.mark.parametrize("direction", list(Direction))
+def test_inviscid_fixed_point_bracket_holds_at_30_digits(model, alpha, lam, direction):
+    # at nu = 0 the a_n fall to lambda (scale 1), so past depth D they lie in
+    # [lambda, a_{D+1}] and the remainder r_D in that value region [L, U],
+    # L = lambda (-1 + sqrt(1 + 4/(lambda a_{D+1})))/2, U = 1/(lambda + L).
+    # The mirrored enclosure [w_{D-1}, w_D] lies inside it; the value region
+    # alone is too wide for NS at lambda = 1e-5, where r_D's [L, U] is about
+    # |p|^2/c_D wide and the map back to r_0 hardly contracts
+    params = make_params(model=model, alpha=alpha, nu=0.0)
+    tail = TailSpec(direction, params, lam)
+    assert tail.bound()[:2] == (math.inf, math.inf) and tail.bound()[2] < math.inf
+    br = eval_adaptive(tail, tol=1e-10)
+    assert br.depth <= 257  # the even/odd bracket alone needs above 10^5 at lambda = 1e-5
+    depth = 2048
+    with mpmath.workdps(30):
+        coeffs, *_ = mp_coeffs(params, direction, mpmath.mpf(lam), depth)
+        assert all(x > y > lam for x, y in zip(coeffs, coeffs[1:]))
+        m = mpmath.mpf(lam)
+        lo = m * (-1 + mpmath.sqrt(1 + 4 / (m * coeffs[depth]))) / 2
+        w_prev, w = (2 / (a + mpmath.sqrt(a * a + 4)) for a in coeffs[depth - 1:depth + 1])
+        assert lo <= w_prev <= w <= 1 / (m + lo)
+        ref = sorted([mp_trunc(coeffs[:depth], w_prev), mp_trunc(coeffs[:depth], w)])
+        assert ref[1] - ref[0] <= 1e-12
+        slack = 1e-15
+        assert br.lower - slack <= ref[0] and ref[1] <= br.upper + slack
+        assert abs(br.value - (ref[0] + ref[1]) / 2) <= 1e-10
+
+
+def test_inviscid_bound_keeps_the_even_odd_cases():
+    # NS-Voigt's a_n rise without bound at nu = 0, and lambda = nu = 0 makes
+    # every a_n zero: neither takes the fixed-point enclosure
+    voigt = make_params(model=ModelKind.NS_VOIGT, alpha=0.5, nu=0.0)
+    assert TailSpec(Direction.FORWARD, voigt, 0.3).bound() == UNBOUNDED
+    for model, alpha in INVISCID:
+        pr = make_params(model=model, alpha=alpha, nu=0.0)
+        assert TailSpec(Direction.FORWARD, pr, 0.0).bound() == UNBOUNDED
+        with pytest.raises(DegenerateFraction):
+            eval_adaptive(TailSpec(Direction.FORWARD, pr, 0.0), tol=1e-10)
+        # one index for every lambda > 0, none at lambda = 0
+        got = CoefficientStream(pr).tail_bound(np.array([0.0, 1e-5, 0.7]), 0.0)[2]
+        assert got.tolist() == [math.inf, 2.0, 2.0]
+        # row by row over an array nu: at nu > 0 only second grade has an index
+        got = CoefficientStream(pr).tail_bound(0.7, np.array([0.0, 1e-3]))[2].tolist()
+        assert got[0] == 2.0 and (got[1] < math.inf) == (model is SG)
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ def test_value_grid_equals_value(model, alpha, q):
 
 
 @pytest.mark.parametrize("params,lo", [
-    (make_params(nu=0.0), 0.008),  # row depths run from 17 to 4097
+    (make_params(nu=0.0), 0.008),  # row depths run from 17 to 513 (4097 by even/odd alone)
     (make_params(model=ModelKind.SECOND_GRADE, alpha=0.5, nu=0.04), 0.0),  # up to 129
 ])
 def test_value_grid_equals_value_on_deep_rows(params, lo):

@@ -1,6 +1,7 @@
 """Coefficient families: exact fixtures plus the structural identities that
 tie the four models together (rho = Gamma*beta, nu*b_n at lambda=0, the
-alpha -> 0 limit), and the second-grade tail bound in exact arithmetic."""
+alpha -> 0 limit), and the tail bounds in exact arithmetic: second grade at
+nu > 0, and NS, second grade and NS-alpha at nu = 0."""
 
 import math
 from fractions import Fraction
@@ -301,3 +302,61 @@ def test_fixed_point_index_holds_in_exact_arithmetic(orbit, alpha, nu, lam):
             # |delta_j| lies in [lo0 - hi1, hi0 - lo1], |delta_j+1| in [lo1 - hi2, hi1 - lo2]
             assert hi1 - lo2 <= lo0 - hi1
             assert j < fixed or hi0 - lo1 <= a_j[0]
+
+
+# ---------------------------------------------------------------------------
+# inviscid tail bound: the index of the mirrored fixed-point enclosure
+# ---------------------------------------------------------------------------
+
+INVISCID = [(ModelKind.NAVIER_STOKES, None), (ModelKind.SECOND_GRADE, 0.5),
+            (ModelKind.NS_ALPHA, 1.0)]
+
+
+def inviscid_index(pr):
+    """The first n >= 1 with n|p| >= |q| and (n|p| - |q|)^2 >= max(|p|^2,
+    4 W^2 / (3 |p|^2)), W = p^q, in exact arithmetic."""
+    pp, qq = pr.p_norm_sq, pr.q.norm_sq
+    w = pr.p.x * pr.q.y - pr.p.y * pr.q.x
+    c_min = max(Fraction(pp), Fraction(4 * w * w, 3 * pp))
+    n = 1
+    while True:
+        # (n|p| - |q|)^2 = n^2 |p|^2 + |q|^2 - 2 n |p| |q|
+        rest = n * n * pp + qq - c_min
+        if n * n * pp >= qq and rest >= 0 and rest * rest >= 4 * n * n * pp * qq:
+            return n
+        n += 1
+
+
+def test_inviscid_fixed_point_index_is_the_derived_one():
+    # one index per orbit, the same for every lambda > 0 and all three models
+    for p, q in CLASS_I_ORBITS:
+        for model, alpha in INVISCID:
+            pr = make_params(model=model, p=p, q=q, nu=0.0, alpha=alpha)
+            bound = CoefficientStream(pr).tail_bound(0.5, 0.0)
+            assert bound == (math.inf, math.inf, inviscid_index(pr)), (p, q, model)
+
+
+@settings(max_examples=150, deadline=None)
+@given(orbit=st.sampled_from(CLASS_I_ORBITS), model=st.sampled_from(INVISCID),
+       alpha=st.floats(0.05, 2.0), lam=st.floats(-6.0, 0.5).map(lambda e: 10.0 ** e))
+def test_inviscid_fixed_point_index_holds_in_exact_arithmetic(orbit, model, alpha, lam):
+    # at nu = 0, from j = fixed - 1 on: a_{j+1} >= a_{j+2} > 0, so delta_j >= 0,
+    # and delta_j does not increase, which the mirrored enclosure of the
+    # remainder after a_m, m >= fixed, needs
+    (p, q), (kind, _) = orbit, model
+    pr = make_params(model=kind, p=p, q=q, nu=0.0, alpha=alpha)
+    fixed = int(CoefficientStream(pr).tail_bound(lam, 0.0)[2])
+    a2, lam = Fraction(pr.alpha or 0) ** 2, Fraction(lam)
+    k = pr.p_norm_sq * (1 + a2 * pr.p_norm_sq)
+
+    def a(n):
+        cn = c(n, pr)
+        return lam * (cn + a2 * cn * cn) / (cn + a2 * cn * cn - k)
+
+    for s in (1, -1):
+        for j in [*range(fixed - 1, fixed + 5), 4 * fixed + 50]:
+            a_j = [a(s * n) for n in (j + 1, j + 2, j + 3)]
+            assert a_j[0] >= a_j[1] >= a_j[2] > 0  # so w rises: delta_j, delta_j+1 >= 0
+            (lo0, hi0), (lo1, hi1), (lo2, hi2) = map(fixed_point_bounds, a_j)
+            # delta_j lies in [lo1 - hi0, hi1 - lo0], delta_j+1 in [lo2 - hi1, hi2 - lo1]
+            assert hi2 - lo1 <= lo1 - hi0
