@@ -31,8 +31,8 @@ from .eigensystem import build_w
 from .errors import InstabError, NoSignChange
 from .lattice import LatticeVector, canonical_rep, classify, enumerate_classes, wedge
 from .models import FlowParams, ModelKind
-from .spectral import (_dt_max, build_L, det_I_plus_K, det_grid, det_root, growth_rate,
-                       max_real_eig)
+from .spectral import (_check_dense_cap, _dt_max, build_L, det_I_plus_K, det_grid, det_root,
+                       growth_rate, max_real_eig)
 
 __all__ = ["run", "main"]
 
@@ -313,6 +313,7 @@ def _cmd_simulate(args) -> int:
     _require_positive_nu(params)
     dt = args.dt
     if dt is None:
+        _check_dense_cap(args.window)  # before build_L allocates the bands
         dt = _dt_max(build_L(params, args.window))
     slope = growth_rate(params, args.window, args.t_final, dt, seed=args.seed)
     _emit(args, {**_flow_meta(params), "slope": slope, "N": args.window,
@@ -361,8 +362,9 @@ def _cmd_verify(args) -> int:
     _require_positive_nu(params)
     spec = DispersionSpec(params)
     N = args.window
-    lam_mx = max_real_eig(params, N)  # refuses a window above the dense cap first
+    _check_dense_cap(N)  # refused before the root search; the dense solve waits for a root
     lam_cf = _found_root(spec, args, tol=min(args.tol, 1e-10)).lam
+    lam_mx = max_real_eig(params, N)
     agree = args.agree_tol * max(1.0, lam_cf)
     ok_mx = abs(lam_mx - lam_cf) <= agree
     lines = [

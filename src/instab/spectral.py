@@ -68,7 +68,10 @@ class TruncatedOperator:
     cutoff; eigenvectors decay exponentially so the boundary effect dies out
     well inside N=128 for the instances treated here).  dense() refuses
     windows above DENSE_CAP, so no oracle forms a matrix larger than
-    (2*DENSE_CAP+1)^2.
+    (2*DENSE_CAP+1)^2.  Where rho_n = 0 exactly (the I+/I- cut, a point of
+    norm |p|, each index of a parallel orbit) a band entry is 0.0 and the
+    section is block triangular across it: its spectrum is the union of the
+    diagonal blocks' spectra, which max_real_eig solves one by one.
     """
 
     N: int
@@ -100,12 +103,28 @@ def build_L(params: FlowParams, N: int) -> TruncatedOperator:
 
 
 def max_real_eig(params: FlowParams, N: int) -> float:
-    """Largest real part over the truncated operator's spectrum (dense solve)."""
-    return float(np.max(np.linalg.eigvals(build_L(params, N).dense()).real))
+    """Largest real part over the truncated operator's spectrum, block by block.
+
+    The section is cut after each index i with sub[i] == 0.0 or sup[i] == 0.0,
+    and the result is the top over the diagonal blocks: a 1x1 block gives its
+    diagonal entry, any other block one dense solve.  This is exact: a zero
+    band entry is the only coupling across its cut in one direction, so the
+    section is block triangular there and its characteristic polynomial is the
+    product of the blocks'.  A section without a zero band entry is one block,
+    the whole matrix.
+    """
+    _check_dense_cap(N)
+    L = build_L(params, N)
+    M = L.dense()
+    cuts = [0, *(np.flatnonzero((L.sub == 0.0) | (L.sup == 0.0)) + 1).tolist(), 2 * N + 1]
+    return max(float(M[a, a]) if b - a == 1 else
+               float(np.max(np.linalg.eigvals(M[a:b, a:b]).real))
+               for a, b in zip(cuts, cuts[1:]))
 
 
 def dominant_mode(params: FlowParams, N: int) -> tuple[float, np.ndarray]:
     """Eigenpair with the largest real part; vector phase-aligned to real."""
+    _check_dense_cap(N)
     M = build_L(params, N).dense()
     vals, vecs = np.linalg.eig(M)
     i = int(np.argmax(vals.real))
@@ -287,12 +306,12 @@ def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
     samples over the final half.  A step count above MAX_RK4_STEPS, or a final
     half holding fewer than two samples, raises ValueError before any work.
     """
+    _check_dense_cap(N)
     op = build_L(params, N)
     dt_max = _dt_max(op)
     if not 0 < dt <= dt_max:
         raise ValueError(f"dt={dt:g} unstable for explicit stepping; need dt <= {dt_max:g}")
     _check_positive("t_final", t_final)
-    _check_dense_cap(N)
     if t_final / dt > MAX_RK4_STEPS:
         raise ValueError(f"t_final/dt = {t_final / dt:.3g} RK4 steps, above the step cap "
                          f"of {MAX_RK4_STEPS}; raise dt or lower t_final")

@@ -345,12 +345,15 @@ def test_simulate_rejects_unstable_dt(capsys):
     assert code == 2
 
 
-def test_simulate_refuses_window_above_dense_cap(capsys):
+def test_simulate_refuses_window_above_dense_cap(capsys, monkeypatch):
+    # the default step reads the section, so the cap is checked before it is built
+    built = count_calls(monkeypatch, instab.cli, "build_L")
     code = run(["simulate", *FIG, "--window", "513"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert "above dense cap 512" in captured.err
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +616,13 @@ def test_verify_refuses_window_above_dense_cap_before_root_search(capsys, monkey
     assert captured.out == ""
     assert "above dense cap 512" in captured.err
     assert seen == []
+
+
+def test_verify_stable_instance_exits_before_the_dense_solve(capsys, monkeypatch):
+    solves = count_calls(monkeypatch, instab.cli, "max_real_eig")
+    assert run(["verify", "--p", "3,1", "--q=-1,2", "--nu", "10", "--window", "64"]) == 3
+    assert "NoSignChange" in capsys.readouterr().err
+    assert solves == []
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from instab import (
     ModelKind,
     NoConvergence,
     NoSignChange,
+    PointClass,
     build_K,
     build_L,
     det_I_plus_K,
@@ -121,6 +122,97 @@ def test_dense_oracles_refuse_before_allocating(fig_params, oracle):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("oracle", [
+    max_real_eig,
+    dominant_mode,
+    lambda pr, N: growth_rate(pr, N, 1.0, 1e-6),
+], ids=["max_real_eig", "dominant_mode", "growth_rate"])
+def test_dense_oracles_refuse_before_building_the_section(fig_params, monkeypatch, oracle):
+    built = count_calls(monkeypatch, instab.spectral, "build_L")
+    with pytest.raises(ValueError, match="window N=513 above dense cap 512"):
+        oracle(fig_params, 513)
+    assert built == []
+
+
+def whole_top(pr, N):
+    """The top real part of the section by one dense solve of the whole matrix."""
+    return float(np.max(np.linalg.eigvals(build_L(pr, N).dense()).real))
+
+
+# the oracle triangle's I+/I- instances, whose sections are cut where rho_n = 0,
+# and its I0 instances, whose sections have no zero band entry
+CUT = [(model, alpha, q, nu) for model, alpha, q, nu, _ in TRIANGLE if q != (-1, 2)]
+UNCUT = [(model, alpha, q, nu) for model, alpha, q, nu, _ in TRIANGLE if q == (-1, 2)]
+
+
+@pytest.mark.parametrize("N", [16, 128, 512])
+@pytest.mark.parametrize("model, alpha, q, nu", CUT)
+def test_max_real_eig_of_a_cut_section_matches_the_whole_solve(model, alpha, q, nu, N):
+    pr = make_params(model=model, alpha=alpha, q=q, nu=nu)
+    assert pr.point_class in (PointClass.TYPE_I_PLUS, PointClass.TYPE_I_MINUS)
+    whole = whole_top(pr, N)
+    assert abs(max_real_eig(pr, N) - whole) <= 1e-12 * max(1.0, whole)
+
+
+@pytest.mark.parametrize("model, alpha, q, nu, N",
+                         [(*case, N) for case in UNCUT for N in (16, 128)]
+                         + [(*UNCUT[0], 512)])
+def test_max_real_eig_of_an_uncut_section_is_the_whole_solve(model, alpha, q, nu, N):
+    pr = make_params(model=model, alpha=alpha, q=q, nu=nu)
+    assert max_real_eig(pr, N) == whole_top(pr, N)
+
+
+@pytest.mark.parametrize("q, sizes", [((0, -2), [129, 127]), ((-1, 2), [257])])
+def test_max_real_eig_solves_each_block(monkeypatch, q, sizes):
+    seen = count_calls(monkeypatch, np.linalg, "eigvals")
+    max_real_eig(make_params(q=q, nu=0.05), 128)
+    assert [len(M) for M in seen] == sizes
+
+
+def test_parallel_orbit_needs_no_dense_solve(monkeypatch):
+    # every band entry is zero, so each block is one diagonal entry
+    pr = make_params(q=(6, 2), gamma=3.0)
+    seen = count_calls(monkeypatch, np.linalg, "eigvals")
+    assert max_real_eig(pr, 8) == np.max(build_L(pr, 8).diag)
+    assert seen == []
+
+
+@pytest.mark.parametrize("N", [16, 128])
+def test_class_0_boundary_point_is_a_one_by_one_block(N):
+    # q=(1,-3) has the norm of p=(3,1): rho_0 = 0 cuts n=0 off on both sides
+    pr = make_params(q=(1, -3), nu=0.05)
+    assert pr.point_class is PointClass.TYPE_0
+    op = build_L(pr, N)
+    assert op.sub[N] == 0.0 and op.sup[N - 1] == 0.0
+    whole = whole_top(pr, N)
+    assert abs(max_real_eig(pr, N) - whole) <= 1e-12 * max(1.0, abs(whole))
+
+
+# orbits of small p through a point of norm |p|, where rho_n = 0: I+, I-,
+# class 0 with a boundary point, and parallel orbits, whose rho_n all vanish
+ZERO_BAND_ORBITS = [
+    ((px, py), (qx, qy))
+    for px in range(4) for py in range(-3, 4) for qx in range(-3, 4) for qy in range(-3, 4)
+    if (px, py) > (0, 0)
+    and any((qx + n * px) ** 2 + (qy + n * py) ** 2 == px * px + py * py for n in range(-6, 7))
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(orbit=st.sampled_from(ZERO_BAND_ORBITS), model=st.sampled_from(MODELS),
+       nu=st.floats(0.01, 0.5), gamma=st.floats(0.25, 4.0), N=st.integers(1, 40))
+def test_max_real_eig_of_random_cut_sections_matches_the_whole_solve(orbit, model, nu,
+                                                                        gamma, N):
+    # a dense eigensolver's backward error scales with the matrix norm, so the
+    # block and whole solves agree within 1e-12*max(1, ||L||_inf)
+    (p, q), (kind, alpha, _) = orbit, model
+    pr = make_params(model=kind, alpha=alpha, q=q, nu=nu, gamma=gamma, p=p)
+    op = build_L(pr, N)
+    assert np.any(op.sub == 0.0) or np.any(op.sup == 0.0)
+    norm = float(np.max(np.abs(op.dense()).sum(axis=1)))
+    assert abs(max_real_eig(pr, N) - whole_top(pr, N)) <= 1e-12 * max(1.0, norm)
 
 
 def test_dominant_mode_consistency(fig):
