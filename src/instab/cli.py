@@ -31,8 +31,8 @@ from .eigensystem import build_w
 from .errors import InstabError, NoSignChange
 from .lattice import LatticeVector, canonical_rep, classify, enumerate_classes, wedge
 from .models import FlowParams, ModelKind
-from .spectral import (_check_dense_cap, _dt_max, build_L, det_I_plus_K, det_grid, det_root,
-                       growth_rate, max_real_eig)
+from .spectral import (_check_dense_cap, _check_window_cap, _dt_max, build_L, det_I_plus_K,
+                       det_grid, det_root, growth_rate, max_real_eig)
 
 __all__ = ["run", "main"]
 
@@ -250,6 +250,7 @@ def _cmd_nu0(args) -> int:
 
 
 def _cmd_eigvec(args) -> int:
+    _check_window_cap(args.window)  # refused before the root search
     params = _params_from(args)
     _require_positive_nu(params)
     spec = DispersionSpec(params)
@@ -275,9 +276,10 @@ def _cmd_eigvec(args) -> int:
 
 
 def _cmd_det(args) -> int:
+    N = args.window
+    _check_window_cap(N)  # refused before the section is built
     params = _params_from(args)
     _require_positive_nu(params)
-    N = args.window
     grid_flags = (args.lambda_min, args.lambda_max, args.step)
     if args.root_bracket is not None:
         if args.lam is not None or any(x is not None for x in grid_flags):

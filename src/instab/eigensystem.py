@@ -34,7 +34,7 @@ from .contfrac import DEFAULT_MAX_DEPTH, _adaptive_rows
 from .dispersion import DispersionSpec
 from .errors import MatchFailure, _check_positive
 from .models import CoefficientStream, FlowParams
-from .spectral import TruncatedOperator, build_L
+from .spectral import TruncatedOperator, _check_window_cap, build_L
 
 __all__ = [
     "EigenvectorResult",
@@ -177,6 +177,7 @@ def build_w(lam: float, params: FlowParams, N: int, *,
     """
     if N < 3:
         raise ValueError("window N must be at least 3")
+    _check_window_cap(N)  # before the sides march
     signs, d, _ = _sides(lam, params, N, tol, match_tol, max_depth)
     cs = CoefficientStream(params)
     w = np.zeros(2 * N + 1)  # the cut side of I+/I- stays 0.0

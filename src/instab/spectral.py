@@ -41,9 +41,12 @@ __all__ = [
 ]
 
 DENSE_CAP = 512
+# the linear windows (build_L's bands, the determinant, the eigenvector) refuse
+# N above this; the largest in use is 2000
+WINDOW_CAP = 100_000
 RENORM_EVERY = 16  # RK4 steps per renormalization block of growth_rate
-# growth_rate samples up to this many blocks (512 steps) per matrix product,
-# with their stacked propagator within this many elements (256 KB)
+# growth_rate's chunks hold up to this many blocks (512 steps), with their
+# stacked propagator and each sampling product within this many elements (256 KB)
 _CHUNK_BLOCKS = 32
 _CHUNK_ELEMS = 1 << 15
 MAX_RK4_STEPS = 1 << 24  # growth_rate refuses longer runs before any work
@@ -91,7 +94,13 @@ def _check_dense_cap(N: int) -> None:
         raise ValueError(f"window N={N} above dense cap {DENSE_CAP}")
 
 
+def _check_window_cap(N: int) -> None:
+    if N > WINDOW_CAP:
+        raise ValueError(f"window N={N} above window cap {WINDOW_CAP}")
+
+
 def build_L(params: FlowParams, N: int) -> TruncatedOperator:
+    _check_window_cap(N)
     if N < 1:
         raise ValueError("window N must be at least 1")
     cs = CoefficientStream(params)
@@ -280,13 +289,15 @@ def _dt_max(op: TruncatedOperator) -> float:
 
     1/(4*max|diag| + max(4, R)), with R the largest off-diagonal row sum
     |rho_{n-1}| + |rho_{n+1}|.  It keeps ||dt*L||_inf <= 1, so the RK4
-    polynomial P has ||P||_inf <= 1 + 1 + 1/2 + 1/6 + 1/24 < e, and a chunk of
-    growth_rate's 512 steps grows a vector by at most e^512 (about 1e222) in
-    the inf-norm.  Where R <= 4 it is 1/(4*max|diag| + 4), the diagonal-only
-    bound.
+    polynomial P has ||P||_inf <= 1 + 1 + 1/2 + 1/6 + 1/24 < e, and each
+    product of growth_rate, at most _CHUNK_BLOCKS blocks (512 steps), grows a
+    vector by at most e^512 (about 1e222) in the inf-norm.  Where R <= 4 it is
+    1/(4*max|diag| + 4), the diagonal-only bound.
     """
-    rows = np.pad(np.abs(op.sub), (1, 0)) + np.pad(np.abs(op.sup), (0, 1))
-    return 1.0 / (4.0 * float(np.max(np.abs(op.diag))) + max(4.0, float(np.max(rows))))
+    sub, sup = np.abs(op.sub), np.abs(op.sup)
+    # row -N holds sup[0] only, row N sub[-1] only, every other row both
+    R = max(float(sup[0]), float(np.max(sub[:-1] + sup[1:])), float(sub[-1]))
+    return 1.0 / (4.0 * float(np.max(np.abs(op.diag))) + max(4.0, R))
 
 
 def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
@@ -296,13 +307,20 @@ def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
     Classic 4-stage explicit integration as a block propagator: the RK4
     polynomial P = I + A + A^2/2 + A^3/6 + A^4/24 of A = dt*L and
     B = P^RENORM_EVERY are formed once.  log||w|| is sampled at t = 0, at the
-    end of each block of RENORM_EVERY steps and at the last step.  A chunk of k
-    consecutive blocks is one product with S = [B; B^2; ...; B^k], built by
-    doubling, and is renormalized by its last row; the last steps % RENORM_EVERY
-    steps are one product with their power of P.  k is at most _CHUNK_BLOCKS
-    (512 steps, which dt <= _dt_max keeps below e^512 in the inf-norm, so S @ w
-    is finite) and keeps S within _CHUNK_ELEMS elements (256 KB): 30 blocks at
-    N = 16, one block from N = 64 on.  Returns the least-squares slope of the
+    end of each block of RENORM_EVERY steps and at the last step.  The blocks
+    run in chunks of k, with S = [B; B^2; ...; B^k] built once by doubling.
+    The start of each chunk is marched with B^k, the last n rows of S: one
+    n x n product, a norm and a log per chunk, which give the chunk's last
+    sample, and the march renormalizes by it.  The other k - 1 samples of a
+    group of up to _CHUNK_ELEMS // (k*n) chunks are one product of S's other
+    rows with the group's starts, so each result holds at most _CHUNK_ELEMS
+    elements (256 KB) whatever the step count.  The last full % k blocks are
+    one product with their rows of S, and the last steps % RENORM_EVERY steps
+    one product with their power of P.  k is at most _CHUNK_BLOCKS (512 steps,
+    which dt <= _dt_max keeps below e^512 in the inf-norm, so every product,
+    which applies at most B^k to a unit vector, is finite) and keeps S within
+    _CHUNK_ELEMS elements: 30 blocks at N = 16, one block from N = 64 on, where
+    the march is the whole loop.  Returns the least-squares slope of the
     samples over the final half.  A step count above MAX_RK4_STEPS, or a final
     half holding fewer than two samples, raises ValueError before any work.
     """
@@ -317,8 +335,8 @@ def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
                          f"of {MAX_RK4_STEPS}; raise dt or lower t_final")
     steps = max(1, math.ceil(t_final / dt))
     t = np.minimum(np.arange(0, steps + RENORM_EVERY, RENORM_EVERY), steps) * dt
-    half = t >= 0.5 * t_final
-    if int(np.sum(half)) < 2:
+    first = int(np.searchsorted(t, 0.5 * t_final))  # t is sorted: the final half is a suffix
+    if t.size - first < 2:
         raise ValueError("not enough samples in the final half; lower dt or raise t_final")
     n = 2 * N + 1
     w = np.random.default_rng(seed).standard_normal(n)
@@ -328,22 +346,46 @@ def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
 
     full, rest = divmod(steps, RENORM_EVERY)
     k = max(1, min(full, _CHUNK_BLOCKS, _CHUNK_ELEMS // n ** 2))
+    S = np.empty((k * n, n))
     if full:
-        S = np.linalg.matrix_power(P, RENORM_EVERY)
-        while len(S) < k * n:  # [B; ...; B^m] @ B^m appends B^(m+1) .. B^(2m)
-            S = np.vstack([S, S[:k * n - len(S)] @ S[-n:]])
+        S[:n] = np.linalg.matrix_power(P, RENORM_EVERY)
+        b = 1
+        while b < k:  # [B; ...; B^j] @ B^b gives B^(b+1) .. B^(b+j)
+            j = min(b, k - b)
+            np.matmul(S[:j * n], S[(b - 1) * n:b * n], out=S[b * n:(b + j) * n])
+            b += j
     y = np.empty(t.size)
     nrm0 = float(np.linalg.norm(w))
     y[0] = log_shift = math.log(nrm0)
     w = w / nrm0
-    for i in range(0, full, k):
-        W = (S[:min(k, full - i) * n] @ w).reshape(-1, n)
+    chunks, group = full // k, _CHUNK_ELEMS // (k * n)
+    Bk, starts = S[-n:], np.empty((min(chunks, group), n))
+    products = np.empty((len(starts), (k - 1) * n))
+    for c0 in range(0, chunks, group):
+        m = min(group, chunks - c0)
+        for c in range(m):  # march the chunk starts with B^k: each chunk's last sample
+            starts[c] = w
+            w = np.dot(Bk, w)
+            nrm = math.sqrt(np.dot(w, w))
+            log_shift += math.log(nrm)
+            y[(c0 + c + 1) * k] = log_shift
+            w /= nrm
+        if k > 1:  # the other k-1 samples of the group's chunks in one product
+            W = np.matmul(starts[:m], S[:-n].T, out=products[:m]).reshape(m, k - 1, n)
+            Y = y[c0 * k + 1:(c0 + m) * k + 1].reshape(m, k)
+            Y[:, :-1] = (y[c0 * k:(c0 + m) * k:k, None]
+                         + np.log(np.sqrt(np.einsum("ijk,ijk->ij", W, W))))
+    if full % k:
+        W = (S[:full % k * n] @ w).reshape(-1, n)
         nrm = np.linalg.norm(W, axis=1)
-        y[i + 1:i + 1 + len(W)] = log_shift + np.log(nrm)
-        log_shift = float(y[i + len(W)])
+        y[chunks * k + 1:full + 1] = log_shift + np.log(nrm)
+        log_shift = float(y[full])
         w = W[-1] / nrm[-1]
     if rest:
         w = np.linalg.matrix_power(P, rest) @ w
         y[-1] = log_shift + math.log(float(np.linalg.norm(w)))
-    slope, _ = np.polyfit(t[half], y[half], 1)
-    return float(slope)
+    # the samples are not needed after the fit, so the final half is centred in place
+    t, y = t[first:], y[first:]
+    t -= t.mean()
+    y -= y.mean()
+    return float(t @ y / (t @ t))

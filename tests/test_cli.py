@@ -18,6 +18,7 @@ import pytest
 import instab
 import instab.cli
 import instab.dispersion
+import instab.eigensystem
 import instab.spectral
 from instab import DispersionSpec, det_I_plus_K, det_root, recurrence_coeff, value
 from instab.cli import build_parser, run
@@ -286,6 +287,23 @@ def test_det_beyond_double_range_exits_3(capsys, mode):
 def test_det_rejects_nonpositive_window(capsys, argv):
     assert run(argv) == 2
     assert "window N" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["det", *FIG, "--lam", "0.2", "--window", "1000000"],
+    ["det", *FIG, "--root-bracket", "0.2,0.25", "--window", "100001"],
+    ["eigvec", *FIG, "--window", "1000000"],
+    ["eigvec", *FIG, "--lam", "0.2", "--window", "100001"],
+])
+def test_linear_windows_refused_above_the_window_cap(capsys, monkeypatch, argv):
+    # refused before the root search and before any section is built
+    seen = [count_calls(monkeypatch, module, name) for module, name in (
+        (instab.spectral, "build_L"), (instab.eigensystem, "build_L"), (instab.cli, "find_root"))]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"window N={argv[-1]} above window cap 100000" in captured.err
+    assert seen == [[], [], []]
 
 
 @pytest.mark.parametrize("argv", [

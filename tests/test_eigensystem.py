@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import instab.eigensystem
+import instab.spectral
 from instab import (
     CoefficientStream,
     DispersionSpec,
@@ -86,6 +87,15 @@ def test_negative_lambda_rejected(fig):
     pr, _ = fig
     with pytest.raises(ValueError, match="lambda must be nonnegative"):
         build_w(-0.5, pr, 8, match_tol=math.inf)
+
+
+def test_window_above_the_window_cap_rejected(fig, monkeypatch):
+    # refused before the sides march and before the section is built
+    pr, lam = fig
+    seen = [count_calls(monkeypatch, instab.eigensystem, name) for name in ("_sides", "build_L")]
+    with pytest.raises(ValueError, match=r"window N=100001 above window cap 100000"):
+        build_w(lam, pr, instab.spectral.WINDOW_CAP + 1)
+    assert seen == [[], []]
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])

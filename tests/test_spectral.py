@@ -27,7 +27,8 @@ from instab import (
     rho,
 )
 from instab.spectral import (_CHUNK_BLOCKS, _CHUNK_ELEMS, _FLOAT_WIDTH, DET_GRID_CHUNK,
-                             MAX_RK4_STEPS, RENORM_EVERY, TruncatedOperator, _dt_max)
+                             MAX_RK4_STEPS, RENORM_EVERY, WINDOW_CAP, TruncatedOperator,
+                             _dt_max)
 from conftest import (CLASS_I_ORBITS, CLASS_Q, LAM_STAR, MODELS, count_calls, make_params,
                       reference_det)
 from test_acceptance import TRIANGLE
@@ -122,6 +123,22 @@ def test_dense_oracles_refuse_before_allocating(fig_params, oracle):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("window", [
+    lambda pr, N: build_L(pr, N),
+    lambda pr, N: build_K(0.2, pr, N),
+    lambda pr, N: det_I_plus_K(0.2, pr, N),
+    lambda pr, N: det_grid([0.1, 0.2], pr, N),
+    lambda pr, N: det_root(pr, N, (0.2, 0.25), 1e-10),
+], ids=["build_L", "build_K", "det_I_plus_K", "det_grid", "det_root"])
+def test_linear_windows_refuse_above_the_window_cap(fig_params, monkeypatch, window):
+    # build_L refuses first, before any coefficient of the bands is computed
+    streams = count_calls(monkeypatch, instab.spectral, "CoefficientStream")
+    with pytest.raises(ValueError, match=f"window N={WINDOW_CAP + 1} above window cap "
+                                         f"{WINDOW_CAP}"):
+        window(fig_params, WINDOW_CAP + 1)
+    assert streams == []
 
 
 @pytest.mark.parametrize("oracle", [
@@ -612,20 +629,44 @@ def test_growth_rate_single_partial_block(fig_params):
         growth_rate(fig_params, 8, (10 - 0.5) * dt, dt)
 
 
-@pytest.mark.parametrize("model, alpha, nu", [
-    (ModelKind.NAVIER_STOKES, None, 0.06),
-    (ModelKind.NS_ALPHA, 1.0, 0.05),
-], ids=["ns", "ns-alpha"])
-def test_growth_rate_matches_staged_rk4_across_chunks(model, alpha, nu):
-    # 70 full blocks at N=16 are chunks of 30, 30 and 10 blocks, then a 5-step
-    # partial block
+@pytest.mark.parametrize("model, alpha, nu, N, blocks, shape", [
+    (ModelKind.NAVIER_STOKES, None, 0.06, 16, 70, (30, 33, 2, 10)),
+    (ModelKind.NS_ALPHA, 1.0, 0.05, 16, 70, (30, 33, 2, 10)),
+    (ModelKind.NAVIER_STOKES, None, 0.06, 16, 35 * 30 + 17, (30, 33, 35, 17)),
+    (ModelKind.NAVIER_STOKES, None, 0.06, 64, 300, (1, 254, 300, 0)),
+], ids=["ns", "ns-alpha", "ns-groups", "ns-march"])
+def test_growth_rate_matches_staged_rk4_across_chunks(model, alpha, nu, N, blocks, shape):
+    # shape is (blocks per chunk, chunks per sampling group, full chunks, tail
+    # blocks).  At N=16, 70 full blocks are two chunks of 30 and a 10-block
+    # tail, and 1067 are two sampling groups (33 chunks and 2) and a 17-block
+    # tail; at N=64 a chunk is one block and the march is the whole loop.
+    # Each run ends in a 5-step partial block.
     pr = make_params(model=model, alpha=alpha, nu=nu)
-    chunk = min(_CHUNK_BLOCKS, _CHUNK_ELEMS // 33 ** 2)
-    assert 2 * chunk < 70 and 70 % chunk
-    steps = RENORM_EVERY * 70 + 5
-    dt = stable_dt(pr, 16)
-    want = staged_rk4_slope(pr, 16, steps, dt, RENORM_EVERY)
-    assert growth_rate(pr, 16, (steps - 0.5) * dt, dt) == pytest.approx(want, rel=1e-10)
+    n = 2 * N + 1
+    chunk = min(_CHUNK_BLOCKS, _CHUNK_ELEMS // n ** 2)
+    assert (chunk, _CHUNK_ELEMS // (chunk * n), *divmod(blocks, chunk)) == shape
+    steps = RENORM_EVERY * blocks + 5
+    dt = stable_dt(pr, N)
+    want = staged_rk4_slope(pr, N, steps, dt, RENORM_EVERY)
+    assert growth_rate(pr, N, (steps - 0.5) * dt, dt) == pytest.approx(want, rel=1e-10)
+
+
+def test_growth_rate_memory_stays_within_its_chunks(fig_params):
+    # 2^20 steps at N=16: past the sample arrays t and y, the run holds S and
+    # one sampling product, each within _CHUNK_ELEMS elements, and small
+    # matrices, so never more than three such chunks; holding every chunk
+    # start at once (2184 starts of 33 entries) would add about two more
+    dt = stable_dt(fig_params, 16)
+    growth_rate(fig_params, 16, 40.0, dt)  # numpy loads its random module on first use
+    steps = 1 << 20
+    samples = steps // RENORM_EVERY + 1
+    tracemalloc.start()
+    try:
+        growth_rate(fig_params, 16, (steps - 0.5) * dt, dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * samples * 8 + 3 * _CHUNK_ELEMS * 8
 
 
 @pytest.mark.parametrize("N", [8, 16])
@@ -644,13 +685,15 @@ def test_dt_max_is_the_diagonal_bound_where_bands_are_small(model, alpha, q, nu,
 
 @pytest.mark.parametrize("q", [(0, -2), (0, 2)])
 def test_dt_max_accounts_for_off_diagonal_rows(q):
-    # the NS-alpha q=(0,+-2) rows of the oracle triangle sum to 5.46
+    # the NS-alpha q=(0,+-2) rows of the oracle triangle sum to 5.46 at N=16;
+    # at N = 1 the largest sum, 4.5, is an end row, which has one band entry
     (nu,) = [row[3] for row in TRIANGLE if row[0] is ModelKind.NS_ALPHA and row[2] == q]
     pr = make_params(model=ModelKind.NS_ALPHA, alpha=1.0, q=q, nu=nu)
-    op = build_L(pr, 16)
-    rows = np.abs(op.dense() - np.diag(op.diag)).sum(axis=1)
+    for N in (1, 2, 16):
+        op = build_L(pr, N)
+        rows = np.abs(op.dense() - np.diag(op.diag)).sum(axis=1)
+        assert _dt_max(op) == 1.0 / (4.0 * np.max(np.abs(op.diag)) + max(4.0, np.max(rows)))
     assert np.max(rows) == pytest.approx(5.46, abs=0.01)
-    assert _dt_max(op) == 1.0 / (4.0 * np.max(np.abs(op.diag)) + np.max(rows))
     assert _dt_max(op) < stable_dt(pr, 16)
 
 
