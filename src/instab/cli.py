@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from .contfrac import DEFAULT_MAX_DEPTH
 from .dispersion import DispersionSpec, RootResult, find_root, nu0_estimate, value_grid
@@ -84,11 +87,34 @@ def _finite_float(text: str) -> float:
     return x
 
 
-def _emit(args, fields: dict, header: list[str], rows: list[tuple],
+def _csv_lines(columns: list) -> str:
+    """The CSV lines of the table with these columns, each ending in LF.
+
+    Each column picks its conversion once, by the types it holds: %.17g for
+    float and np.float64 (what _fmt writes for them), %d for int and _fmt's
+    string otherwise.  All cells then fill one template in one % operation.
+    """
+    specs, cells = [], []
+    for column in columns:
+        kinds = set(map(type, column))
+        if kinds <= {float, np.float64}:
+            specs.append("%.17g")
+        elif kinds <= {int}:
+            specs.append("%d")
+        else:
+            specs.append("%s")
+            column = [_fmt(x) for x in column]
+        cells.append(column)
+    rows = len(cells[0]) if cells else 0
+    return ((",".join(specs) + "\n") * rows) % tuple(itertools.chain.from_iterable(zip(*cells)))
+
+
+def _emit(args, fields: dict, header: list[str], columns: list,
           text: str | None = None) -> None:
     """Write one result in the chosen --format to stdout or --output, LF endings.
 
-    JSON is ``{"schema": 1, **fields}``; CSV is ``header`` then ``rows``, floats
+    JSON is ``{"schema": 1, **fields}``; CSV is ``header`` then the table of
+    ``columns``, one list or tuple per header name, all of one length, floats
     at 17 significant digits; ``text`` is verify's plain-text report.
     """
     if args.format == "json":
@@ -96,9 +122,7 @@ def _emit(args, fields: dict, header: list[str], rows: list[tuple],
     elif text is not None:
         body = text
     else:
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-        body = "\n".join(lines) + "\n"
+        body = ",".join(header) + "\n" + _csv_lines(columns)
     if args.output is None:
         sys.stdout.write(body)
         return
@@ -203,7 +227,8 @@ def _cmd_classify(args) -> int:
                 for rep, cls in orbits
             ],
         }, ["rep_x", "rep_y", "class"],
-            [(rep.rep.x, rep.rep.y, cls.value) for rep, cls in orbits])
+            [[rep.rep.x for rep, _ in orbits], [rep.rep.y for rep, _ in orbits],
+             [cls.value for _, cls in orbits]])
         return 0
     q = LatticeVector(*_parse_pair(args.q))
     rep = canonical_rep(q, p)
@@ -216,7 +241,7 @@ def _cmd_classify(args) -> int:
         "wedge": wedge(p, q),
         "class": cls.value,
     }, ["q_x", "q_y", "rep_x", "rep_y", "shift", "class"],
-        [(q.x, q.y, rep.rep.x, rep.rep.y, rep.shift, cls.value)])
+        [[x] for x in (q.x, q.y, rep.rep.x, rep.rep.y, rep.shift, cls.value)])
     return 0
 
 
@@ -232,8 +257,8 @@ def _cmd_root(args) -> int:
                  "residual": result.dispersion_residual,
                  "cf_depth": result.cf_depth},
           ["lambda", "bracket_lo", "bracket_hi", "residual", "cf_depth"],
-          [(result.lam, *result.bracket, result.dispersion_residual,
-            result.cf_depth)])
+          [[x] for x in (result.lam, *result.bracket, result.dispersion_residual,
+                         result.cf_depth)])
     return 0
 
 
@@ -245,7 +270,7 @@ def _cmd_nu0(args) -> int:
                        max_depth=_max_depth(args))
     meta = _flow_meta(params)
     del meta["nu"]  # nu is the unknown here, not an input
-    _emit(args, {**meta, "nu0": nu0}, ["nu0"], [(nu0,)])
+    _emit(args, {**meta, "nu0": nu0}, ["nu0"], [[nu0]])
     return 0
 
 
@@ -271,7 +296,7 @@ def _cmd_eigvec(args) -> int:
         "sign_ok": result.sign_ok,
         "n": ns,
         "w": [result.w[n] for n in ns],
-    }, ["n", "w"], [(n, result.w[n]) for n in ns])
+    }, ["n", "w"], [ns, [result.w[n] for n in ns]])
     return 0
 
 
@@ -293,7 +318,7 @@ def _cmd_det(args) -> int:
             raise UsageError("--root-bracket expects finite numbers lo,hi") from None
         root = det_root(params, N, (lo, hi), tol=1e-10 if args.tol is None else args.tol)
         _emit(args, {**_flow_meta(params), "det_root": root, "N": N},
-              ["det_root", "n"], [(root, N)])
+              ["det_root", "n"], [[root], [N]])
         return 0
     if args.tol is not None:
         raise UsageError("--tol belongs to --root-bracket")
@@ -304,9 +329,9 @@ def _cmd_det(args) -> int:
     else:
         grid = _grid(*grid_flags, "lambda")
     header = ["lambda", "det", "n"]
-    rows = [(x, v, N) for x, v in zip(grid, det_grid(grid, params, N).tolist())]
+    columns = [grid, det_grid(grid, params, N).tolist(), [N] * len(grid)]
     _emit(args, {**_flow_meta(params), "columns": header,
-                 "rows": [list(r) for r in rows]}, header, rows)
+                 "rows": [list(r) for r in zip(*columns)]}, header, columns)
     return 0
 
 
@@ -321,7 +346,7 @@ def _cmd_simulate(args) -> int:
     _emit(args, {**_flow_meta(params), "slope": slope, "N": args.window,
                  "t_final": args.t_final, "dt": dt, "seed": args.seed},
           ["slope", "n", "t_final", "dt", "seed"],
-          [(slope, args.window, args.t_final, dt, args.seed)])
+          [[x] for x in (slope, args.window, args.t_final, dt, args.seed)])
     return 0
 
 
@@ -342,7 +367,7 @@ def _cmd_curve(args) -> int:
             raise UsageError("nu=0 needs a strictly positive lambda grid "
                              "(the recurrence degenerates at lambda=0)")
         v, a0 = value_grid(spec, grid, **opts)
-        header, rows = ["lambda", "minus_a0", "f_plus_g", "dispersion"], zip(grid, -a0, v - a0, v)
+        header, values = ["lambda", "minus_a0", "f_plus_g", "dispersion"], [-a0, v - a0, v]
     else:
         if any(x is not None for x in (args.nu, args.lambda_min, args.lambda_max)):
             raise UsageError("--nu, --lambda-min and --lambda-max belong to --scan lambda, "
@@ -352,10 +377,11 @@ def _cmd_curve(args) -> int:
             raise UsageError("the nu grid must be strictly positive")
         del meta["nu"]  # nu is the scan variable, not an input
         v, a0 = value_grid(spec, 0.0, grid, **opts)
-        header, rows = ["nu", "h", "rhs"], zip(grid, v - a0, -a0)
+        header, values = ["nu", "h", "rhs"], [v - a0, -a0]
 
-    rows = [list(r) for r in rows]
-    _emit(args, {**meta, "columns": header, "rows": rows}, header, rows)
+    columns = [grid, *(c.tolist() for c in values)]
+    _emit(args, {**meta, "columns": header, "rows": [list(r) for r in zip(*columns)]},
+          header, columns)
     return 0
 
 

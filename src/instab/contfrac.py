@@ -161,8 +161,9 @@ def _trunc_rows(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """eval_trunc for many fractions at once, from the start states ``t``.
 
     ``a[j]`` holds coefficient a_{j+1} of every fraction; ``t`` stacks one or
-    more start states per fraction.  Up to _FLOAT_WIDTH fractions times
-    states, Python float loops cost less than one numpy step per coefficient.
+    more start states per fraction and is left as it was.  Up to _FLOAT_WIDTH
+    fractions times states, Python float loops cost less than one numpy step
+    per coefficient; wider passes run in place on one copy of ``t``.
     """
     if len(a) == 0:
         raise ValueError("continued fraction needs at least one coefficient")
@@ -177,9 +178,11 @@ def _trunc_rows(a: np.ndarray, t: np.ndarray) -> np.ndarray:
                         x = 1.0 / (aj + x)
                     state[j] = x
             return np.array(states).reshape(t.shape)
+        t = np.array(t, dtype=np.float64)  # callers read their start states again
         with np.errstate(divide="raise", over="ignore"):  # overflow to inf, as for floats
             for row in a[::-1]:
-                t = 1.0 / (row + t)
+                np.add(row, t, out=t)
+                np.divide(1.0, t, out=t)
         return t
     except (ZeroDivisionError, FloatingPointError):
         raise DegenerateFraction("zero intermediate denominator") from None

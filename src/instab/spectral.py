@@ -12,8 +12,9 @@ A certified instability must survive all three within stated tolerances.
 
 The determinant has one driver, _det_rows: up to _FLOAT_WIDTH lambdas it runs
 the scaled recurrence as Python float loops, one lambda at a time, and wider
-passes take one numpy step per row with the same per-element arithmetic, so
-the width never changes a value.  det_I_plus_K is a one-lambda det_grid.
+passes form the row factors of a block of rows at once and take one numpy
+step per row, with the same per-element arithmetic, so the width never
+changes a value.  det_I_plus_K is a one-lambda det_grid.
 """
 
 from __future__ import annotations
@@ -50,8 +51,10 @@ RENORM_EVERY = 16  # RK4 steps per renormalization block of growth_rate
 _CHUNK_BLOCKS = 32
 _CHUNK_ELEMS = 1 << 15
 MAX_RK4_STEPS = 1 << 24  # growth_rate refuses longer runs before any work
-# lambdas per det_grid pass: a pass holds about ten vectors of this length
-# (under 1 MB), so a grid of any length and window allocates no more
+# lambdas per det_grid pass, and row factors per block of a wide _det_rows
+# pass: a full pass peaks at about thirteen vectors of this length (under
+# 1 MB), its blocks of factors included, so a grid of any length and window
+# allocates no more
 DET_GRID_CHUNK = 1 << 13
 # lambdas up to which _det_rows runs float loops: a numpy step per row costs
 # more below about 13 lambdas at N=128, and both costs scale with N
@@ -212,8 +215,11 @@ def _det_rows(L: TruncatedOperator, lams: np.ndarray) -> np.ndarray:
 
     K's rows are build_K's k = 1/(L_nn - lambda) and (k_{m+1}*sub_m)*(k_m*sup_m),
     the factor of D_{m-2}.  Up to _FLOAT_WIDTH lambdas run as float loops, one
-    at a time; wider passes step over the vector, holding a few vectors of it
-    whatever N is.  Both end in the power-of-two shift and NoConvergence for
+    at a time.  Wider passes form those factors for a block of rows times
+    lambdas at once, at most DET_GRID_CHUNK of them, then step over the vector
+    row by row, holding a few vectors of it whatever N is; a row takes the
+    exact rescale test only when some magnitude of the pair has left
+    [2^-256, 2^256].  Both end in the power-of-two shift and NoConvergence for
     the first lambda, in order, whose value is beyond the double range.
     """
     # Python float arithmetic overflows to inf and nan silently; so does numpy here
@@ -238,19 +244,28 @@ def _det_rows(L: TruncatedOperator, lams: np.ndarray) -> np.ndarray:
             d_prev, shift = np.array(d_prev), np.array(shift, dtype=np.int64)
         else:
             d_prev2, d_prev = np.ones(lams.size), np.ones(lams.size)
+            mag_prev = np.ones(lams.size)  # |d_prev|, carried from row to row
             shift = np.zeros(lams.size, dtype=np.int64)
-            k = 1.0 / (L.diag[0] - lams)
-            for diag, sub, sup in zip(L.diag[1:].tolist(), L.sub.tolist(), L.sup.tolist()):
-                k_next = 1.0 / (diag - lams)
-                d = d_prev - (k_next * sub) * (k * sup) * d_prev2
-                mag = np.maximum(np.abs(d), np.abs(d_prev))
-                rescale = (mag > _RESCALE_HI) | ((mag > 0.0) & (mag < _RESCALE_LO))
-                if rescale.any():
-                    e = np.where(rescale, np.frexp(mag)[1], 0)
-                    d = np.ldexp(d, -e)
-                    d_prev = np.ldexp(d_prev, -e)
-                    shift += e
-                d_prev2, d_prev, k = d_prev, d, k_next
+            rows = max(1, DET_GRID_CHUNK // lams.size)  # row factors per block
+            for r0 in range(0, L.sub.size, rows):
+                k = 1.0 / (L.diag[r0:r0 + rows + 1, None] - lams)
+                sub, sup = L.sub[r0:r0 + rows, None], L.sup[r0:r0 + rows, None]
+                for c in (k[1:] * sub) * (k[:-1] * sup):
+                    d = d_prev - c * d_prev2
+                    mag_d = np.abs(d)
+                    mag = np.maximum(mag_d, mag_prev)
+                    # max and min are NaN if any element is, and NaN fails both
+                    # tests: a NaN magnitude sends the row to the exact test,
+                    # which rescales the other lambdas and leaves the NaN as it is
+                    if not (mag.max() <= _RESCALE_HI and mag.min() >= _RESCALE_LO):
+                        rescale = (mag > _RESCALE_HI) | ((mag > 0.0) & (mag < _RESCALE_LO))
+                        if rescale.any():
+                            e = np.where(rescale, np.frexp(mag)[1], 0)
+                            d = np.ldexp(d, -e)
+                            d_prev = np.ldexp(d_prev, -e)
+                            shift += e
+                            mag_d = np.abs(d)
+                    d_prev2, d_prev, mag_prev = d_prev, d, mag_d
         values = np.ldexp(d_prev, shift)
     beyond = np.flatnonzero(np.isinf(values) & np.isfinite(d_prev))
     if beyond.size:

@@ -1,5 +1,7 @@
 """Command-line interface: output contracts, formats, exit codes."""
 
+import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import instab
 import instab.cli
@@ -682,6 +685,60 @@ def test_json_output_file(tmp_path, capsys):
     capsys.readouterr()
     got = json.loads(target.read_text())
     assert got["schema"] == 1
+
+
+def emitted(fmt, header, columns):
+    # _emit's body for a table, as curve and det hand theirs over
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        instab.cli._emit(argparse.Namespace(format=fmt, output=None),
+                         {"columns": header, "rows": [list(r) for r in zip(*columns)]},
+                         header, columns)
+    return out.getvalue()
+
+
+def per_cell_csv(header, rows):
+    # the writer the column template replaced: one conversion per cell
+    def cell(x):
+        if isinstance(x, str):
+            return x
+        return str(x) if type(x) is int else format(float(x), ".17g")
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, math.inf, -math.inf,
+               math.nan]
+FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS)
+INTS = st.integers() | st.sampled_from([0, -1, 2 ** 53 + 1, -(2 ** 63) - 1, 10 ** 30])
+COLUMN_CELLS = [FLOATS, FLOATS.map(np.float64), INTS, st.text(), FLOATS | INTS | st.text()]
+
+
+@st.composite
+def tables(draw):
+    rows = draw(st.integers(0, 6))
+    kinds = draw(st.lists(st.sampled_from(COLUMN_CELLS), min_size=1, max_size=5))
+    columns = [draw(st.lists(cells, min_size=rows, max_size=rows)) for cells in kinds]
+    return [f"c{i}" for i in range(len(columns))], columns
+
+
+EDGES = [[-0.0, 5e-324, 1.7976931348623157e308],
+         [np.float64(x) for x in (-0.0, 5e-324, 1.7976931348623157e308)],
+         [-7, 0, 2 ** 53 + 1], ["I0", "", "100%s"]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables())
+@example(table=(["a", "b", "c", "d"], EDGES))
+@example(table=(["a", "b", "c", "d"], [[], [], [], []]))
+def test_csv_writer_equals_the_per_cell_reference(table):
+    # floats and np.float64 at 17 digits, ints in decimal at any size, strings
+    # as they are, zero rows; the JSON of the same rows is json.dumps' own
+    header, columns = table
+    rows = [list(r) for r in zip(*columns)]
+    assert emitted("csv", header, columns) == per_cell_csv(header, rows)
+    if not any(isinstance(x, float) and not math.isfinite(x) for row in rows for x in row):
+        assert emitted("json", header, columns) == json.dumps(
+            {"schema": 1, "columns": header, "rows": rows}, indent=2) + "\n"
 
 
 FLOW = ["schema", "model", "p", "q", "class", "nu"]

@@ -244,14 +244,17 @@ def test_nan_bracket_runs_to_the_depth_cap():
 @pytest.mark.parametrize("states", [1, 2])
 def test_trunc_rows_branches_agree_across_the_float_width(states):
     # a pass of _FLOAT_WIDTH fractions times states runs on floats, one more
-    # fraction runs on numpy; the shared fractions come out equal
+    # fraction runs on numpy; the shared fractions come out equal, and neither
+    # branch writes the start states, which _adaptive_rows reads again
     rng = np.random.default_rng(5)
     n = _FLOAT_WIDTH // states
     a = rng.uniform(0.01, 10.0, (50, n + 1))
     t = rng.uniform(0.0, 2.0, (n + 1,) if states == 1 else (states, n + 1))
+    before = t.tolist()
     floats, wide = _trunc_rows(a[:, :n], t[..., :n]), _trunc_rows(a, t)
     assert floats.shape == t[..., :n].shape
     assert floats.tolist() == wide[..., :n].tolist()
+    assert t.tolist() == before
 
 
 @pytest.mark.parametrize("width", [_FLOAT_WIDTH, _FLOAT_WIDTH + 1])

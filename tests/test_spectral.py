@@ -410,6 +410,46 @@ def test_det_rows_runs_float_loops_up_to_the_width(fig_params):
         assert got.tolist() == [reference_det(x, fig_params, 16) for x in grid.tolist()]
 
 
+def test_det_rows_rescale_next_to_a_nan_row():
+    # at nu = 1e-300 the factors of lambda = 1e-300 overflow and its minors turn
+    # NaN, while the minors of lambda <= 1 must rescale (second grade, N=256):
+    # a NaN magnitude in a wide pass must not hide their rescaling
+    pr = make_params(model=ModelKind.SECOND_GRADE, alpha=0.5, nu=1e-300)
+    L = build_L(pr, 256)
+    tiny, rescaled = 1e-300, [0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+    assert abs(reference_det(0.3, pr, 256)) > 2.0 ** 256
+    for grid in ([tiny, *rescaled], [*rescaled[:4], tiny, *rescaled[4:]]):
+        want = [repr(reference_det(x, pr, 256)) for x in grid]
+        assert len(grid) > _FLOAT_WIDTH and want.count("nan") == 1
+        assert list(map(repr, instab.spectral._det_rows(L, np.array(grid)).tolist())) == want
+    # 0.05 is beyond the double range, and its minors would overflow to -inf
+    # after the tiny lambda's turn NaN if a NaN magnitude stopped the rescaling:
+    # the wide pass raises what the loop raises
+    with pytest.raises(NoConvergence) as scalar:
+        reference_det(0.05, pr, 256)
+    with pytest.raises(NoConvergence) as exc:
+        instab.spectral._det_rows(L, np.array([tiny, *rescaled, 0.05]))
+    assert str(exc.value) == str(scalar.value)
+
+
+def test_det_pass_memory_stays_within_its_vectors():
+    # a DET_GRID_CHUNK-wide pass at N=512: one row of factors per block, the
+    # minors, their magnitudes, the shifts and the rescale step's temporaries,
+    # about thirteen vectors of the pass's length; twenty bound it
+    pr = make_params(model=ModelKind.SECOND_GRADE, alpha=0.5, nu=0.04)
+    L = build_L(pr, 512)
+    lams = np.linspace(1.0, 3.0, DET_GRID_CHUNK)  # |det| up to 1e178: rescaled, in range
+    instab.spectral._det_rows(L, lams[:2 * _FLOAT_WIDTH])
+    tracemalloc.start()
+    try:
+        values = instab.spectral._det_rows(L, lams)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(values).all()
+    assert peak <= 20 * DET_GRID_CHUNK * 8
+
+
 def test_det_grid_needs_a_1d_grid(fig_params, monkeypatch):
     sections = count_calls(monkeypatch, instab.spectral, "build_L")
     for grid in (0.2, [[0.1, 0.2]]):
