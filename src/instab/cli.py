@@ -56,8 +56,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, str):
         return x
     if isinstance(x, int):

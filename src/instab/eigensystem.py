@@ -66,9 +66,7 @@ class EigenvectorResult:
 
 
 def _sides(lam, params, N, tol, match_tol, max_depth):
-    # each side's signs s, d_1..d_N and t_1..t_{N+1} as rows, checked at the junction
-    if N < 1:
-        raise ValueError("window N must be at least 1")
+    # each side's signs s, d_1..d_N as rows and seeds t_{N+1}, checked at the junction
     _check_positive("lambda", lam, zero_ok=True)
     cs, signs, _, _ = DispersionSpec(params)._stream
     # every seed t_{N+1} = [a_{s(N+1)}; ...] in one pass, under the even/odd bracket
@@ -81,17 +79,14 @@ def _sides(lam, params, N, tol, match_tol, max_depth):
     if match_tol is None:  # after the pass, which refuses a non-finite tol
         match_tol = 100.0 * tol
     a = cs.coeff(np.arange(N + 1)[:, None] * signs, lam).T.tolist()
-    d, t = [], []
+    d, junction = [], a[0][0]  # a_0 + sum_s t^s_1, the dispersion value
     for a_s, x in zip(a, seeds.tolist()):  # d_k = a_{sk} + t_{k+1}, t_k = 1/d_k, k = N..1
-        d_s, t_s = [0.0] * N, [0.0] * N + [x]
+        d_s = [0.0] * N
         for k in range(N - 1, -1, -1):
             d_s[k] = a_s[k + 1] + x
-            x = t_s[k] = 1.0 / d_s[k]
+            x = 1.0 / d_s[k]
         d.append(d_s)
-        t.append(t_s)
-    junction = a[0][0]  # a_0 + sum_s t^s_1, the dispersion value
-    for t_s in t:
-        junction += t_s[0]
+        junction += x
     mismatch = abs(junction)
     if not mismatch <= match_tol:
         raise MatchFailure(
@@ -99,7 +94,7 @@ def _sides(lam, params, N, tol, match_tol, max_depth):
             f"lambda={lam!r} is not certified as a root",
             mismatch=mismatch, tol=match_tol,
         )
-    return signs.tolist(), np.array(d), np.array(t)
+    return signs.tolist(), np.array(d), seeds
 
 
 def _fit_side(side, lo, hi):

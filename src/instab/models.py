@@ -41,8 +41,6 @@ __all__ = [
     "CoefficientStream",
     "beta",
     "gamma",
-    "rho",
-    "recurrence_coeff",
     "b",
     "c",
 ]
@@ -160,8 +158,7 @@ class CoefficientStream:
 
     Every method takes an integer index or index array and returns an ndarray
     of its shape (int64 for ``c``, float64 otherwise); the module-level
-    helpers ``c``, ``rho`` and ``recurrence_coeff`` are the scalar entry
-    points and return Python numbers.
+    helper ``c`` is the scalar entry point and returns an exact int.
     """
 
     params: FlowParams
@@ -289,16 +286,8 @@ def c(n: int, params: FlowParams) -> int:
     return (params.q.x + n * params.p.x) ** 2 + (params.q.y + n * params.p.y) ** 2
 
 
-def rho(n: int, params: FlowParams) -> float:
-    return float(CoefficientStream(params).rho(n))
-
-
-def recurrence_coeff(n: int, lam: float, params: FlowParams) -> float:
-    return float(CoefficientStream(params).coeff(n, lam))
-
-
 def b(n: int, params: FlowParams) -> float:
-    """b_n = c_n^2/(c_n - ||p||^2); equals recurrence_coeff(n, 0)/nu for nu > 0.
+    """b_n = c_n^2/(c_n - ||p||^2); equals CoefficientStream.coeff(n, 0)/nu for nu > 0.
 
     Defined for the NavierStokes coefficient family only.  Raises
     ZeroDivisionError at the degenerate index where c_n = ||p||^2.

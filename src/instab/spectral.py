@@ -230,8 +230,8 @@ def _det_rows(L: TruncatedOperator, lams: np.ndarray) -> np.ndarray:
             for lam in lams.tolist():
                 k = 1.0 / (L.diag - lam)
                 d2, d1, e_sum = 1.0, 1.0, 0  # empty minor and the first 1x1 block
-                for sub, sup in zip((k[1:] * L.sub).tolist(), (k[:-1] * L.sup).tolist()):
-                    d = d1 - sub * sup * d2
+                for c in ((k[1:] * L.sub) * (k[:-1] * L.sup)).tolist():
+                    d = d1 - c * d2
                     mag = max(abs(d), abs(d1))
                     if mag > hi or (0.0 < mag < lo):
                         _, e = math.frexp(mag)

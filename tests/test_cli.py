@@ -23,7 +23,7 @@ import instab.cli
 import instab.dispersion
 import instab.eigensystem
 import instab.spectral
-from instab import DispersionSpec, det_I_plus_K, det_root, recurrence_coeff, value
+from instab import CoefficientStream, DispersionSpec, det_I_plus_K, det_root, value
 from instab.cli import build_parser, run
 from conftest import LAM_STAR, NU_STAR, count_calls, make_params, record_passes
 
@@ -93,6 +93,16 @@ def test_root_json(capsys):
     assert lo <= got["lambda"] <= hi
     assert got["residual"] <= 1e-9
     assert got["cf_depth"] >= 2
+
+
+def test_root_with_the_normalizing_gamma(capsys):
+    # Gamma = -20/7 is the normalizing amplitude of this orbit: the JSON
+    # echoes it, and the root is the normalized one
+    normalized = run_json(capsys, ["root", *FIG])
+    got = run_json(capsys, ["root", *FIG, "--gamma=-2.857142857142857"])
+    assert "gamma" not in normalized
+    assert got["gamma"] == -2.857142857142857
+    assert got["lambda"] == pytest.approx(normalized["lambda"], abs=1e-10)
 
 
 def test_root_csv_round_trip(capsys):
@@ -338,8 +348,9 @@ def test_det_rejects_nonpositive_grid(capsys):
     ["--lambda-min=-0.1", "--lambda-max", "0.2", "--step", "0.1"],
 ])
 def test_det_lambda_rule_is_build_K_s(capsys, monkeypatch, argv):
-    # build_K refuses lambda <= 0 first, and only a grid's first point can be
-    # <= 0, so no determinant is computed
+    # det_grid refuses lambda <= 0 with build_K's message before it builds the
+    # section, and only a grid's first point can be <= 0, so no determinant
+    # is computed
     seen = count_calls(monkeypatch, instab.spectral, "build_L")
     assert run(["det", *FIG, *argv]) == 2
     assert capsys.readouterr().err == (
@@ -588,7 +599,7 @@ def test_grid_tables_match_api_pointwise(capsys):
                            0.04, 0.02, 5)
     for nu, row in zip(grid, rows):
         at = dataclasses.replace(pr, nu=nu)
-        a0 = recurrence_coeff(0, 0.0, at)
+        a0 = float(CoefficientStream(at).coeff(0, 0.0))
         h = value(0.0, DispersionSpec(at), tol=1e-10) - a0
         assert row[1:] == [g17(h), g17(-a0)]
 
@@ -821,13 +832,17 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+WORKFLOW = (Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml").read_text(
+    encoding="utf-8")
+
 # every `instab` command of the CI workflow, cut at its redirections and
 # pipes and without a `timeout N` prefix; the workflow only runs on a CI
 # runner, so this is the local check that its commands use real flags
 WORKFLOW_COMMANDS = [shlex.split(cmd) for cmd in re.findall(
-    r"^\s*(?:timeout \d+ )?instab (.*?)(?:\s+(?:\d?>|\|).*)?$",
-    (Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml").read_text(
-        encoding="utf-8"), re.MULTILINE)]
+    r"^\s*(?:timeout \d+ )?instab (.*?)(?:\s+(?:\d?>|\|).*)?$", WORKFLOW, re.MULTILINE)]
+
+# the workflow's inline `python -c "..."` checks, none of which holds a double quote
+WORKFLOW_SNIPPETS = re.findall(r'python -c "([^"]*)"', WORKFLOW)
 
 
 def test_workflow_commands_are_found():
@@ -838,6 +853,12 @@ def test_workflow_commands_are_found():
                          ids=lambda argv: argv[0])
 def test_workflow_command_parses(argv):
     assert callable(build_parser().parse_args(argv).func)
+
+
+def test_workflow_python_snippets_compile():
+    assert len(WORKFLOW_SNIPPETS) >= 4
+    for snippet in WORKFLOW_SNIPPETS:
+        compile(snippet, "<workflow>", "exec")
 
 
 def test_module_entry_point_help_exits_zero():
@@ -917,6 +938,7 @@ def test_regularized_model_needs_alpha(capsys):
     ["root", "--p", "3,1", "--q=-1,2", "--nu", "nan"],
     ["root", *FIG, "--tol", "nan"],
     ["root", "--p", "3,1", "--q=-1,2", "--nu", "inf"],
+    ["root", "--p", "3,1", "--q=-1,2", "--nu", "abc"],
     ["curve", *FIG, "--step", "nan"],
     ["simulate", *FIG, "--t-final", "nan"],
 ])

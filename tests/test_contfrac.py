@@ -138,6 +138,11 @@ def test_positive_stream_value_bounds(coeffs):
 # adaptive evaluation on dispersion tails
 # ---------------------------------------------------------------------------
 
+def test_adaptive_depth_cap_below_two_is_refused(fig_params):
+    with pytest.raises(ValueError, match="max_depth must be at least 2"):
+        eval_adaptive(TailSpec(Direction.FORWARD, fig_params, 0.1), 1e-10, max_depth=1)
+
+
 def test_adaptive_bracket_contains_deep_value(fig_params):
     tail = TailSpec(Direction.FORWARD, fig_params, 0.1)
     br = eval_adaptive(tail, tol=1e-10)

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import instab.dispersion
 from instab import (
+    CoefficientStream,
     DegenerateFraction,
     DispersionSpec,
     ModelKind,
@@ -19,7 +20,6 @@ from instab import (
     det_root,
     find_root,
     nu0_estimate,
-    recurrence_coeff,
     value,
     value_grid,
 )
@@ -93,14 +93,14 @@ def test_value_grid_equals_value(model, alpha, q):
     lams = [0.1 * i for i in range(21)]
     got, a0 = value_grid(spec, lams)
     assert got.tolist() == [value(x, spec) for x in lams]
-    assert a0.tolist() == [recurrence_coeff(0, x, pr) for x in lams]
+    assert a0.tolist() == [float(CoefficientStream(pr).coeff(0, x)) for x in lams]
     got, _ = value_grid(spec, lams, depth=7)
     assert got.tolist() == [value(x, spec, depth=7) for x in lams]
     nus = [0.01 + 0.03 * i for i in range(10)]
     got, a0 = value_grid(spec, 0.0, nus, tol=1e-12)
     at = [dataclasses.replace(pr, nu=nu) for nu in nus]
     assert got.tolist() == [value(0.0, spec_of(x), tol=1e-12) for x in at]
-    assert a0.tolist() == [recurrence_coeff(0, 0.0, x) for x in at]
+    assert a0.tolist() == [float(CoefficientStream(x).coeff(0, 0.0)) for x in at]
     if model is ModelKind.SECOND_GRADE:
         # value-region and fixed-point rows: the even/odd bracket alone reaches
         # the depth cap here, and so did the value-region one below 1e-5
@@ -474,6 +474,17 @@ def test_depth_capped_root_search_raises(alpha, nu, tol, max_depth, message, mon
     with pytest.raises(NoConvergence, match=f"^{re.escape(message)}$"):
         find_root(spec, tol=tol, max_depth=max_depth)
     assert seen == []
+
+
+def test_depth_capped_refinement_point_raises(monkeypatch):
+    # the scan's crossing pair converges at the cap and a refinement point
+    # does not: the last pass is a one-point pass inside the refinement
+    spec = spec_of(make_params(model=ModelKind.SECOND_GRADE, alpha=0.5, nu=0.01))
+    seen, passes = record_refinements(monkeypatch), record_passes(monkeypatch)
+    with pytest.raises(NoConvergence, match="above tol 2.500e-13 at depth cap 16$"):
+        find_root(spec, tol=1e-12, max_depth=16)
+    assert len(seen) == 1
+    assert np.size(passes[-1][0]) == 1 and np.size(passes[0][0]) > 1
 
 
 def test_row_failing_above_the_crossing_is_not_read(fig_params, monkeypatch):

@@ -12,13 +12,13 @@ from instab import (
     DispersionSpec,
     MatchFailure,
     ModelKind,
+    NoConvergence,
     PointClass,
     build_L,
     build_w,
     c,
     dominant_mode,
     find_root,
-    rho,
     value,
 )
 from instab.contfrac import DEFAULT_MAX_DEPTH
@@ -38,9 +38,10 @@ def ratios(lam, pr, N, match_tol=None):
 
     Forward u_0 = a_0 + t_1 and u_n = d_n; backward u_{-m} = -t_{m+1}.
     """
-    signs, d, t = _sides(lam, pr, N, 1e-12, match_tol, DEFAULT_MAX_DEPTH)
+    signs, d, seeds = _sides(lam, pr, N, 1e-12, match_tol, DEFAULT_MAX_DEPTH)
     u = {}
-    for s, d_s, t_s in zip(signs, d.tolist(), t.tolist()):
+    for s, d_s, seed in zip(signs, d.tolist(), seeds.tolist()):
+        t_s = [1.0 / x for x in d_s] + [seed]  # t_k = 1/d_k, k = 1..N, and t_{N+1}
         if s > 0:
             u.update(enumerate([float(CoefficientStream(pr).coeff(0, lam)) + t_s[0], *d_s]))
         else:
@@ -108,6 +109,16 @@ def test_non_finite_lambda_rejected(fig, monkeypatch, lam):
     assert passes == []
 
 
+def test_depth_capped_seed_raises(fig, monkeypatch):
+    # a seed that misses tol at the depth cap fails the one seed pass, before
+    # the section is built
+    pr, lam = fig
+    sections = count_calls(monkeypatch, instab.eigensystem, "build_L")
+    with pytest.raises(NoConvergence, match="at depth cap 2$"):
+        build_w(lam, pr, 8, tol=1e-15, max_depth=2)
+    assert sections == []
+
+
 def test_u_one_sided_for_boundary_classes(plus_params, minus_params):
     lam_p = find_root(DispersionSpec(plus_params), tol=1e-12).lam
     u_p = ratios(lam_p, plus_params, 6)
@@ -142,7 +153,7 @@ def test_window_and_center_normalization(fig):
     assert res.window == 32
     assert res.lam == lam
     # the center entry is pinned by the normalization z_0 = 1
-    assert res.w[0] == pytest.approx(1.0 / rho(0, pr), rel=1e-12)
+    assert res.w[0] == pytest.approx(1.0 / float(CoefficientStream(pr).rho(0)), rel=1e-12)
 
 
 def test_canonical_sign_pattern(fig):
@@ -178,7 +189,7 @@ def test_boundary_class_truncation(plus_params):
     res = build_w(lam, plus_params, 16)
     # the forward side is cut off by the vanishing rho_1: w_1 closes the
     # recurrence and everything beyond is exactly zero
-    expect_w1 = (rho(0, plus_params) * res.w[0]
+    expect_w1 = (float(CoefficientStream(plus_params).rho(0)) * res.w[0]
                  / (lam + plus_params.nu * c(1, plus_params)))
     assert res.w[1] == pytest.approx(expect_w1, rel=1e-12)
     for n in range(2, 17):
@@ -189,7 +200,7 @@ def test_boundary_class_truncation(plus_params):
 def test_boundary_class_truncation_mirror(minus_params):
     lam = find_root(DispersionSpec(minus_params), tol=1e-12).lam
     res = build_w(lam, minus_params, 16)
-    expect = (-rho(0, minus_params) * res.w[0]
+    expect = (-float(CoefficientStream(minus_params).rho(0)) * res.w[0]
               / (lam + minus_params.nu * c(-1, minus_params)))
     assert res.w[-1] == pytest.approx(expect, rel=1e-12)
     for n in range(-16, -1):

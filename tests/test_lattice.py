@@ -214,6 +214,16 @@ def test_enumerate_radius_zero_is_the_parallel_orbit():
     assert out == [(OrbitRep(rep=vec(0, 0), shift=0), PointClass.PARALLEL)]
 
 
+@pytest.mark.parametrize("call", [
+    lambda: canonical_rep(vec(1, 2), vec(0, 0)),
+    lambda: classify(vec(1, 2), vec(0, 0)),
+    lambda: enumerate_classes(vec(0, 0), 3.0),
+], ids=["canonical_rep", "classify", "enumerate_classes"])
+def test_zero_p_is_refused(call):
+    with pytest.raises(ValueError, match="p must be nonzero"):
+        call()
+
+
 def test_lattice_vector_requires_integers():
     with pytest.raises(TypeError):
         LatticeVector(1.5, 2)

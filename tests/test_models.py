@@ -20,8 +20,6 @@ from instab import (
     beta,
     c,
     gamma,
-    recurrence_coeff,
-    rho,
 )
 from conftest import CLASS_I_ORBITS, make_params
 
@@ -73,20 +71,20 @@ def test_explicit_gamma_passthrough():
 
 
 def test_rho_values(fig_params):
-    assert rho(0, fig_params) == pytest.approx(-1.0, abs=1e-15)
-    assert rho(1, fig_params) == pytest.approx(3.0 / 13.0, rel=1e-15)
-    assert rho(-1, fig_params) == pytest.approx(7.0 / 17.0, rel=1e-15)
+    assert float(CoefficientStream(fig_params).rho(0)) == pytest.approx(-1.0, abs=1e-15)
+    assert float(CoefficientStream(fig_params).rho(1)) == pytest.approx(3.0 / 13.0, rel=1e-15)
+    assert float(CoefficientStream(fig_params).rho(-1)) == pytest.approx(7.0 / 17.0, rel=1e-15)
 
 
 def test_recurrence_coeff_center(fig_params):
     lam = 0.37
     # a_0 = (lambda + nu*c_0)/rho_0 with rho_0 = -1
-    assert recurrence_coeff(0, lam, fig_params) == pytest.approx(
+    assert float(CoefficientStream(fig_params).coeff(0, lam)) == pytest.approx(
         -(lam + 5 * fig_params.nu), rel=1e-15)
 
 
 def test_recurrence_coeff_at_zero_is_nu_b(fig_params):
-    assert recurrence_coeff(1, 0.0, fig_params) == pytest.approx(
+    assert float(CoefficientStream(fig_params).coeff(1, 0.0)) == pytest.approx(
         fig_params.nu * 169.0 / 3.0, rel=1e-14)
 
 
@@ -110,9 +108,9 @@ def test_b_is_navier_stokes_only():
 
 
 def test_coeff_undefined_where_rho_vanishes(plus_params):
-    assert rho(1, plus_params) == pytest.approx(0.0, abs=1e-15)
+    assert float(CoefficientStream(plus_params).rho(1)) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(IndexUndefined):
-        recurrence_coeff(1, 0.2, plus_params)
+        float(CoefficientStream(plus_params).coeff(1, 0.2))
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +126,21 @@ def test_rho_is_gamma_times_beta(model):
         for n in range(-6, 7):
             k = pr.q + pr.p.scaled(n)
             expect = g * beta(pr.p, k, model, pr.alpha or 0.0)
-            assert rho(n, pr) == pytest.approx(expect, rel=1e-12, abs=1e-15)
+            got = float(CoefficientStream(pr).rho(n))
+            assert got == pytest.approx(expect, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_beta_of_a_zero_vector_is_zero(model, fig_params):
+    zero = LatticeVector(0, 0)
+    assert beta(fig_params.p, zero, model, 0.5) == 0.0
+    assert beta(zero, fig_params.q, model, 0.5) == 0.0
 
 
 def test_voigt_coeff_at_zero_matches_nu_b(fig_params):
     voigt = make_params(model=ModelKind.NS_VOIGT, alpha=0.5)
     for n in range(-20, 21):
-        assert recurrence_coeff(n, 0.0, voigt) == pytest.approx(
+        assert float(CoefficientStream(voigt).coeff(n, 0.0)) == pytest.approx(
             voigt.nu * b(n, fig_params), rel=1e-12)
 
 
@@ -145,8 +151,8 @@ def test_alpha_to_zero_recovers_plain_model(model, fig_params):
     for alpha in (1e-3, 1e-4):
         pr = make_params(model=model, alpha=alpha)
         for n in (-3, -1, 0, 1, 2):
-            gap = abs(recurrence_coeff(n, lam, pr)
-                      - recurrence_coeff(n, lam, fig_params))
+            gap = abs(float(CoefficientStream(pr).coeff(n, lam))
+                      - float(CoefficientStream(fig_params).coeff(n, lam)))
             assert gap <= 1e3 * alpha ** 2
 
 
@@ -155,9 +161,9 @@ def test_rho_large_n_limits():
     for model in (ModelKind.NAVIER_STOKES, ModelKind.SECOND_GRADE,
                   ModelKind.NS_ALPHA):
         pr = make_params(model=model, alpha=alpha_for(model))
-        assert rho(n, pr) == pytest.approx(1.0, abs=1e-3)
+        assert float(CoefficientStream(pr).rho(n)) == pytest.approx(1.0, abs=1e-3)
     voigt = make_params(model=ModelKind.NS_VOIGT, alpha=0.5)
-    assert abs(rho(n, voigt)) < 1e-4
+    assert abs(float(CoefficientStream(voigt).rho(n))) < 1e-4
 
 
 def test_b_even_indices_dominate_four_k_squared(fig_params):
@@ -169,8 +175,6 @@ def test_stream_matches_scalar_helpers(fig_params):
     cs = CoefficientStream(fig_params)
     for n in (-4, -1, 0, 2, 5):
         assert cs.c(n) == c(n, fig_params)
-        assert cs.rho(n) == rho(n, fig_params)
-        assert cs.coeff(n, 0.11) == recurrence_coeff(n, 0.11, fig_params)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +193,7 @@ def test_parallel_q_needs_explicit_gamma():
     pr = make_params(q=(6, 2), gamma=1.0)
     assert pr.point_class is PointClass.PARALLEL
     for n in range(-3, 4):
-        assert rho(n, pr) == 0.0
+        assert float(CoefficientStream(pr).rho(n)) == 0.0
 
 
 def test_regularized_models_require_alpha():
@@ -197,6 +201,8 @@ def test_regularized_models_require_alpha():
         make_params(model=ModelKind.NS_VOIGT)
     with pytest.raises(ValueError):
         make_params(model=ModelKind.SECOND_GRADE, alpha=0.0)
+    with pytest.raises(ValueError, match="second-grade requires alpha > 0"):
+        beta(LatticeVector(3, 1), LatticeVector(-1, 2), ModelKind.SECOND_GRADE, 0.0)
 
 
 def test_alpha_dropped_for_navier_stokes():

@@ -24,7 +24,6 @@ from instab import (
     find_root,
     growth_rate,
     max_real_eig,
-    rho,
 )
 from instab.spectral import (_CHUNK_BLOCKS, _CHUNK_ELEMS, _FLOAT_WIDTH, DET_GRID_CHUNK,
                              MAX_RK4_STEPS, RENORM_EVERY, WINDOW_CAP, TruncatedOperator,
@@ -263,7 +262,7 @@ def test_det_depth_zero_and_one(fig_params):
     nu = fig_params.nu
     k = {n: 1.0 / (-nu * (5 if n == 0 else 13 if n == 1 else 17) - lam)
          for n in (-1, 0, 1)}
-    r = {n: rho(n, fig_params) for n in (-1, 0, 1)}
+    r = {n: float(CoefficientStream(fig_params).rho(n)) for n in (-1, 0, 1)}
     expect = (1.0
               + k[0] * k[1] * r[0] * r[1]
               + k[-1] * k[0] * r[-1] * r[0])
@@ -278,6 +277,8 @@ def test_det_value_is_a_python_float(fig_params):
 def test_det_requires_positive_lambda(fig_params):
     with pytest.raises(ValueError):
         det_I_plus_K(0.0, fig_params, 4)
+    with pytest.raises(ValueError, match="needs lambda > 0"):
+        build_K(0.0, fig_params, 4)
 
 
 @pytest.mark.parametrize("N", [0, -5])
