@@ -40,10 +40,6 @@ from .spectral import (_check_dense_cap, _check_window_cap, _dt_max, build_L, de
 __all__ = ["run", "main"]
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # every flag has one spelling: a prefix such as --depth must not silently
     # stand for --depth-cap
@@ -52,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 
     # argparse calls error() then sys.exit(2); raise instead so run() owns codes
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _fmt(x) -> str:
@@ -66,11 +62,11 @@ def _fmt(x) -> str:
 def _parse_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise UsageError(f"expected two comma-separated integers, got {text!r}")
+        raise ValueError(f"expected two comma-separated integers, got {text!r}")
     try:
         return int(parts[0]), int(parts[1])
     except ValueError:
-        raise UsageError(f"expected integers in {text!r}") from None
+        raise ValueError(f"expected integers in {text!r}") from None
 
 
 def _finite_float(text: str) -> float:
@@ -128,14 +124,14 @@ def _emit(args, fields: dict, header: list[str], columns: list,
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(body)
     except OSError as exc:
-        raise UsageError(f"cannot write --output {args.output!r}: {exc.strerror}") from None
+        raise ValueError(f"cannot write --output {args.output!r}: {exc.strerror}") from None
 
 
 def _params_from(args, *, require_nu: bool = True) -> FlowParams:
     nu = args.nu
     if nu is None:
         if require_nu:
-            raise UsageError("--nu is required for this subcommand")
+            raise ValueError("--nu is required for this subcommand")
         nu = 1.0  # placeholder; the computation scans nu itself
     return FlowParams(
         model=ModelKind(args.model),
@@ -149,7 +145,7 @@ def _params_from(args, *, require_nu: bool = True) -> FlowParams:
 
 def _require_positive_nu(params: FlowParams) -> None:
     if params.nu == 0:
-        raise UsageError("nu=0 (no dissipation) is supported only by `curve`")
+        raise ValueError("nu=0 (no dissipation) is supported only by `curve`")
 
 
 _MAX_GRID_POINTS = 100_000
@@ -158,16 +154,16 @@ _MAX_GRID_POINTS = 100_000
 def _grid(lo: float | None, hi: float | None, step: float | None,
           what: str) -> list[float]:
     if lo is None or hi is None or step is None:
-        raise UsageError(f"{what} grid needs --{what}-min, --{what}-max and --step")
+        raise ValueError(f"{what} grid needs --{what}-min, --{what}-max and --step")
     if step <= 0:
-        raise UsageError("--step must be positive")
+        raise ValueError("--step must be positive")
     span = (hi - lo) / step
     if not span < _MAX_GRID_POINTS:  # an infinite span too; before the list is built
-        raise UsageError(f"{what} grid has too many points for --step {step:g} "
+        raise ValueError(f"{what} grid has too many points for --step {step:g} "
                          f"(at most {_MAX_GRID_POINTS})")
     count = int(math.floor(span + 1e-12)) + 1
     if count < 1:
-        raise UsageError(f"empty {what} grid: max is below min")
+        raise ValueError(f"empty {what} grid: max is below min")
     return [lo + i * step for i in range(count)]
 
 
@@ -180,12 +176,9 @@ def _found_root(spec: DispersionSpec, args, **kwargs) -> RootResult:
 
 
 def _max_depth(args) -> int:
-    cap = args.depth_cap
-    if cap is None:
-        return DEFAULT_MAX_DEPTH
-    if cap < 2:
-        raise UsageError("--depth-cap must be at least 2")
-    return cap
+    if args.depth_cap < 2:
+        raise ValueError("--depth-cap must be at least 2")
+    return args.depth_cap
 
 
 def _flow_meta(params: FlowParams) -> dict:
@@ -209,12 +202,12 @@ def _flow_meta(params: FlowParams) -> dict:
 def _cmd_classify(args) -> int:
     p = LatticeVector(*_parse_pair(args.p))
     if (args.q is None) == (args.radius is None):
-        raise UsageError("classify needs exactly one of --q or --radius")
+        raise ValueError("classify needs exactly one of --q or --radius")
     if args.radius is not None:
         if args.radius <= 0:
-            raise UsageError("--radius must be positive")
+            raise ValueError("--radius must be positive")
         if (2 * int(args.radius) + 3) ** 2 > _MAX_GRID_POINTS:  # enumerate_classes' scan
-            raise UsageError(f"--radius {args.radius:g} scans more than "
+            raise ValueError(f"--radius {args.radius:g} scans more than "
                              f"{_MAX_GRID_POINTS} lattice points")
         orbits = enumerate_classes(p, args.radius)
         _emit(args, {
@@ -262,7 +255,7 @@ def _cmd_root(args) -> int:
 
 def _cmd_nu0(args) -> int:
     if args.nu is not None:
-        raise UsageError("nu0 solves for nu and takes no --nu")
+        raise ValueError("nu0 solves for nu and takes no --nu")
     params = _params_from(args, require_nu=False)
     nu0 = nu0_estimate(params, tol=args.tol, nu_cap=args.nu_cap,
                        max_depth=_max_depth(args))
@@ -273,7 +266,7 @@ def _cmd_nu0(args) -> int:
 
 
 def _cmd_eigvec(args) -> int:
-    _check_window_cap(args.window)  # refused before the root search
+    _check_window_cap(args.window, minimum=3)  # refused before the root search
     params = _params_from(args)
     _require_positive_nu(params)
     spec = DispersionSpec(params)
@@ -306,23 +299,23 @@ def _cmd_det(args) -> int:
     grid_flags = (args.lambda_min, args.lambda_max, args.step)
     if args.root_bracket is not None:
         if args.lam is not None or any(x is not None for x in grid_flags):
-            raise UsageError("--root-bracket excludes --lam and a lambda grid")
+            raise ValueError("--root-bracket excludes --lam and a lambda grid")
         parts = args.root_bracket.split(",")
         if len(parts) != 2:
-            raise UsageError("--root-bracket expects lo,hi")
+            raise ValueError("--root-bracket expects lo,hi")
         try:
             lo, hi = _finite_float(parts[0]), _finite_float(parts[1])
         except argparse.ArgumentTypeError:
-            raise UsageError("--root-bracket expects finite numbers lo,hi") from None
+            raise ValueError("--root-bracket expects finite numbers lo,hi") from None
         root = det_root(params, N, (lo, hi), tol=1e-10 if args.tol is None else args.tol)
         _emit(args, {**_flow_meta(params), "det_root": root, "N": N},
               ["det_root", "n"], [[root], [N]])
         return 0
     if args.tol is not None:
-        raise UsageError("--tol belongs to --root-bracket")
+        raise ValueError("--tol belongs to --root-bracket")
     if args.lam is not None:
         if any(x is not None for x in grid_flags):
-            raise UsageError("pass either --lam or a lambda grid, not both")
+            raise ValueError("pass either --lam or a lambda grid, not both")
         grid = [args.lam]
     else:
         grid = _grid(*grid_flags, "lambda")
@@ -357,22 +350,22 @@ def _cmd_curve(args) -> int:
 
     if args.scan == "lambda":
         if args.nu_min is not None or args.nu_max is not None:
-            raise UsageError("--nu-min/--nu-max belong to --scan nu, not --scan lambda")
+            raise ValueError("--nu-min/--nu-max belong to --scan nu, not --scan lambda")
         lo = 0.0 if args.lambda_min is None else args.lambda_min
         hi = 2.0 if args.lambda_max is None else args.lambda_max
         grid = _grid(lo, hi, args.step, "lambda")
         if params.nu == 0 and grid[0] <= 0:
-            raise UsageError("nu=0 needs a strictly positive lambda grid "
+            raise ValueError("nu=0 needs a strictly positive lambda grid "
                              "(the recurrence degenerates at lambda=0)")
         v, a0 = value_grid(spec, grid, **opts)
         header, values = ["lambda", "minus_a0", "f_plus_g", "dispersion"], [-a0, v - a0, v]
     else:
         if any(x is not None for x in (args.nu, args.lambda_min, args.lambda_max)):
-            raise UsageError("--nu, --lambda-min and --lambda-max belong to --scan lambda, "
+            raise ValueError("--nu, --lambda-min and --lambda-max belong to --scan lambda, "
                              "not --scan nu")
         grid = _grid(args.nu_min, args.nu_max, args.step, "nu")
         if grid[0] <= 0:
-            raise UsageError("the nu grid must be strictly positive")
+            raise ValueError("the nu grid must be strictly positive")
         del meta["nu"]  # nu is the scan variable, not an input
         v, a0 = value_grid(spec, 0.0, grid, **opts)
         header, values = ["nu", "h", "rhs"], [v - a0, -a0]
@@ -389,7 +382,8 @@ def _cmd_verify(args) -> int:
     spec = DispersionSpec(params)
     N = args.window
     _check_dense_cap(N)  # refused before the root search; the dense solve waits for a root
-    lam_cf = _found_root(spec, args, tol=min(args.tol, 1e-10)).lam
+    # the root runs to a quarter of the agreement bound, as det_root does below
+    lam_cf = _found_root(spec, args, tol=min(1e-10, 0.25 * args.agree_tol)).lam
     lam_mx = max_real_eig(params, N)
     agree = args.agree_tol * max(1.0, lam_cf)
     ok_mx = abs(lam_mx - lam_cf) <= agree
@@ -458,7 +452,7 @@ def _add_output_args(sp, default_format: str) -> None:
 
 
 def _add_depth_args(sp) -> None:
-    sp.add_argument("--depth-cap", type=int, default=None,
+    sp.add_argument("--depth-cap", type=int, default=DEFAULT_MAX_DEPTH,
                     help=f"adaptive depth cap (default {DEFAULT_MAX_DEPTH})")
 
 
@@ -550,9 +544,11 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("verify", help="cross-check a root against matrix and determinant oracles")
     _add_flow_args(sp)
     sp.add_argument("--window", "-N", type=int, default=128)
-    sp.add_argument("--tol", type=_finite_float, default=1e-10)
-    sp.add_argument("--agree-tol", type=_finite_float, default=1e-8)
-    sp.add_argument("--det-tol", type=_finite_float, default=1e-6)
+    sp.add_argument("--agree-tol", type=_finite_float, default=1e-8,
+                    help="bound on each oracle's distance to the root, times max(1, root); "
+                         "the root search runs to min(1e-10, agree-tol/4) (default 1e-8)")
+    sp.add_argument("--det-tol", type=_finite_float, default=1e-6,
+                    help="bound on |det(I+K)| at the root (default 1e-6)")
     _add_depth_args(sp)
     sp.add_argument("--format", choices=["text", "json"], default="text")
     sp.add_argument("--output", default=None, metavar="PATH")
@@ -569,12 +565,12 @@ def run(argv: list[str] | None = None) -> int:
         out_dir = os.path.dirname(args.output or "") or "."
         if args.output is not None and not os.access(out_dir, os.W_OK):
             # refused before computing, not after
-            raise UsageError(f"cannot write --output {args.output!r}: {out_dir!r} "
+            raise ValueError(f"cannot write --output {args.output!r}: {out_dir!r} "
                              f"is not a writable directory")
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except InstabError as exc:

@@ -34,7 +34,7 @@ from .contfrac import DEFAULT_MAX_DEPTH, _adaptive_rows
 from .dispersion import DispersionSpec
 from .errors import MatchFailure, _check_positive
 from .models import CoefficientStream, FlowParams
-from .spectral import TruncatedOperator, _check_window_cap, build_L
+from .spectral import TruncatedOperator, _check_window_cap, _line_fit, build_L
 
 __all__ = [
     "EigenvectorResult",
@@ -104,14 +104,8 @@ def _fit_side(side, lo, hi):
     live = v > _UNDERFLOW_GUARD
     if np.count_nonzero(live) < 3:
         return None
-    x = k[live].astype(np.float64)
-    y = np.log(v[live])
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return -float(slope), r2
+    slope, r2 = _line_fit(k[live].astype(np.float64), np.log(v[live]))
+    return -slope, r2
 
 
 def _fit_decay(w, N):
@@ -170,9 +164,7 @@ def build_w(lam: float, params: FlowParams, N: int, *,
     junction is checked to ``match_tol`` (default 100*tol); MatchFailure says
     lambda is not a root, and match_tol=math.inf allows off-root diagnostics.
     """
-    if N < 3:
-        raise ValueError("window N must be at least 3")
-    _check_window_cap(N)  # before the sides march
+    _check_window_cap(N, minimum=3)  # before the sides march
     signs, d, _ = _sides(lam, params, N, tol, match_tol, max_depth)
     cs = CoefficientStream(params)
     w = np.zeros(2 * N + 1)  # the cut side of I+/I- stays 0.0

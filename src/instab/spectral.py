@@ -95,17 +95,18 @@ class TruncatedOperator:
 def _check_dense_cap(N: int) -> None:
     if N > DENSE_CAP:
         raise ValueError(f"window N={N} above dense cap {DENSE_CAP}")
+    _check_window_cap(N)
 
 
-def _check_window_cap(N: int) -> None:
+def _check_window_cap(N: int, minimum: int = 1) -> None:
     if N > WINDOW_CAP:
         raise ValueError(f"window N={N} above window cap {WINDOW_CAP}")
+    if N < minimum:
+        raise ValueError(f"window N must be at least {minimum}")
 
 
 def build_L(params: FlowParams, N: int) -> TruncatedOperator:
     _check_window_cap(N)
-    if N < 1:
-        raise ValueError("window N must be at least 1")
     cs = CoefficientStream(params)
     n = np.arange(-N, N + 1, dtype=np.int64)
     rho = cs.rho(n)
@@ -400,7 +401,13 @@ def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
         w = np.linalg.matrix_power(P, rest) @ w
         y[-1] = log_shift + math.log(float(np.linalg.norm(w)))
     # the samples are not needed after the fit, so the final half is centred in place
-    t, y = t[first:], y[first:]
-    t -= t.mean()
+    return _line_fit(t[first:], y[first:])[0]
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of y on x and R^2 (1.0 if centred y is 0); centres both in place."""
+    x -= x.mean()
     y -= y.mean()
-    return float(t @ y / (t @ t))
+    sxy, syy = x @ y, y @ y
+    slope = sxy / (x @ x)
+    return float(slope), 1.0 if syy == 0.0 else float(sxy * slope / syy)

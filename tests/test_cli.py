@@ -25,7 +25,7 @@ import instab.eigensystem
 import instab.spectral
 from instab import CoefficientStream, DispersionSpec, det_I_plus_K, det_root, value
 from instab.cli import build_parser, run
-from conftest import LAM_STAR, NU_STAR, count_calls, make_params, record_passes
+from conftest import LAM_STAR, MODELS, NU_STAR, count_calls, make_params, record_passes
 
 
 def run_json(capsys, argv):
@@ -557,7 +557,7 @@ def test_huge_finite_grid_refused_before_it_is_built(capsys, monkeypatch, argv):
 
 def test_grid_point_limit():
     assert len(instab.cli._grid(0.0, 99_999.0, 1.0, "lambda")) == 100_000
-    with pytest.raises(instab.cli.UsageError, match="at most 100000"):
+    with pytest.raises(ValueError, match="at most 100000"):
         instab.cli._grid(0.0, 100_000.0, 1.0, "lambda")
 
 
@@ -647,6 +647,34 @@ def test_verify_refuses_window_above_dense_cap_before_root_search(capsys, monkey
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "above dense cap 512" in captured.err
+    assert seen == []
+
+
+@pytest.mark.parametrize("model, alpha", [(m, a) for m, a, _ in MODELS],
+                         ids=[m.value for m, _, _ in MODELS])
+def test_verify_root_runs_to_a_quarter_of_agree_tol(capsys, monkeypatch, model, alpha):
+    argv = ["verify", "--model", model.value, *(["--alpha", str(alpha)] if alpha else []),
+            "--p", "3,1", "--q=0,-2", "--nu", "0.04", "--window", "64"]
+    # a root run only to 1e-10 sits 1.4e-11 to 3.0e-11 off both legs here
+    code = run([*argv, "--agree-tol", "1e-12"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert out.endswith("VERIFY: PASS\n")
+    # so the root search refuses a nonpositive bound, before the dense solve
+    solves = count_calls(monkeypatch, instab.cli, "max_real_eig")
+    assert run([*argv, "--agree-tol", "0"]) == 2
+    assert capsys.readouterr().err == "usage error: tol must be positive\n"
+    assert solves == []
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["eigvec", *FIG, "--window", "2"], "window N must be at least 3"),
+    (["verify", *FIG, "--window", "0"], "window N must be at least 1"),
+])
+def test_small_windows_refused_before_the_root_search(capsys, monkeypatch, argv, err):
+    seen = count_calls(monkeypatch, instab.cli, "find_root")
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"usage error: {err}\n")
     assert seen == []
 
 
@@ -917,6 +945,7 @@ def test_bad_pair_is_usage_error(capsys):
      "nu grid needs --nu-min, --nu-max and --step"),
     (["classify", "--p", "3,1", "--radius", "1e6"],
      "--radius 1e+06 scans more than 100000 lattice points"),
+    (["verify", *FIG, "--tol", "1e-12"], "unrecognized arguments: --tol 1e-12"),
 ])
 def test_usage_error_messages(capsys, argv, err):
     assert run(argv) == 2

@@ -1,12 +1,13 @@
 """The README's examples run as written."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from instab.cli import run
+from instab.cli import build_parser, run
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -38,3 +39,18 @@ def test_readme_example_exits_zero(capsys, line):
 def test_quick_start_runs(capsys):
     exec(compile(fenced_block("## Quick start (API)", "python"), "README.md", "exec"), {})
     assert "0.22315363431474" in capsys.readouterr().out
+
+
+# pip's flag, and the abbreviation the README cites as a usage error
+NOT_INSTAB_FLAGS = {"--no-build-isolation", "--lambda-c"}
+
+
+def test_every_readme_flag_exists():
+    # a flag that leaves the parser must leave the README too
+    parser = build_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {flag for p in (parser, *subparsers.choices.values())
+                for flag in p._option_string_actions}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README))
+    assert NOT_INSTAB_FLAGS <= named
+    assert named - NOT_INSTAB_FLAGS - declared == set()

@@ -1,5 +1,6 @@
 """Truncated-operator oracles: spectra, determinants, time-stepping."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -24,10 +25,11 @@ from instab import (
     find_root,
     growth_rate,
     max_real_eig,
+    nu0_estimate,
 )
 from instab.spectral import (_CHUNK_BLOCKS, _CHUNK_ELEMS, _FLOAT_WIDTH, DET_GRID_CHUNK,
                              MAX_RK4_STEPS, RENORM_EVERY, WINDOW_CAP, TruncatedOperator,
-                             _dt_max)
+                             _dt_max, _line_fit)
 from conftest import (CLASS_I_ORBITS, CLASS_Q, LAM_STAR, MODELS, count_calls, make_params,
                       reference_det)
 from test_acceptance import TRIANGLE
@@ -670,6 +672,31 @@ def test_growth_rate_single_partial_block(fig_params):
         growth_rate(fig_params, 8, (10 - 0.5) * dt, dt)
 
 
+@settings(max_examples=200, deadline=None)
+@given(ks=st.lists(st.integers(0, 200), min_size=2, max_size=60, unique=True),
+       off=st.floats(-3, 3), h=st.floats(1e-3, 1e3),
+       a=st.integers(-10 ** 4, 10 ** 4).map(lambda i: i / 1000),
+       b=st.integers(-10 ** 4, 10 ** 4).map(lambda i: i / 100),
+       noise=st.one_of(st.just(0.0), st.floats(1e-3, 10)), seed=st.integers(0, 2 ** 32 - 1))
+@example(ks=list(range(7)), off=1.0, h=0.37, a=0.0, b=3.7, noise=0.0, seed=0)  # constant y
+def test_line_fit_matches_polyfit(ks, off, h, a, b, noise, seed):
+    # x: sorted integers with gaps, as the live entries of an eigenvector side
+    # are, shifted by up to three spans; y a line with or without noise
+    k = np.sort(np.array(ks, dtype=np.float64))
+    x = h * (k + off * np.ptp(k))
+    y = a * x + b + noise * np.random.default_rng(seed).standard_normal(x.size)
+    want, intercept = np.polyfit(x, y, 1)
+    slope, r2 = _line_fit(x.copy(), y.copy())
+    # relative to the slope, or to the data's own scale where the slope is 0
+    assert abs(slope - want) <= 1e-12 * max(abs(want), np.max(np.abs(y)) / np.ptp(x))
+    if np.ptp(y) > 0.0:
+        # against 1 - SS_res/SS_tot of polyfit's line: both lose digits as
+        # the spread of y shrinks against its size
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
+        ref = 1.0 - float(np.sum((y - (want * x + intercept)) ** 2)) / ss_tot
+        assert abs(r2 - ref) <= 1e-12 * max(1.0, np.max(np.abs(y)) / math.sqrt(ss_tot / y.size))
+
+
 @pytest.mark.parametrize("model, alpha, nu, N, blocks, shape", [
     (ModelKind.NAVIER_STOKES, None, 0.06, 16, 70, (30, 33, 2, 10)),
     (ModelKind.NS_ALPHA, 1.0, 0.05, 16, 70, (30, 33, 2, 10)),
@@ -756,3 +783,27 @@ def test_growth_rate_refuses_before_dense(fig_params, monkeypatch, t_final, dt, 
     with pytest.raises(ValueError, match=match):
         growth_rate(fig_params, 8, t_final, dt)
     assert dense == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(list(ModelKind)), alpha=st.sampled_from([0.5, 1.0]),
+       orbit=st.sampled_from(CLASS_I_ORBITS), f=st.floats(0.05, 0.9))
+def test_oracle_triangle_on_random_instances(model, alpha, orbit, f):
+    # the root of a random orbit below its threshold nu0 against the N=128
+    # section spectrum and, where that leg is defined, the determinant zero.
+    # At N=64 slowly decaying second-grade modes (about e^-0.1 per index) miss
+    # by up to 1e-6; at small nu the determinant's slope at the root is so
+    # steep that |det(I+K)| stays far above any fixed bound (0.13 at
+    # nu=3.9e-4 with the root run to 1e-15), so the determinant leg asks
+    # for a sign change within the agreement bound.
+    p, q = orbit
+    params = make_params(model=model, alpha=alpha, p=p, q=q, nu=1.0)  # ns drops alpha
+    params = dataclasses.replace(params, nu=f * nu0_estimate(params, tol=1e-10))
+    res = find_root(DispersionSpec(params), tol=1e-12)
+    assert res.found, res.diagnostic
+    lam, bound = res.lam, 1e-8 * max(1.0, res.lam)
+    assert abs(max_real_eig(params, 128) - lam) <= bound
+    if model is not ModelKind.SECOND_GRADE:
+        below, above = (det_I_plus_K(x, params, 128).value for x in (lam - bound, lam + bound))
+        assert below * above <= 0.0
+        assert abs(det_root(params, 128, (0.9 * lam, 1.1 * lam), tol=0.25 * bound) - lam) <= bound
