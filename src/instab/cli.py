@@ -14,6 +14,10 @@ CSV; root, nu0 and simulate to JSON; verify takes --format text|json (no
 CSV) and defaults to text.  det has three exclusive modes: one --lam, a
 lambda grid (--lambda-min/--lambda-max/--step), or --root-bracket (with its
 --tol); the --lam and grid modes evaluate through spectral.det_grid.
+verify's determinant value leg asks det(I+K) to change sign within the
+agreement bound of the root.  The CLI states no rule of the library again:
+find_root refuses nu = 0 (so root, verify and eigvec without --lam do), while
+det, eigvec --lam, simulate and curve --scan lambda run there.
 """
 
 from __future__ import annotations
@@ -30,12 +34,12 @@ import numpy as np
 
 from .contfrac import DEFAULT_MAX_DEPTH
 from .dispersion import DispersionSpec, RootResult, find_root, nu0_estimate, value_grid
-from .eigensystem import build_w
+from .eigensystem import _EIGVEC_MIN_WINDOW, build_w
 from .errors import InstabError, NoSignChange
 from .lattice import LatticeVector, canonical_rep, classify, enumerate_classes, wedge
 from .models import FlowParams, ModelKind
-from .spectral import (_check_dense_cap, _check_window_cap, _dt_max, build_L, det_I_plus_K,
-                       det_grid, det_root, growth_rate, max_real_eig)
+from .spectral import (_check_dense_cap, _check_window_cap, _dt_max, build_L, det_grid,
+                       det_root, growth_rate, max_real_eig)
 
 __all__ = ["run", "main"]
 
@@ -143,11 +147,6 @@ def _params_from(args, *, require_nu: bool = True) -> FlowParams:
     )
 
 
-def _require_positive_nu(params: FlowParams) -> None:
-    if params.nu == 0:
-        raise ValueError("nu=0 (no dissipation) is supported only by `curve`")
-
-
 _MAX_GRID_POINTS = 100_000
 
 
@@ -169,16 +168,10 @@ def _grid(lo: float | None, hi: float | None, step: float | None,
 
 def _found_root(spec: DispersionSpec, args, **kwargs) -> RootResult:
     # the one search-or-fail path of root, eigvec and verify
-    result = find_root(spec, max_depth=_max_depth(args), **kwargs)
+    result = find_root(spec, max_depth=args.depth_cap, **kwargs)
     if not result.found:
         raise NoSignChange(result.diagnostic.removeprefix("NoSignChange: "))
     return result
-
-
-def _max_depth(args) -> int:
-    if args.depth_cap < 2:
-        raise ValueError("--depth-cap must be at least 2")
-    return args.depth_cap
 
 
 def _flow_meta(params: FlowParams) -> dict:
@@ -238,7 +231,6 @@ def _cmd_classify(args) -> int:
 
 def _cmd_root(args) -> int:
     params = _params_from(args)
-    _require_positive_nu(params)
     spec = DispersionSpec(params)
     result = _found_root(spec, args, tol=args.tol, lambda_cap=args.lambda_cap,
                          depth=args.depth)
@@ -258,7 +250,7 @@ def _cmd_nu0(args) -> int:
         raise ValueError("nu0 solves for nu and takes no --nu")
     params = _params_from(args, require_nu=False)
     nu0 = nu0_estimate(params, tol=args.tol, nu_cap=args.nu_cap,
-                       max_depth=_max_depth(args))
+                       max_depth=args.depth_cap)
     meta = _flow_meta(params)
     del meta["nu"]  # nu is the unknown here, not an input
     _emit(args, {**meta, "nu0": nu0}, ["nu0"], [[nu0]])
@@ -266,15 +258,14 @@ def _cmd_nu0(args) -> int:
 
 
 def _cmd_eigvec(args) -> int:
-    _check_window_cap(args.window, minimum=3)  # refused before the root search
+    _check_window_cap(args.window, minimum=_EIGVEC_MIN_WINDOW)  # refused before the root search
     params = _params_from(args)
-    _require_positive_nu(params)
     spec = DispersionSpec(params)
     lam = args.lam
     if lam is None:
         lam = _found_root(spec, args, tol=min(args.tol, 1e-10)).lam
     result = build_w(lam, params, args.window, tol=args.tol,
-                     match_tol=args.match_tol, max_depth=_max_depth(args))
+                     match_tol=args.match_tol, max_depth=args.depth_cap)
     ns = sorted(result.w)
     _emit(args, {
         **_flow_meta(params),
@@ -295,7 +286,6 @@ def _cmd_det(args) -> int:
     N = args.window
     _check_window_cap(N)  # refused before the section is built
     params = _params_from(args)
-    _require_positive_nu(params)
     grid_flags = (args.lambda_min, args.lambda_max, args.step)
     if args.root_bracket is not None:
         if args.lam is not None or any(x is not None for x in grid_flags):
@@ -328,7 +318,6 @@ def _cmd_det(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params = _params_from(args)
-    _require_positive_nu(params)
     dt = args.dt
     if dt is None:
         _check_dense_cap(args.window)  # before build_L allocates the bands
@@ -345,7 +334,7 @@ def _cmd_curve(args) -> int:
     # a nu scan supplies its own viscosities: --nu is read by a lambda scan only
     params = _params_from(args, require_nu=(args.scan == "lambda"))
     spec = DispersionSpec(params)
-    opts = dict(tol=args.tol, depth=args.depth, max_depth=_max_depth(args))
+    opts = dict(tol=args.tol, depth=args.depth, max_depth=args.depth_cap)
     meta = _flow_meta(params)
 
     if args.scan == "lambda":
@@ -378,7 +367,6 @@ def _cmd_curve(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = _params_from(args)
-    _require_positive_nu(params)
     spec = DispersionSpec(params)
     N = args.window
     _check_dense_cap(N)  # refused before the root search; the dense solve waits for a root
@@ -396,15 +384,19 @@ def _cmd_verify(args) -> int:
     # The determinant leg needs a trace-class K factor: its entries are
     # k_n*rho ~ rho_n/(nu*d_n).  For the second-grade model d_n is bounded
     # and rho_n -> 1, so the band entries do not decay and the sectioned
-    # determinant diverges with N; the leg is skipped there.
+    # determinant diverges with N; the leg is skipped there.  Its value leg
+    # asks for a zero within the agreement bound, a sign change on
+    # [max(lambda_cf - agree, lambda_cf/2), lambda_cf + agree]: as nu falls the
+    # slope at the root grows without bound, and so would |det| at the root.
     if params.model is not ModelKind.SECOND_GRADE:
-        det_at = det_I_plus_K(lam_cf, params, N).value
-        ok_det_val = abs(det_at) <= args.det_tol
+        lo = max(lam_cf - agree, 0.5 * lam_cf)
+        d_lo, det_at, d_hi = det_grid([lo, lam_cf, lam_cf + agree], params, N).tolist()
+        ok_det_val = d_lo <= 0.0 <= d_hi or d_hi <= 0.0 <= d_lo
         lam_det = det_root(params, N, (0.9 * lam_cf, 1.1 * lam_cf), tol=0.25 * agree)
         ok_det_root = abs(lam_det - lam_cf) <= agree
         lines += [
-            f"det(I+K)      = {det_at:.3g}   |.| <= {args.det_tol:.3g} :"
-            f" {'PASS' if ok_det_val else 'FAIL'}",
+            f"det(I+K)      = {det_at:.3g}   sign change within {agree:.3g}:"
+            f" {d_lo:.3g} to {d_hi:.3g} : {'PASS' if ok_det_val else 'FAIL'}",
             f"det_root      = {_fmt(lam_det)}   |diff| = {abs(lam_det - lam_cf):.3g}"
             f" <= {agree:.3g} : {'PASS' if ok_det_root else 'FAIL'}",
         ]
@@ -423,7 +415,6 @@ def _cmd_verify(args) -> int:
         "det_at_root": det_at,
         "det_root": lam_det,
         "agree_tol": agree,
-        "det_tol": args.det_tol,
         "pass": passed,
     }, [], [], text="\n".join(lines) + "\n")
     return 0 if passed else 3
@@ -547,8 +538,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--agree-tol", type=_finite_float, default=1e-8,
                     help="bound on each oracle's distance to the root, times max(1, root); "
                          "the root search runs to min(1e-10, agree-tol/4) (default 1e-8)")
-    sp.add_argument("--det-tol", type=_finite_float, default=1e-6,
-                    help="bound on |det(I+K)| at the root (default 1e-6)")
     _add_depth_args(sp)
     sp.add_argument("--format", choices=["text", "json"], default="text")
     sp.add_argument("--output", default=None, metavar="PATH")

@@ -281,7 +281,7 @@ def find_root(spec: DispersionSpec, tol: float = 1e-10,
     """
     _check_positive("tol", tol)
     if spec.params.nu == 0:
-        raise ValueError("root search requires nu > 0; nu=0 is curve-table only")
+        raise ValueError("root search requires nu > 0")
     if lambda_cap is None:
         lambda_cap = default_lambda_cap(spec.params)
     _check_positive("lambda_cap", lambda_cap)

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _UNDERFLOW_GUARD = 1e-300
+_EIGVEC_MIN_WINDOW = 3  # build_w's smallest N, which eigvec refuses before its root search
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ def build_w(lam: float, params: FlowParams, N: int, *,
     junction is checked to ``match_tol`` (default 100*tol); MatchFailure says
     lambda is not a root, and match_tol=math.inf allows off-root diagnostics.
     """
-    _check_window_cap(N, minimum=3)  # before the sides march
+    _check_window_cap(N, minimum=_EIGVEC_MIN_WINDOW)  # before the sides march
     signs, d, _ = _sides(lam, params, N, tol, match_tol, max_depth)
     cs = CoefficientStream(params)
     w = np.zeros(2 * N + 1)  # the cut side of I+/I- stays 0.0

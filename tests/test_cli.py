@@ -23,9 +23,10 @@ import instab.cli
 import instab.dispersion
 import instab.eigensystem
 import instab.spectral
-from instab import CoefficientStream, DispersionSpec, det_I_plus_K, det_root, value
+from instab import CoefficientStream, DispersionSpec, det_I_plus_K, det_root, max_real_eig, value
 from instab.cli import build_parser, run
-from conftest import LAM_STAR, MODELS, NU_STAR, count_calls, make_params, record_passes
+from conftest import (CLASS_Q, LAM_STAR, MODELS, NU_STAR, count_calls, make_params,
+                      record_passes)
 
 
 def run_json(capsys, argv):
@@ -548,11 +549,10 @@ def test_curve_grid_too_large_rejected(capsys):
 ])
 def test_huge_finite_grid_refused_before_it_is_built(capsys, monkeypatch, argv):
     grids = count_calls(monkeypatch, instab.cli, "value_grid")
-    dets = count_calls(monkeypatch, instab.cli, "det_I_plus_K")
     det_grids = count_calls(monkeypatch, instab.cli, "det_grid")
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("usage error: ")
-    assert grids == dets == det_grids == []
+    assert grids == det_grids == []
 
 
 def test_grid_point_limit():
@@ -683,6 +683,102 @@ def test_verify_stable_instance_exits_before_the_dense_solve(capsys, monkeypatch
     assert run(["verify", "--p", "3,1", "--q=-1,2", "--nu", "10", "--window", "64"]) == 3
     assert "NoSignChange" in capsys.readouterr().err
     assert solves == []
+
+
+@pytest.mark.parametrize("flow", [
+    ["--p", "1,4", "--q=4,0", "--nu", "0.00038946152467501303"],
+    ["--p", "3,1", "--q=3,4", "--nu", "0.002100219299146649"],
+], ids=["p14", "p31"])
+def test_verify_determinant_value_leg_is_a_sign_change(capsys, flow):
+    # at these small-nu roots det(I+K) climbs about 7.6e14 and 7.1e6 per unit
+    # lambda, so it reads -1.8e4 and -1.2e-4 at the root, far above the old
+    # bound of 1e-6, although the matrix top and the determinant zero agree
+    # with lambda_cf within 4e-10; it changes sign within the agreement bound
+    code = run(["verify", *flow, "--window", "128"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert re.search(r"^det\(I\+K\) .* : PASS$", out, re.MULTILINE), out
+    assert out.endswith("VERIFY: PASS\n")
+
+
+def test_verify_sign_change_ends_stay_positive(capsys, monkeypatch):
+    # an agreement bound above the root: the lower end is lambda_cf/2, not
+    # lambda_cf - agree < 0, which det_grid would refuse
+    grids = count_calls(monkeypatch, instab.cli, "det_grid")
+    got = run_json(capsys, ["verify", *FIG, "--window", "64", "--agree-tol", "1",
+                            "--format", "json"])
+    lam = got["lambda_cf"]
+    assert grids == [[0.5 * lam, lam, lam + 1.0]]
+    assert got["pass"] is True
+
+
+@pytest.mark.parametrize("ends, verdict", [
+    ((-1.0, 1.0), "PASS"), ((1.0, -1.0), "PASS"), ((0.0, 1.0), "PASS"), ((-1.0, 0.0), "PASS"),
+    ((1.0, 2.0), "FAIL"), ((-2.0, -1.0), "FAIL"),
+])
+def test_verify_sign_change_rule(capsys, monkeypatch, ends, verdict):
+    # the value leg compares the signs of the two ends; a zero end is a zero
+    # within the bound.  The middle value is the one printed, det at the root
+    monkeypatch.setattr(instab.cli, "det_grid",
+                        lambda lams, params, N: np.array([ends[0], 0.5, ends[1]]))
+    code = run(["verify", *FIG, "--window", "64"])
+    out = capsys.readouterr().out
+    assert re.search(rf"^det\(I\+K\)      = 0.5   .* : {verdict}$", out, re.MULTILINE), out
+    assert code == (0 if verdict == "PASS" else 3)
+    assert out.endswith(f"VERIFY: {verdict}\n")
+
+
+# ---------------------------------------------------------------------------
+# nu = 0: det, eigvec --lam and simulate run; the root search does not
+# ---------------------------------------------------------------------------
+
+NU_ZERO = [(model, alpha, q) for model, alpha, _ in MODELS for q in CLASS_Q]
+NU_ZERO_IDS = [f"{model.value}-{q[0]},{q[1]}" for model, _, q in NU_ZERO]
+
+
+def nu_zero_case(model, alpha, q):
+    flow = ["--model", model.value, *(["--alpha", str(alpha)] if alpha else []),
+            "--p", "3,1", f"--q={q[0]},{q[1]}", "--nu", "0"]
+    return make_params(model=model, alpha=alpha, q=q, nu=0.0), flow
+
+
+@pytest.mark.parametrize("model, alpha, q", NU_ZERO, ids=NU_ZERO_IDS)
+def test_nu_zero_det_root_is_the_section_top(capsys, model, alpha, q):
+    # the nu = 0 determinant grows with N, as second grade's does at nu > 0,
+    # but its zero is still the section's eigenvalue
+    params, flow = nu_zero_case(model, alpha, q)
+    top = max_real_eig(params, 128)
+    got = run_json(capsys, ["det", *flow, "--root-bracket", f"{0.9 * top!r},{1.1 * top!r}",
+                            "--window", "128", "--format", "json"])
+    assert abs(got["det_root"] - top) <= 1e-8 * max(1.0, top)
+
+
+@pytest.mark.parametrize("model, alpha, q", NU_ZERO, ids=NU_ZERO_IDS)
+def test_nu_zero_eigvec_at_the_section_top(capsys, model, alpha, q):
+    params, flow = nu_zero_case(model, alpha, q)
+    top = max_real_eig(params, 128)
+    got = run_json(capsys, ["eigvec", *flow, "--lam", repr(top), "--format", "json"])
+    assert got["residual"] <= 1e-10
+    assert got["sign_ok"] is True
+
+
+@pytest.mark.parametrize("model, alpha, q", NU_ZERO, ids=NU_ZERO_IDS)
+def test_nu_zero_simulate_slope_is_the_section_top(capsys, model, alpha, q):
+    # the default T = 40 for NS, second grade and NS-alpha; NS-Voigt runs to
+    # T = 400, fixed before any run, since a probe put its T = 40 slope
+    # 7e-4 to 2.4e-3 relative from the top
+    params, flow = nu_zero_case(model, alpha, q)
+    t_final = "400" if model is instab.ModelKind.NS_VOIGT else "40"
+    got = run_json(capsys, ["simulate", *flow, "--window", "16", "--t-final", t_final])
+    top = max_real_eig(params, 16)
+    assert abs(got["slope"] - top) <= 1e-3 * max(1.0, top)
+
+
+@pytest.mark.parametrize("command", ["root", "verify", "eigvec"])
+def test_nu_zero_root_search_is_refused(capsys, command):
+    # find_root states the rule; eigvec refuses only when it must search
+    assert run([command, "--p", "3,1", "--q=-1,2", "--nu", "0"]) == 2
+    assert capsys.readouterr() == ("", "usage error: root search requires nu > 0\n")
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +919,7 @@ SIM = [*FIG, "--window", "8", "--t-final", "5"]
      ["lambda_cf", "lambda_matrix", "det(I+K)", "det_root", "VERIFY:"]),
     (["verify", *FIG, "--window", "32", "--format", "json"],
      [*FLOW, "N", "lambda_cf", "lambda_matrix", "det_at_root", "det_root",
-      "agree_tol", "det_tol", "pass"]),
+      "agree_tol", "pass"]),
 ])
 def test_output_contract(tmp_path, capsys, argv, layout):
     # --output gets exactly the bytes stdout gets, in a fixed layout: the JSON
@@ -869,6 +965,9 @@ WORKFLOW = (Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml")
 WORKFLOW_COMMANDS = [shlex.split(cmd) for cmd in re.findall(
     r"^\s*(?:timeout \d+ )?instab (.*?)(?:\s+(?:\d?>|\|).*)?$", WORKFLOW, re.MULTILINE)]
 
+# the workflow checks that this flag, removed from verify, is a usage error
+WORKFLOW_REFUSED = [argv for argv in WORKFLOW_COMMANDS if "--det-tol" in argv]
+
 # the workflow's inline `python -c "..."` checks, none of which holds a double quote
 WORKFLOW_SNIPPETS = re.findall(r'python -c "([^"]*)"', WORKFLOW)
 
@@ -877,10 +976,17 @@ def test_workflow_commands_are_found():
     assert len(WORKFLOW_COMMANDS) > 20
 
 
-@pytest.mark.parametrize("argv", [argv for argv in WORKFLOW_COMMANDS if "--help" not in argv],
+@pytest.mark.parametrize("argv", [argv for argv in WORKFLOW_COMMANDS
+                                  if "--help" not in argv and argv not in WORKFLOW_REFUSED],
                          ids=lambda argv: argv[0])
 def test_workflow_command_parses(argv):
     assert callable(build_parser().parse_args(argv).func)
+
+
+def test_workflow_refused_flag_does_not_parse():
+    assert len(WORKFLOW_REFUSED) == 1
+    with pytest.raises(ValueError, match="unrecognized arguments: --det-tol 1e-6"):
+        build_parser().parse_args(WORKFLOW_REFUSED[0])
 
 
 def test_workflow_python_snippets_compile():
@@ -934,7 +1040,7 @@ def test_bad_pair_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv, err", [
-    (["root", *FIG, "--depth-cap", "1"], "--depth-cap must be at least 2"),
+    (["root", *FIG, "--depth-cap", "1"], "max_depth must be at least 2"),
     (["curve", *FIG, "--step", "0"], "--step must be positive"),
     (["classify", "--p", "3,1", "--radius", "0"], "--radius must be positive"),
     (["det", *FIG, "--root-bracket", "0.2"], "--root-bracket expects lo,hi"),
@@ -946,6 +1052,7 @@ def test_bad_pair_is_usage_error(capsys):
     (["classify", "--p", "3,1", "--radius", "1e6"],
      "--radius 1e+06 scans more than 100000 lattice points"),
     (["verify", *FIG, "--tol", "1e-12"], "unrecognized arguments: --tol 1e-12"),
+    (["verify", *FIG, "--det-tol", "1e-6"], "unrecognized arguments: --det-tol 1e-6"),
 ])
 def test_usage_error_messages(capsys, argv, err):
     assert run(argv) == 2
