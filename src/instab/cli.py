@@ -55,14 +55,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, int):
-        return str(x)
-    return format(float(x), ".17g")
-
-
 def _parse_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -89,8 +81,9 @@ def _csv_lines(columns: list) -> str:
     """The CSV lines of the table with these columns, each ending in LF.
 
     Each column picks its conversion once, by the types it holds: %.17g for
-    float and np.float64 (what _fmt writes for them), %d for int and _fmt's
-    string otherwise.  All cells then fill one template in one % operation.
+    float and np.float64, %d for int and %s otherwise, where a float cell of a
+    mixed column is written with %.17g first.  All cells then fill one
+    template in one % operation.
     """
     specs, cells = [], []
     for column in columns:
@@ -101,7 +94,7 @@ def _csv_lines(columns: list) -> str:
             specs.append("%d")
         else:
             specs.append("%s")
-            column = [_fmt(x) for x in column]
+            column = ["%.17g" % x if isinstance(x, float) else x for x in column]
         cells.append(column)
     rows = len(cells[0]) if cells else 0
     return ((",".join(specs) + "\n") * rows) % tuple(itertools.chain.from_iterable(zip(*cells)))
@@ -376,8 +369,8 @@ def _cmd_verify(args) -> int:
     agree = args.agree_tol * max(1.0, lam_cf)
     ok_mx = abs(lam_mx - lam_cf) <= agree
     lines = [
-        f"lambda_cf     = {_fmt(lam_cf)}",
-        f"lambda_matrix = {_fmt(lam_mx)}   |diff| = {abs(lam_mx - lam_cf):.3g}"
+        f"lambda_cf     = {lam_cf:.17g}",
+        f"lambda_matrix = {lam_mx:.17g}   |diff| = {abs(lam_mx - lam_cf):.3g}"
         f" <= {agree:.3g} : {'PASS' if ok_mx else 'FAIL'}",
     ]
 
@@ -397,7 +390,7 @@ def _cmd_verify(args) -> int:
         lines += [
             f"det(I+K)      = {det_at:.3g}   sign change within {agree:.3g}:"
             f" {d_lo:.3g} to {d_hi:.3g} : {'PASS' if ok_det_val else 'FAIL'}",
-            f"det_root      = {_fmt(lam_det)}   |diff| = {abs(lam_det - lam_cf):.3g}"
+            f"det_root      = {lam_det:.17g}   |diff| = {abs(lam_det - lam_cf):.3g}"
             f" <= {agree:.3g} : {'PASS' if ok_det_root else 'FAIL'}",
         ]
     else:

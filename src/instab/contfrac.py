@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateFraction, NoConvergence, _check_positive
+from .errors import DegenerateFraction, NoConvergence, _check_number
 from .models import CoefficientStream, FlowParams, b
 
 __all__ = [
@@ -85,7 +85,7 @@ class TailSpec:
     lam: float
 
     def __post_init__(self):
-        _check_positive("lambda", self.lam, zero_ok=True)
+        _check_number("lambda", self.lam, "nonnegative")
 
     def coeffs(self, depth: int) -> np.ndarray:
         """Recurrence coefficients a_{s*1..s*depth}, s the direction sign."""
@@ -135,7 +135,7 @@ def _levels(tol: float, max_depth: int, start: int = 2):
     ``start`` rounded down to even (at least 2), doubled up to the even cap
     at or below ``max_depth``, which is the last level.
     """
-    _check_positive("tol", tol)
+    _check_number("tol", tol)
     if max_depth < 2:
         raise ValueError("max_depth must be at least 2")
     cap = max_depth - max_depth % 2

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contfrac import DEFAULT_MAX_DEPTH, Direction, _adaptive_rows, _trunc_rows
-from .errors import ThresholdNotFound, _check_positive
+from .errors import ThresholdNotFound, _check_number
 from .lattice import PointClass
 from .models import CoefficientStream, FlowParams
 
@@ -112,19 +112,10 @@ def _grid_info(spec, lam, nu, tol, depth, max_depth, start_depth=2, *, scan=Fals
     # a failed row's value is NaN.  Every tail starts at ``start_depth``, and
     # a ``scan`` reads only the signs up to the first crossing (below)
     nu = spec.params.nu if nu is None else nu
-    grid = np.empty((2, *np.broadcast(np.atleast_1d(lam), nu).shape))
-    for row, x in zip(grid, (lam, nu)):  # broadcast, cheaper than np.broadcast_arrays
-        try:
-            row[...] = x
-        except OverflowError:  # a Python int beyond the float range
-            row[...] = np.inf
-    lams, nus = grid
-    if not np.isfinite(grid).all():
-        raise ValueError(f"{'viscosity' if np.isfinite(lams).all() else 'lambda'} must be finite")
-    if (lams < 0).any():
-        raise ValueError("lambda must be nonnegative")
-    if (nus < 0).any():
-        raise ValueError("viscosity must be nonnegative")
+    _check_number("lambda", lam, "nonnegative")
+    _check_number("viscosity", nu, "nonnegative")
+    lams, nus = np.empty((2, *np.broadcast(np.atleast_1d(lam), nu).shape))
+    lams[...], nus[...] = lam, nu  # broadcast, cheaper than np.broadcast_arrays
     cs, signs, d0, rho0 = spec._stream
 
     def coeffs(live, lo, hi):
@@ -279,12 +270,12 @@ def find_root(spec: DispersionSpec, tol: float = 1e-10,
     root pair (monotonicity in lambda is not established); tighten the cap or
     scan manually via value() when that matters.
     """
-    _check_positive("tol", tol)
+    _check_number("tol", tol)
     if spec.params.nu == 0:
         raise ValueError("root search requires nu > 0")
     if lambda_cap is None:
         lambda_cap = default_lambda_cap(spec.params)
-    _check_positive("lambda_cap", lambda_cap)
+    _check_number("lambda_cap", lambda_cap)
 
     grid = [0.0, *_doubling(tol, lambda_cap)]
     values, _, depths, failed = _grid_info(spec, grid, None, tol, depth, max_depth, scan=True)
@@ -358,8 +349,8 @@ def nu0_estimate(params: FlowParams, tol: float = 1e-8, *,
     ones end within a few hundred terms through the value-region and
     fixed-point enclosures (see contfrac).
     """
-    _check_positive("tol", tol)
-    _check_positive("nu_cap", nu_cap)
+    _check_number("tol", tol)
+    _check_number("nu_cap", nu_cap)
     spec = DispersionSpec(params)  # validates the class up front; the scan sets nu
     tol_h = min(tol, 1e-9)
 

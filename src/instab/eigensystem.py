@@ -32,7 +32,7 @@ import numpy as np
 
 from .contfrac import DEFAULT_MAX_DEPTH, _adaptive_rows
 from .dispersion import DispersionSpec
-from .errors import MatchFailure, _check_positive
+from .errors import MatchFailure, _check_number
 from .models import CoefficientStream, FlowParams
 from .spectral import TruncatedOperator, _check_window_cap, _line_fit, build_L
 
@@ -68,7 +68,7 @@ class EigenvectorResult:
 
 def _sides(lam, params, N, tol, match_tol, max_depth):
     # each side's signs s, d_1..d_N as rows and seeds t_{N+1}, checked at the junction
-    _check_positive("lambda", lam, zero_ok=True)
+    _check_number("lambda", lam, "nonnegative")
     cs, signs, _, _ = DispersionSpec(params)._stream
     # every seed t_{N+1} = [a_{s(N+1)}; ...] in one pass, under the even/odd bracket
     seeds, *_, failed = _adaptive_rows(

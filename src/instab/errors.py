@@ -6,6 +6,8 @@ one of these, so callers can tell "the math said no" apart from a bug.
 
 import sys
 
+import numpy as np
+
 __all__ = [
     "InstabError",
     "IndexUndefined",
@@ -61,13 +63,20 @@ class ThresholdNotFound(InstabError):
         self.cap = cap
 
 
-def _check_positive(name: str, x: float, *, zero_ok: bool = False) -> None:
-    """Refuse a tolerance, cap or radius that is NaN, infinite or <= 0 (< 0 if zero_ok).
+def _check_number(name: str, x, sign: str | None = "positive") -> None:
+    """Refuse a number, or an array-like's element, that is not finite or not of ``sign``.
 
-    The ValueError names ``name``; callers check at entry, so such a value is
+    NaN, inf and a Python int beyond the float range are not finite.  ``sign``
+    "positive" refuses x <= 0, "nonnegative" x < 0, None neither.  The
+    ValueError names ``name``; callers check at entry, so such a value is
     never chased to a depth cap.
     """
-    if not abs(x) <= sys.float_info.max:  # also a Python int beyond the float range
+    scalar = isinstance(x, (int, float))  # plain comparisons: _levels checks tol on every pass
+    x = x if scalar else np.asarray(x)  # an int beyond the float range makes an object array
+    finite = abs(x) <= sys.float_info.max
+    if not (finite if scalar else finite.all()):
         raise ValueError(f"{name} must be finite")
-    if x < 0 or (x == 0 and not zero_ok):
-        raise ValueError(f"{name} must be {'nonnegative' if zero_ok else 'positive'}")
+    if sign is not None:
+        below = x <= 0 if sign == "positive" else x < 0
+        if below if scalar else below.any():
+            raise ValueError(f"{name} must be {sign}")

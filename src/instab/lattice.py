@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import _check_positive
+from .errors import _check_number
 
 __all__ = [
     "LatticeVector",
@@ -145,7 +145,7 @@ def enumerate_classes(
     """
     if p.is_zero():
         raise ValueError("p must be nonzero")
-    _check_positive("radius", radius, zero_ok=True)
+    _check_number("radius", radius, "nonnegative")
     r_sq = radius * radius
     bound = int(radius) + 1
     seen: dict[LatticeVector, PointClass] = {}

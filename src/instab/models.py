@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexUndefined
+from .errors import IndexUndefined, _check_number
 from .lattice import LatticeVector, PointClass, canonical_rep, classify, wedge
 
 __all__ = [
@@ -85,11 +85,10 @@ class FlowParams:
     def __post_init__(self):
         if self.p.is_zero():
             raise ValueError("p must be nonzero")
-        if not all(math.isfinite(x) for x in (self.nu, self.alpha, self.gamma)
-                   if x is not None):
-            raise ValueError("nu, alpha and gamma must be finite")
-        if self.nu < 0:
-            raise ValueError("viscosity must be nonnegative")
+        _check_number("nu", self.nu, "nonnegative")
+        for name in ("alpha", "gamma"):
+            if getattr(self, name) is not None:
+                _check_number(name, getattr(self, name), None)
         if self.model.regularized:
             if self.alpha is None or not self.alpha > 0:
                 raise ValueError(f"{self.model.value} requires alpha > 0")

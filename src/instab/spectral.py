@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import _refine
-from .errors import NoConvergence, NoSignChange, _check_positive
+from .errors import NoConvergence, NoSignChange, _check_number
 from .models import CoefficientStream, FlowParams
 
 __all__ = [
@@ -62,7 +62,6 @@ _FLOAT_WIDTH = 8
 # the determinant recurrence rescales a minor pair by an exact power of two
 # once its larger magnitude leaves [2^-256, 2^256]
 _RESCALE_LO, _RESCALE_HI = 2.0 ** -256, 2.0 ** 256
-_NEEDS_POSITIVE_LAMBDA = "the determinant factorization needs lambda > 0"
 
 
 @dataclass(frozen=True)
@@ -158,14 +157,18 @@ def build_K(lam: float, params: FlowParams, N: int) -> TruncatedOperator:
     rho_n tends to a constant, so its K is not trace class: the sectioned
     determinants grow without limit in N.  _det_rows forms these rows itself.
     """
-    if not math.isfinite(lam):
-        raise ValueError("lambda must be finite")
-    if lam <= 0:
-        raise ValueError(_NEEDS_POSITIVE_LAMBDA)
+    _check_det_lambdas(lam)
     L = build_L(params, N)
     k = 1.0 / (L.diag - lam)
     return TruncatedOperator(N=N, diag=np.zeros(2 * N + 1),
                              sub=k[1:] * L.sub, sup=k[:-1] * L.sup)
+
+
+def _check_det_lambdas(lams) -> None:
+    # build_K's and det_grid's rule: each lambda finite, then > 0
+    _check_number("lambda", lams, None)
+    if np.any(np.asarray(lams) <= 0):
+        raise ValueError("the determinant factorization needs lambda > 0")
 
 
 @dataclass(frozen=True)
@@ -196,13 +199,10 @@ def det_grid(lams, params: FlowParams, N: int) -> np.ndarray:
     is one _det_rows pass.  A grid that is not 1-D, or a lambda that is not
     finite or is <= 0 anywhere, raises ValueError before any work.
     """
+    _check_det_lambdas(lams)
     lams = np.asarray(lams, dtype=np.float64)
     if lams.ndim != 1:
         raise ValueError("det_grid needs a 1-D grid of lambdas")
-    if not np.isfinite(lams).all():
-        raise ValueError("lambda must be finite")
-    if np.any(lams <= 0):
-        raise ValueError(_NEEDS_POSITIVE_LAMBDA)
     L = build_L(params, N)
     out = np.empty(lams.size)
     for start in range(0, lams.size, DET_GRID_CHUNK):
@@ -281,9 +281,10 @@ def _det_rows(L: TruncatedOperator, lams: np.ndarray) -> np.ndarray:
 def det_root(params: FlowParams, N: int, bracket: tuple[float, float],
              tol: float) -> float:
     """Zero of the sectioned determinant on a sign-changing bracket (dispersion._refine)."""
-    _check_positive("tol", tol)
+    _check_number("tol", tol)
+    _check_number("bracket", bracket, None)
     lo, hi = bracket
-    if not 0 < lo < hi < math.inf:
+    if not 0 < lo < hi:
         raise ValueError("bracket must be finite with 0 < lo < hi")
     L = build_L(params, N)  # once: each end and trial point is a _det_rows pass on it
     f_lo, f_hi = _det_rows(L, np.array([lo, hi])).tolist()
@@ -343,9 +344,10 @@ def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
     _check_dense_cap(N)
     op = build_L(params, N)
     dt_max = _dt_max(op)
-    if not 0 < dt <= dt_max:
+    _check_number("dt", dt)
+    if not dt <= dt_max:
         raise ValueError(f"dt={dt:g} unstable for explicit stepping; need dt <= {dt_max:g}")
-    _check_positive("t_final", t_final)
+    _check_number("t_final", t_final)
     if t_final / dt > MAX_RK4_STEPS:
         raise ValueError(f"t_final/dt = {t_final / dt:.3g} RK4 steps, above the step cap "
                          f"of {MAX_RK4_STEPS}; raise dt or lower t_final")
@@ -405,9 +407,11 @@ def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope of y on x and R^2 (1.0 if centred y is 0); centres both in place."""
+    """Least-squares slope of y on x and R^2, (0.0, 1.0) for constant y; centres both in place."""
+    if y.min() == y.max():  # before centring, which can leave a rounding residue
+        return 0.0, 1.0
     x -= x.mean()
     y -= y.mean()
-    sxy, syy = x @ y, y @ y
+    sxy = x @ y
     slope = sxy / (x @ x)
-    return float(slope), 1.0 if syy == 0.0 else float(sxy * slope / syy)
+    return float(slope), float(sxy * slope / (y @ y))

@@ -8,7 +8,7 @@ import math
 import pytest
 
 import instab
-from instab import Direction, DispersionSpec, LatticeVector, TailSpec
+from instab import Direction, DispersionSpec, LatticeVector, ModelKind, TailSpec
 from conftest import make_params
 
 LIBRARY = [instab.lattice, instab.models, instab.contfrac, instab.dispersion,
@@ -64,6 +64,14 @@ NUMERIC_PARAMETERS = {
         TailSpec(Direction.FORWARD, FIG, 0.1), x)),
     "TailSpec": ("lambda", lambda x: TailSpec(Direction.FORWARD, FIG, x)),
     "growth_rate": ("t_final", lambda x: instab.growth_rate(FIG, 8, t_final=x, dt=1e-3)),
+    "growth_rate-dt": ("dt", lambda x: instab.growth_rate(FIG, 8, t_final=1.0, dt=x)),
+    "det_root-bracket": ("bracket", lambda x: instab.det_root(FIG, 16, (0.1, x), tol=1e-8)),
+    "build_K": ("lambda", lambda x: instab.build_K(x, FIG, 8)),
+    "det_I_plus_K": ("lambda", lambda x: instab.det_I_plus_K(x, FIG, 8)),
+    "det_grid": ("lambda", lambda x: instab.det_grid([0.2, x], FIG, 8)),
+    "FlowParams-nu": ("nu", lambda x: make_params(nu=x)),
+    "FlowParams-alpha": ("alpha", lambda x: make_params(model=ModelKind.NS_VOIGT, alpha=x)),
+    "FlowParams-gamma": ("gamma", lambda x: make_params(gamma=x)),
     "enumerate_classes": ("radius", lambda x: instab.enumerate_classes(LatticeVector(3, 1), x)),
 }
 

@@ -22,7 +22,7 @@ from instab import (
     value,
 )
 from instab.contfrac import DEFAULT_MAX_DEPTH
-from instab.eigensystem import _residual, _sides
+from instab.eigensystem import _fit_decay, _residual, _sides, _sign_pattern_ok
 from conftest import CLASS_Q, MODELS, count_calls, make_params, reference_adaptive
 
 
@@ -349,6 +349,28 @@ def test_mirror_orbit_gives_the_mirrored_eigenvector(model, alpha, nu, q, N):
     w = build_w(lam, pr, N, match_tol=math.inf).w
     w_mirror = build_w(lam, mirror, N, match_tol=math.inf).w
     assert [abs(w[n]) for n in range(-N, N + 1)] == [abs(w_mirror[-n]) for n in range(-N, N + 1)]
+
+
+def test_fit_decay_without_live_entries():
+    # a side with no entry above the underflow guard is skipped; with none on
+    # either side both measures are NaN
+    N = 8
+    w = np.zeros(2 * N + 1)
+    w[N] = -1.0
+    assert all(map(math.isnan, _fit_decay(w, N)))
+    w[N + 1:] = np.exp(-0.5 * np.arange(1, N + 1))  # w_{+k} only
+    rate, r2 = _fit_decay(w, N)
+    assert rate == pytest.approx(0.5, rel=1e-12) and r2 == pytest.approx(1.0, rel=1e-12)
+
+
+def test_sign_pattern_needs_a_nonzero_w0():
+    # the pattern is anchored at w_0, so a zero there fails it
+    N = 4
+    n = np.arange(-N, N + 1)
+    w = np.where((n >= 1) | ((n <= -2) & (n % 2 == 0)), 1.0, -1.0) * np.exp(-np.abs(n))
+    assert _sign_pattern_ok(w, N) and _sign_pattern_ok(-w, N)
+    w[N] = 0.0
+    assert not _sign_pattern_ok(w, N)
 
 
 def test_class_two_orbit_rejected():

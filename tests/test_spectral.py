@@ -540,6 +540,20 @@ def test_det_root_rejects_non_finite_bracket(fig_params, hi):
         det_root(fig_params, 16, (0.1, hi), tol=1e-8)
 
 
+@pytest.mark.parametrize("end", [0, 1], ids=["lo", "hi"])
+def test_det_root_returns_an_end_where_det_is_exactly_zero(fig_params, monkeypatch, end):
+    # the end is the zero itself: no sign test and no refinement pass follow
+    bracket, widths = (0.1, 0.3), []
+
+    def stub(L, lams):
+        widths.append(lams.size)
+        return np.where(lams == bracket[end], 0.0, 1.0)
+
+    monkeypatch.setattr(instab.spectral, "_det_rows", stub)
+    assert det_root(fig_params, 16, bracket, tol=1e-8) == bracket[end]
+    assert widths == [2]
+
+
 def test_det_root_builds_the_section_once(fig_params, monkeypatch):
     sections = count_calls(monkeypatch, instab.spectral, "build_L")
     det_root(fig_params, 128, (0.2, 0.25), tol=1e-10)
@@ -571,6 +585,22 @@ def test_det_root_ends_below_float_spacing(fig_params, monkeypatch):
                         for x in (math.nextafter(got, 0.0), got,
                                   math.nextafter(got, 1.0)))
     assert below * at <= 0.0 or at * above <= 0.0
+
+
+@pytest.mark.parametrize("model, alpha, nu", MODELS)
+@pytest.mark.parametrize("q", CLASS_Q)
+def test_flipping_gamma_keeps_det_and_spectrum(model, alpha, nu, q):
+    # -Gamma flips every rho_n: the band product rho_{n-1}*rho_{n+1}, all the
+    # determinant reads, is unchanged, and L is similar to its flip through
+    # diag((-1)^n).  The continued-fraction searches do not yet use this: with
+    # Gamma of the opposite sign to wedge(q, p) they see no sign change.
+    normal = make_params(model=model, alpha=alpha, nu=nu, q=q)
+    g = instab.gamma(normal)
+    pos, neg = (make_params(model=model, alpha=alpha, nu=nu, q=q, gamma=s * g) for s in (1.0, -1.0))
+    lams = [0.05, 0.2, 0.5, 1.0]
+    assert det_grid(lams, neg, 32).tolist() == det_grid(lams, pos, 32).tolist()
+    norm = float(np.max(np.sum(np.abs(build_L(pos, 32).dense()), axis=1)))
+    assert abs(max_real_eig(neg, 32) - max_real_eig(pos, 32)) <= 1e-12 * max(1.0, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +638,8 @@ def test_growth_rate_input_validation(fig_params):
     dt = stable_dt(fig_params, 8)
     with pytest.raises(ValueError):
         growth_rate(fig_params, 8, t_final=10.0, dt=1.0)  # unstable step
+    with pytest.raises(ValueError, match="^dt must be positive$"):
+        growth_rate(fig_params, 8, t_final=10.0, dt=-dt)
     with pytest.raises(ValueError):
         growth_rate(fig_params, 8, t_final=0.0, dt=dt)
 
@@ -695,6 +727,15 @@ def test_line_fit_matches_polyfit(ks, off, h, a, b, noise, seed):
         ss_tot = float(np.sum((y - y.mean()) ** 2))
         ref = 1.0 - float(np.sum((y - (want * x + intercept)) ** 2)) / ss_tot
         assert abs(r2 - ref) <= 1e-12 * max(1.0, np.max(np.abs(y)) / math.sqrt(ss_tot / y.size))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 11, 64])
+@pytest.mark.parametrize("level", [0.0, 0.1, 3.7, -2.5, 1e300])
+def test_line_fit_of_constant_data_is_flat_and_exact(n, level):
+    # constancy is decided before centring, whose rounding residue is 0.0 for
+    # some lengths and levels and not for others
+    x = np.arange(n, dtype=np.float64) ** 2
+    assert _line_fit(x, np.full(n, level)) == (0.0, 1.0)
 
 
 @pytest.mark.parametrize("model, alpha, nu, N, blocks, shape", [
