@@ -20,6 +20,7 @@ changes a value.  det_I_plus_K is a one-lambda det_grid.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,13 @@ class TruncatedOperator:
     (2*DENSE_CAP+1)^2.  Where rho_n = 0 exactly (the I+/I- cut, a point of
     norm |p|, each index of a parallel orbit) a band entry is 0.0 and the
     section is block triangular across it: its spectrum is the union of the
-    diagonal blocks' spectra, which max_real_eig solves one by one.
+    diagonal blocks' spectra.  Within a block both bands are nonzero, so a
+    diagonal similarity turns each coupling into +-sqrt|sub_i*sup_i|, skew
+    where sub_i*sup_i < 0 and symmetric where it is > 0; with
+    s_i = sqrt(max(sub_i*sup_i, 0)), every eigenvalue of the block has
+    Re lambda <= max_i(diag_i + s_{i-1} + s_i), the Gershgorin bound of the
+    Hermitian part (Bendixson).  max_real_eig solves a block only if that
+    bound reaches the best top found so far.
     """
 
     N: int
@@ -92,14 +99,17 @@ class TruncatedOperator:
 
 
 def _check_dense_cap(N: int) -> None:
-    if N > DENSE_CAP:
-        raise ValueError(f"window N={N} above dense cap {DENSE_CAP}")
-    _check_window_cap(N)
+    _check_window_cap(N, dense=True)
 
 
-def _check_window_cap(N: int, minimum: int = 1) -> None:
-    if N > WINDOW_CAP:
-        raise ValueError(f"window N={N} above window cap {WINDOW_CAP}")
+def _check_window_cap(N: int, minimum: int = 1, *, dense: bool = False) -> None:
+    try:
+        operator.index(N)  # Python and numpy ints pass; floats, even 8.0, do not
+    except TypeError:
+        raise ValueError("window N must be an integer") from None
+    cap, name = (DENSE_CAP, "dense") if dense else (WINDOW_CAP, "window")
+    if N > cap:
+        raise ValueError(f"window N={N} above {name} cap {cap}")
     if N < minimum:
         raise ValueError(f"window N must be at least {minimum}")
 
@@ -117,21 +127,39 @@ def build_L(params: FlowParams, N: int) -> TruncatedOperator:
 def max_real_eig(params: FlowParams, N: int) -> float:
     """Largest real part over the truncated operator's spectrum, block by block.
 
-    The section is cut after each index i with sub[i] == 0.0 or sup[i] == 0.0,
-    and the result is the top over the diagonal blocks: a 1x1 block gives its
-    diagonal entry, any other block one dense solve.  This is exact: a zero
-    band entry is the only coupling across its cut in one direction, so the
-    section is block triangular there and its characteristic polynomial is the
-    product of the blocks'.  A section without a zero band entry is one block,
-    the whole matrix.
+    The section is cut after each index i with sub[i] == 0.0 or sup[i] == 0.0.
+    This is exact: a zero band entry is the only coupling across its cut in one
+    direction, so the section is block triangular there and its characteristic
+    polynomial is the product of the blocks'.  The blocks are visited in order
+    of descending Bendixson bound (see TruncatedOperator; s_i is 0.0 at every
+    cut, so one O(N) expression gives every block's bound), and each visited
+    block is solved: a 1x1 block gives its diagonal entry, any other block one
+    dense solve built from its own bands.  The visit stops at the first block
+    whose bound + margin lies below the best top so far, with margin =
+    1e-12*max(1, ||L||_inf), so the result is the top over all blocks: a
+    computed top can exceed its block's bound by a rounding residue of that
+    order, as at nu = 0, where a stable block's bound is exactly 0.  A section
+    without a zero band entry is one block, the whole matrix.  On an I+/I-
+    section the block away from n = 0 has only skew couplings, so its bound is
+    max(-nu*d_n) < 0 and only the block holding n = 0 is solved.
     """
     _check_dense_cap(N)
     L = build_L(params, N)
-    M = L.dense()
-    cuts = [0, *(np.flatnonzero((L.sub == 0.0) | (L.sup == 0.0)) + 1).tolist(), 2 * N + 1]
-    return max(float(M[a, a]) if b - a == 1 else
-               float(np.max(np.linalg.eigvals(M[a:b, a:b]).real))
-               for a, b in zip(cuts, cuts[1:]))
+    cuts = (np.flatnonzero((L.sub == 0.0) | (L.sup == 0.0)) + 1).tolist()
+    starts, ends = [0, *cuts], [*cuts, 2 * N + 1]
+    s = np.pad(np.sqrt(np.maximum(L.sub * L.sup, 0.0)), 1)  # 0.0 beyond either end
+    bounds = np.maximum.reduceat(L.diag + s[:-1] + s[1:], starts)
+    margin = 1e-12 * max(1.0, float(np.max(
+        np.abs(L.diag) + np.pad(np.abs(L.sub), (1, 0)) + np.pad(np.abs(L.sup), (0, 1)))))
+    best = -math.inf
+    for i in np.argsort(-bounds).tolist():
+        if bounds[i] + margin < best:
+            break
+        a, b = starts[i], ends[i]
+        best = max(best, float(L.diag[a]) if b - a == 1 else float(np.max(np.linalg.eigvals(
+            np.diag(L.diag[a:b]) + np.diag(L.sub[a:b - 1], -1)
+            + np.diag(L.sup[a:b - 1], +1)).real)))
+    return best
 
 
 def dominant_mode(params: FlowParams, N: int) -> tuple[float, np.ndarray]:

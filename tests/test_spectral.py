@@ -8,16 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import instab.eigensystem
 import instab.spectral
 from instab import (
     CoefficientStream,
     DispersionSpec,
+    LatticeVector,
     ModelKind,
     NoConvergence,
     NoSignChange,
     PointClass,
     build_K,
     build_L,
+    build_w,
+    classify,
     det_I_plus_K,
     det_grid,
     det_root,
@@ -142,6 +146,34 @@ def test_linear_windows_refuse_above_the_window_cap(fig_params, monkeypatch, win
     assert streams == []
 
 
+@pytest.mark.parametrize("N", [2.5, 8.0, 16.5, np.float64(8.0), "8"])
+@pytest.mark.parametrize("window", [
+    lambda pr, N: build_L(pr, N),
+    lambda pr, N: build_K(0.2, pr, N),
+    lambda pr, N: det_I_plus_K(0.2, pr, N),
+    lambda pr, N: det_grid([0.2, 0.3], pr, N),
+    lambda pr, N: det_root(pr, N, (0.2, 0.25), 1e-10),
+    lambda pr, N: max_real_eig(pr, N),
+    lambda pr, N: dominant_mode(pr, N),
+    lambda pr, N: growth_rate(pr, N, 5.0, 1e-3),
+    lambda pr, N: build_w(0.22, pr, N),
+], ids=["build_L", "build_K", "det_I_plus_K", "det_grid", "det_root", "max_real_eig",
+        "dominant_mode", "growth_rate", "build_w"])
+def test_windows_must_be_integers(fig_params, monkeypatch, window, N):
+    # a float window spans other indices than [-N, N] (2.5 would give -2..3),
+    # so it is refused before any coefficient of the bands is computed
+    streams = [count_calls(monkeypatch, module, "CoefficientStream")
+               for module in (instab.spectral, instab.eigensystem)]
+    with pytest.raises(ValueError, match="^window N must be an integer$"):
+        window(fig_params, N)
+    assert streams == [[], []]
+
+
+def test_numpy_integer_windows_are_accepted(fig_params):
+    assert max_real_eig(fig_params, np.int64(16)) == max_real_eig(fig_params, 16)
+    assert build_L(fig_params, np.int32(4)).dense().shape == (9, 9)
+
+
 @pytest.mark.parametrize("oracle", [
     max_real_eig,
     dominant_mode,
@@ -182,11 +214,29 @@ def test_max_real_eig_of_an_uncut_section_is_the_whole_solve(model, alpha, q, nu
     assert max_real_eig(pr, N) == whole_top(pr, N)
 
 
-@pytest.mark.parametrize("q, sizes", [((0, -2), [129, 127]), ((-1, 2), [257])])
-def test_max_real_eig_solves_each_block(monkeypatch, q, sizes):
+@pytest.mark.parametrize("model, alpha, q, sizes", [
+    (ModelKind.NAVIER_STOKES, None, (0, -2), [129]),
+    (ModelKind.NAVIER_STOKES, None, (0, 2), [129]),
+    (ModelKind.NAVIER_STOKES, None, (-1, 2), [257]),
+    (ModelKind.NS_VOIGT, 0.5, (0, -2), [129]),
+    (ModelKind.NS_VOIGT, 0.5, (0, 2), [129]),
+    (ModelKind.SECOND_GRADE, 0.5, (0, -2), [129]),
+    (ModelKind.SECOND_GRADE, 0.5, (0, 2), [129]),
+])
+def test_max_real_eig_solves_each_block(monkeypatch, model, alpha, q, sizes):
+    # on I+/I- only the block holding n = 0 can reach the top: the other one
+    # has only skew couplings, so its bound is max(-nu*d_n) < 0
     seen = count_calls(monkeypatch, np.linalg, "eigvals")
-    max_real_eig(make_params(q=q, nu=0.05), 128)
+    max_real_eig(make_params(model=model, alpha=alpha, q=q, nu=0.05), 128)
     assert [len(M) for M in seen] == sizes
+
+
+@pytest.mark.parametrize("N", [16, 128, 512])
+@pytest.mark.parametrize("model, alpha, q, nu", CUT)
+def test_max_real_eig_solves_one_block_of_a_cut_section(monkeypatch, model, alpha, q, nu, N):
+    seen = count_calls(monkeypatch, np.linalg, "eigvals")
+    max_real_eig(make_params(model=model, alpha=alpha, q=q, nu=nu), N)
+    assert len(seen) == 1 and len(seen[0]) in (N, N + 1)
 
 
 def test_parallel_orbit_needs_no_dense_solve(monkeypatch):
@@ -231,6 +281,74 @@ def test_max_real_eig_of_random_cut_sections_matches_the_whole_solve(orbit, mode
     assert np.any(op.sub == 0.0) or np.any(op.sup == 0.0)
     norm = float(np.max(np.abs(op.dense()).sum(axis=1)))
     assert abs(max_real_eig(pr, N) - whole_top(pr, N)) <= 1e-12 * max(1.0, norm)
+
+
+# class II and class 0 orbits of small p, beside CLASS_I_ORBITS and ZERO_BAND_ORBITS
+OTHER_ORBITS = [
+    ((px, py), (qx, qy))
+    for px in range(4) for py in range(-3, 4) for qx in range(-3, 4) for qy in range(-3, 4)
+    if (px, py) > (0, 0) and px * qy != py * qx and classify(
+        LatticeVector(qx, qy), LatticeVector(px, py)) in (PointClass.TYPE_II, PointClass.TYPE_0)
+]
+
+
+def blocks(op):
+    """(a, b, bound) of each diagonal block op.dense()[a:b, a:b], written out in floats.
+
+    The section is cut after every zero band entry; the bound is Bendixson's,
+    max over the block's rows of diag_i + s_{i-1} + s_i, s_i = sqrt(max(sub_i*sup_i, 0)).
+    """
+    n = 2 * op.N + 1
+    cuts = [0, *(i + 1 for i in range(n - 1) if op.sub[i] == 0.0 or op.sup[i] == 0.0), n]
+    s = [0.0, *(math.sqrt(max(x * y, 0.0)) for x, y in zip(op.sub.tolist(), op.sup.tolist())),
+         0.0]
+    diag = op.diag.tolist()
+    return [(a, b, max(diag[i] + s[i] + s[i + 1] for i in range(a, b)))
+            for a, b in zip(cuts, cuts[1:])]
+
+
+def all_blocks_top(pr, N):
+    """The top over every diagonal block, each solved in the whole matrix: no bound skips one."""
+    op = build_L(pr, N)
+    M = op.dense()
+    return max(float(M[a, a]) if b - a == 1 else float(np.max(np.linalg.eigvals(M[a:b, a:b]).real))
+               for a, b, _ in blocks(op))
+
+
+def random_section_params(orbit, model, nu, gamma):
+    # gamma is passed explicitly, as the parallel orbits of ZERO_BAND_ORBITS need one
+    (p, q), (kind, alpha, _) = orbit, model
+    return make_params(model=kind, alpha=alpha, q=q, nu=nu, gamma=gamma, p=p)
+
+
+SECTIONS = dict(
+    orbit=st.one_of(*(st.sampled_from(orbits)
+                      for orbits in (ZERO_BAND_ORBITS, CLASS_I_ORBITS, OTHER_ORBITS))),
+    model=st.sampled_from(MODELS), nu=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
+    gamma=st.floats(0.25, 4.0), N=st.integers(1, 64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(**SECTIONS)
+# class 0 at nu = 0: a block's bound is exactly 0, and its computed top
+# (1.7e-16) lies above the top of the block visited first (1.1e-16); without
+# the margin the visit stopped before it
+@example(orbit=((0, 1), (1, -3)), model=MODELS[0], nu=0.0, gamma=2.5, N=28)
+@example(orbit=((3, 1), (0, -2)), model=MODELS[0], nu=0.0, gamma=2.5, N=40)
+def test_max_real_eig_is_the_top_over_all_blocks(orbit, model, nu, gamma, N):
+    pr = random_section_params(orbit, model, nu, gamma)
+    assert max_real_eig(pr, N) == all_blocks_top(pr, N)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**SECTIONS)
+@example(orbit=((0, 1), (1, -3)), model=MODELS[0], nu=0.0, gamma=2.5, N=28)
+def test_each_block_top_lies_below_its_bound(orbit, model, nu, gamma, N):
+    op = build_L(random_section_params(orbit, model, nu, gamma), N)
+    M = op.dense()
+    margin = 1e-12 * max(1.0, float(np.max(np.abs(M).sum(axis=1))))
+    for a, b, bound in blocks(op):
+        assert float(np.max(np.linalg.eigvals(M[a:b, a:b]).real)) <= bound + margin
 
 
 def test_dominant_mode_consistency(fig):
