@@ -14,8 +14,9 @@ CSV; root, nu0 and simulate to JSON; verify takes --format text|json (no
 CSV) and defaults to text.  det has three exclusive modes: one --lam, a
 lambda grid (--lambda-min/--lambda-max/--step), or --root-bracket (with its
 --tol); the --lam and grid modes evaluate through spectral.det_grid.
-verify's determinant value leg asks det(I+K) to change sign within the
-agreement bound of the root.  The CLI states no rule of the library again:
+verify renders spectral.certify and decides nothing itself: which legs run,
+their bounds and the verdict are certify's.  The CLI states no rule of the
+library again:
 find_root refuses nu = 0 (so root, verify and eigvec without --lam do), while
 det, eigvec --lam, simulate and curve --scan lambda run there.
 """
@@ -33,13 +34,13 @@ import sys
 import numpy as np
 
 from .contfrac import DEFAULT_MAX_DEPTH
-from .dispersion import DispersionSpec, RootResult, find_root, nu0_estimate, value_grid
+from .dispersion import DispersionSpec, _found_root, nu0_estimate, value_grid
 from .eigensystem import _EIGVEC_MIN_WINDOW, build_w
-from .errors import InstabError, NoSignChange
+from .errors import InstabError
 from .lattice import LatticeVector, canonical_rep, classify, enumerate_classes, wedge
 from .models import FlowParams, ModelKind
-from .spectral import (_check_dense_cap, _check_window_cap, _dt_max, build_L, det_grid,
-                       det_root, growth_rate, max_real_eig)
+from .spectral import (_check_dense_cap, _check_window_cap, _dt_max, build_L, certify,
+                       det_grid, det_root, growth_rate)
 
 __all__ = ["run", "main"]
 
@@ -159,14 +160,6 @@ def _grid(lo: float | None, hi: float | None, step: float | None,
     return [lo + i * step for i in range(count)]
 
 
-def _found_root(spec: DispersionSpec, args, **kwargs) -> RootResult:
-    # the one search-or-fail path of root, eigvec and verify
-    result = find_root(spec, max_depth=args.depth_cap, **kwargs)
-    if not result.found:
-        raise NoSignChange(result.diagnostic.removeprefix("NoSignChange: "))
-    return result
-
-
 def _flow_meta(params: FlowParams) -> dict:
     meta = {
         "model": params.model.value,
@@ -190,9 +183,8 @@ def _cmd_classify(args) -> int:
     if (args.q is None) == (args.radius is None):
         raise ValueError("classify needs exactly one of --q or --radius")
     if args.radius is not None:
-        if args.radius <= 0:
-            raise ValueError("--radius must be positive")
-        if (2 * int(args.radius) + 3) ** 2 > _MAX_GRID_POINTS:  # enumerate_classes' scan
+        # enumerate_classes' scan; it refuses a negative radius before scanning
+        if (2 * int(max(args.radius, 0.0)) + 3) ** 2 > _MAX_GRID_POINTS:
             raise ValueError(f"--radius {args.radius:g} scans more than "
                              f"{_MAX_GRID_POINTS} lattice points")
         orbits = enumerate_classes(p, args.radius)
@@ -225,8 +217,8 @@ def _cmd_classify(args) -> int:
 def _cmd_root(args) -> int:
     params = _params_from(args)
     spec = DispersionSpec(params)
-    result = _found_root(spec, args, tol=args.tol, lambda_cap=args.lambda_cap,
-                         depth=args.depth)
+    result = _found_root(spec, tol=args.tol, lambda_cap=args.lambda_cap,
+                         depth=args.depth, max_depth=args.depth_cap)
     _emit(args, {**_flow_meta(params),
                  "lambda": result.lam,
                  "bracket": list(result.bracket),
@@ -256,7 +248,7 @@ def _cmd_eigvec(args) -> int:
     spec = DispersionSpec(params)
     lam = args.lam
     if lam is None:
-        lam = _found_root(spec, args, tol=min(args.tol, 1e-10)).lam
+        lam = _found_root(spec, tol=min(args.tol, 1e-10), max_depth=args.depth_cap).lam
     result = build_w(lam, params, args.window, tol=args.tol,
                      match_tol=args.match_tol, max_depth=args.depth_cap)
     ns = sorted(result.w)
@@ -360,57 +352,28 @@ def _cmd_curve(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = _params_from(args)
-    spec = DispersionSpec(params)
-    N = args.window
-    _check_dense_cap(N)  # refused before the root search; the dense solve waits for a root
-    # the root runs to a quarter of the agreement bound, as det_root does below
-    lam_cf = _found_root(spec, args, tol=min(1e-10, 0.25 * args.agree_tol)).lam
-    lam_mx = max_real_eig(params, N)
-    agree = args.agree_tol * max(1.0, lam_cf)
-    ok_mx = abs(lam_mx - lam_cf) <= agree
-    lines = [
-        f"lambda_cf     = {lam_cf:.17g}",
-        f"lambda_matrix = {lam_mx:.17g}   |diff| = {abs(lam_mx - lam_cf):.3g}"
-        f" <= {agree:.3g} : {'PASS' if ok_mx else 'FAIL'}",
-    ]
+    c = certify(params, args.window, args.agree_tol, max_depth=args.depth_cap)
+    verdict = {True: "PASS", False: "FAIL"}
 
-    # The determinant leg needs a trace-class K factor: its entries are
-    # k_n*rho ~ rho_n/(nu*d_n).  For the second-grade model d_n is bounded
-    # and rho_n -> 1, so the band entries do not decay and the sectioned
-    # determinant diverges with N; the leg is skipped there.  Its value leg
-    # asks for a zero within the agreement bound, a sign change on
-    # [max(lambda_cf - agree, lambda_cf/2), lambda_cf + agree]: as nu falls the
-    # slope at the root grows without bound, and so would |det| at the root.
-    if params.model is not ModelKind.SECOND_GRADE:
-        lo = max(lam_cf - agree, 0.5 * lam_cf)
-        d_lo, det_at, d_hi = det_grid([lo, lam_cf, lam_cf + agree], params, N).tolist()
-        ok_det_val = d_lo <= 0.0 <= d_hi or d_hi <= 0.0 <= d_lo
-        lam_det = det_root(params, N, (0.9 * lam_cf, 1.1 * lam_cf), tol=0.25 * agree)
-        ok_det_root = abs(lam_det - lam_cf) <= agree
-        lines += [
-            f"det(I+K)      = {det_at:.3g}   sign change within {agree:.3g}:"
-            f" {d_lo:.3g} to {d_hi:.3g} : {'PASS' if ok_det_val else 'FAIL'}",
-            f"det_root      = {lam_det:.17g}   |diff| = {abs(lam_det - lam_cf):.3g}"
-            f" <= {agree:.3g} : {'PASS' if ok_det_root else 'FAIL'}",
-        ]
-    else:
-        det_at = lam_det = None
-        ok_det_val = ok_det_root = True
+    def leg(name: str, lam: float, ok: bool) -> str:
+        return (f"{name:<13} = {lam:.17g}   |diff| = {abs(lam - c.lam_cf):.3g}"
+                f" <= {c.agree:.3g} : {verdict[ok]}")
+
+    lines = [f"lambda_cf     = {c.lam_cf:.17g}", leg("lambda_matrix", c.lam_matrix, c.ok_matrix)]
+    if c.det_at_root is None:
         lines.append("det(I+K)      : skipped (band entries do not decay "
                      "for this model; determinant leg undefined)")
-
-    passed = ok_mx and ok_det_val and ok_det_root
-    lines.append(f"VERIFY: {'PASS' if passed else 'FAIL'}")
-    _emit(args, {
-        **_flow_meta(params), "N": N,
-        "lambda_cf": lam_cf,
-        "lambda_matrix": lam_mx,
-        "det_at_root": det_at,
-        "det_root": lam_det,
-        "agree_tol": agree,
-        "pass": passed,
-    }, [], [], text="\n".join(lines) + "\n")
-    return 0 if passed else 3
+    else:
+        lines += [f"det(I+K)      = {c.det_at_root:.3g}   sign change within {c.agree:.3g}:"
+                  f" {c.det_lo:.3g} to {c.det_hi:.3g} : {verdict[c.ok_det_value]}",
+                  leg("det_root", c.det_root, c.ok_det_root) if c.det_root is not None
+                  else "det_root      : no sign change of det(I+K) on its bracket : FAIL"]
+    lines.append(f"VERIFY: {verdict[c.passed]}")
+    _emit(args, {**_flow_meta(params), "N": args.window, "lambda_cf": c.lam_cf,
+                 "lambda_matrix": c.lam_matrix, "det_at_root": c.det_at_root,
+                 "det_root": c.det_root, "agree_tol": c.agree, "pass": c.passed},
+          [], [], text="\n".join(lines) + "\n")
+    return 0 if c.passed else 3
 
 
 # -------------------------------------------------------------------- parser

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contfrac import DEFAULT_MAX_DEPTH, Direction, _adaptive_rows, _trunc_rows
-from .errors import ThresholdNotFound, _check_number
+from .errors import NoSignChange, ThresholdNotFound, _check_number
 from .lattice import PointClass
 from .models import CoefficientStream, FlowParams
 
@@ -325,6 +325,14 @@ def find_root(spec: DispersionSpec, tol: float = 1e-10,
         lam=root, bracket=(lo, hi), dispersion_residual=abs(val(root)),
         cf_depth=deepest, found=True,
     )
+
+
+def _found_root(spec: DispersionSpec, **kwargs) -> RootResult:
+    # the one search-or-fail path of root, eigvec and certify
+    result = find_root(spec, **kwargs)
+    if not result.found:
+        raise NoSignChange(result.diagnostic.removeprefix("NoSignChange: "))
+    return result
 
 
 def nu0_estimate(params: FlowParams, tol: float = 1e-8, *,

@@ -8,7 +8,8 @@ Three routes that never touch the continued fractions:
 * a renormalized RK4 time-stepper measuring the growth rate of a random
   initial vector.
 
-A certified instability must survive all three within stated tolerances.
+A certified instability must survive all three within stated tolerances;
+certify states the matrix and determinant legs of that rule once.
 
 The determinant has one driver, _det_rows: up to _FLOAT_WIDTH lambdas it runs
 the scaled recurrence as Python float loops, one lambda at a time, and wider
@@ -25,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import _refine
+from .contfrac import DEFAULT_MAX_DEPTH
+from .dispersion import DispersionSpec, _found_root, _refine
 from .errors import NoConvergence, NoSignChange, _check_number
-from .models import CoefficientStream, FlowParams
+from .models import CoefficientStream, FlowParams, ModelKind
 
 __all__ = [
     "TruncatedOperator",
@@ -39,6 +41,8 @@ __all__ = [
     "det_I_plus_K",
     "det_grid",
     "det_root",
+    "Certificate",
+    "certify",
     "growth_rate",
 ]
 
@@ -327,6 +331,61 @@ def det_root(params: FlowParams, N: int, bracket: tuple[float, float],
     lo, hi = _refine(lambda lam: s * float(_det_rows(L, np.array([lam]))[0]), lo, hi, tol,
                      s * f_lo, s * f_hi)
     return 0.5 * (lo + hi)
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """certify's verdicts and the values verify prints.
+
+    Skipped determinant legs pass with None values; det_root alone is None,
+    and its leg fails, where det(I+K) has no sign change on its bracket.
+    """
+
+    lam_cf: float
+    lam_matrix: float
+    agree: float
+    det_lo: float | None
+    det_at_root: float | None
+    det_hi: float | None
+    det_root: float | None
+    ok_matrix: bool
+    ok_det_value: bool
+    ok_det_root: bool
+    passed: bool
+
+
+def certify(params: FlowParams, N: int, agree_tol: float, *,
+            max_depth: int = DEFAULT_MAX_DEPTH) -> Certificate:
+    """The oracle triangle of the dispersion root on the N-section, stated once.
+
+    Checks the orbit class, the dense cap on N and agree_tol, then runs the
+    root search to min(1e-10, agree_tol/4) (NoSignChange if it finds none).
+    Each leg must lie within agree = agree_tol*max(1, lambda_cf) of the root:
+    the section top, a sign change of det(I+K) on [max(lambda_cf - agree,
+    lambda_cf/2), lambda_cf + agree] (not a small |det|: its slope at the root
+    grows without bound as nu falls) and det_root on (0.9, 1.1)*lambda_cf, run
+    to agree/4.  The determinant legs need a trace-class K (see build_K), so
+    they are skipped for the second-grade model.
+    """
+    spec = DispersionSpec(params)
+    _check_dense_cap(N)  # the dense solve waits for a root
+    _check_number("agree_tol", agree_tol)
+    lam_cf = _found_root(spec, tol=min(1e-10, 0.25 * agree_tol), max_depth=max_depth).lam
+    lam_mx = max_real_eig(params, N)
+    agree = agree_tol * max(1.0, lam_cf)
+    ok_mx = abs(lam_mx - lam_cf) <= agree
+    if params.model is ModelKind.SECOND_GRADE:
+        return Certificate(lam_cf, lam_mx, agree, None, None, None, None, ok_mx, True, True, ok_mx)
+    lo = max(lam_cf - agree, 0.5 * lam_cf)
+    d_lo, det_at, d_hi = det_grid([lo, lam_cf, lam_cf + agree], params, N).tolist()
+    ok_val = d_lo <= 0.0 <= d_hi or d_hi <= 0.0 <= d_lo
+    try:
+        lam_det = det_root(params, N, (0.9 * lam_cf, 1.1 * lam_cf), tol=0.25 * agree)
+    except NoSignChange:
+        lam_det = None
+    ok_root = lam_det is not None and abs(lam_det - lam_cf) <= agree
+    return Certificate(lam_cf, lam_mx, agree, d_lo, det_at, d_hi, lam_det,
+                       ok_mx, ok_val, ok_root, ok_mx and ok_val and ok_root)
 
 
 def _dt_max(op: TruncatedOperator) -> float:

@@ -73,6 +73,7 @@ NUMERIC_PARAMETERS = {
     "FlowParams-alpha": ("alpha", lambda x: make_params(model=ModelKind.NS_VOIGT, alpha=x)),
     "FlowParams-gamma": ("gamma", lambda x: make_params(gamma=x)),
     "enumerate_classes": ("radius", lambda x: instab.enumerate_classes(LatticeVector(3, 1), x)),
+    "certify": ("agree_tol", lambda x: instab.certify(FIG, 16, x)),
 }
 
 

@@ -73,6 +73,15 @@ def test_classify_radius_table(capsys):
     assert classes == {"parallel", "0", "I0", "I+", "I-", "II"}
 
 
+def test_classify_radius_sign_is_the_library_s(capsys):
+    # enumerate_classes takes radius 0 and refuses a negative one, however
+    # large; the CLI states no rule of its own
+    assert run_csv(capsys, ["classify", "--p", "3,1", "--radius", "0"]) == [
+        ["rep_x", "rep_y", "class"], ["0", "0", "parallel"]]
+    assert run(["classify", "--p", "3,1", "--radius=-1e6"]) == 2
+    assert capsys.readouterr().err == "usage error: radius must be nonnegative\n"
+
+
 def test_classify_needs_exactly_one_selector(capsys):
     assert run(["classify", "--p", "3,1"]) == 2
     assert run(["classify", "--p", "3,1", "--q", "1,1",
@@ -312,7 +321,7 @@ def test_det_rejects_nonpositive_window(capsys, argv):
 def test_linear_windows_refused_above_the_window_cap(capsys, monkeypatch, argv):
     # refused before the root search and before any section is built
     seen = [count_calls(monkeypatch, module, name) for module, name in (
-        (instab.spectral, "build_L"), (instab.eigensystem, "build_L"), (instab.cli, "find_root"))]
+        (instab.spectral, "build_L"), (instab.eigensystem, "build_L"), (instab.dispersion, "find_root"))]
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -642,7 +651,7 @@ def test_verify_second_grade_skips_determinant(capsys):
 
 
 def test_verify_refuses_window_above_dense_cap_before_root_search(capsys, monkeypatch):
-    seen = count_calls(monkeypatch, instab.cli, "find_root")
+    seen = count_calls(monkeypatch, instab.dispersion, "find_root")
     assert run(["verify", *FIG, "--window", "513"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -661,9 +670,9 @@ def test_verify_root_runs_to_a_quarter_of_agree_tol(capsys, monkeypatch, model, 
     assert code == 0, out
     assert out.endswith("VERIFY: PASS\n")
     # so the root search refuses a nonpositive bound, before the dense solve
-    solves = count_calls(monkeypatch, instab.cli, "max_real_eig")
+    solves = count_calls(monkeypatch, instab.spectral, "max_real_eig")
     assert run([*argv, "--agree-tol", "0"]) == 2
-    assert capsys.readouterr().err == "usage error: tol must be positive\n"
+    assert capsys.readouterr().err == "usage error: agree_tol must be positive\n"
     assert solves == []
 
 
@@ -672,14 +681,14 @@ def test_verify_root_runs_to_a_quarter_of_agree_tol(capsys, monkeypatch, model, 
     (["verify", *FIG, "--window", "0"], "window N must be at least 1"),
 ])
 def test_small_windows_refused_before_the_root_search(capsys, monkeypatch, argv, err):
-    seen = count_calls(monkeypatch, instab.cli, "find_root")
+    seen = count_calls(monkeypatch, instab.dispersion, "find_root")
     assert run(argv) == 2
     assert capsys.readouterr() == ("", f"usage error: {err}\n")
     assert seen == []
 
 
 def test_verify_stable_instance_exits_before_the_dense_solve(capsys, monkeypatch):
-    solves = count_calls(monkeypatch, instab.cli, "max_real_eig")
+    solves = count_calls(monkeypatch, instab.spectral, "max_real_eig")
     assert run(["verify", "--p", "3,1", "--q=-1,2", "--nu", "10", "--window", "64"]) == 3
     assert "NoSignChange" in capsys.readouterr().err
     assert solves == []
@@ -704,7 +713,7 @@ def test_verify_determinant_value_leg_is_a_sign_change(capsys, flow):
 def test_verify_sign_change_ends_stay_positive(capsys, monkeypatch):
     # an agreement bound above the root: the lower end is lambda_cf/2, not
     # lambda_cf - agree < 0, which det_grid would refuse
-    grids = count_calls(monkeypatch, instab.cli, "det_grid")
+    grids = count_calls(monkeypatch, instab.spectral, "det_grid")
     got = run_json(capsys, ["verify", *FIG, "--window", "64", "--agree-tol", "1",
                             "--format", "json"])
     lam = got["lambda_cf"]
@@ -719,13 +728,30 @@ def test_verify_sign_change_ends_stay_positive(capsys, monkeypatch):
 def test_verify_sign_change_rule(capsys, monkeypatch, ends, verdict):
     # the value leg compares the signs of the two ends; a zero end is a zero
     # within the bound.  The middle value is the one printed, det at the root
-    monkeypatch.setattr(instab.cli, "det_grid",
+    monkeypatch.setattr(instab.spectral, "det_grid",
                         lambda lams, params, N: np.array([ends[0], 0.5, ends[1]]))
     code = run(["verify", *FIG, "--window", "64"])
     out = capsys.readouterr().out
     assert re.search(rf"^det\(I\+K\)      = 0.5   .* : {verdict}$", out, re.MULTILINE), out
     assert code == (0 if verdict == "PASS" else 3)
     assert out.endswith(f"VERIFY: {verdict}\n")
+
+
+def test_verify_reports_a_determinant_bracket_without_a_zero(capsys):
+    # at N = 1 det(I+K) has no sign change on det_root's bracket around the
+    # root: that leg fails, and the report still prints every leg
+    argv = ["verify", *FIG, "--window", "1"]
+    assert run(argv) == 3
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "lambda_cf", "lambda_matrix", "det(I+K)", "det_root", "VERIFY:"]
+    assert lines[3] == "det_root      : no sign change of det(I+K) on its bracket : FAIL"
+    assert lines[-1] == "VERIFY: FAIL"
+    assert run([*argv, "--format", "json"]) == 3
+    got = json.loads(capsys.readouterr().out)
+    assert got["det_root"] is None and got["pass"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -1042,7 +1068,7 @@ def test_bad_pair_is_usage_error(capsys):
 @pytest.mark.parametrize("argv, err", [
     (["root", *FIG, "--depth-cap", "1"], "max_depth must be at least 2"),
     (["curve", *FIG, "--step", "0"], "--step must be positive"),
-    (["classify", "--p", "3,1", "--radius", "0"], "--radius must be positive"),
+    (["classify", "--p", "3,1", "--radius", "-1"], "radius must be nonnegative"),
     (["det", *FIG, "--root-bracket", "0.2"], "--root-bracket expects lo,hi"),
     (["root", "--p", "3,x", "--q=-1,2", "--nu", "0.06"], "expected integers in '3,x'"),
     (["curve", "--p", "3,1", "--q=-1,2", "--scan", "nu", "--nu-min", "0",

@@ -21,6 +21,7 @@ from instab import (
     build_K,
     build_L,
     build_w,
+    certify,
     classify,
     det_I_plus_K,
     det_grid,
@@ -966,3 +967,26 @@ def test_oracle_triangle_on_random_instances(model, alpha, orbit, f):
         below, above = (det_I_plus_K(x, params, 128).value for x in (lam - bound, lam + bound))
         assert below * above <= 0.0
         assert abs(det_root(params, 128, (0.9 * lam, 1.1 * lam), tol=0.25 * bound) - lam) <= bound
+
+
+@pytest.mark.parametrize("model, alpha, q, nu", [row[:4] for row in TRIANGLE],
+                         ids=[f"{row[0].value}-{row[2][0]},{row[2][1]}" for row in TRIANGLE])
+def test_certify_equals_the_direct_calls(model, alpha, q, nu):
+    # each field is the library call certify makes, with the same arguments
+    params = make_params(model=model, alpha=alpha, q=q, nu=nu)
+    cert = certify(params, 64, 1e-8)
+    lam = find_root(DispersionSpec(params), tol=1e-10).lam
+    top = max_real_eig(params, 64)
+    agree = 1e-8 * max(1.0, lam)
+    want = dict(lam_cf=lam, lam_matrix=top, agree=agree, ok_matrix=abs(top - lam) <= agree)
+    if model is ModelKind.SECOND_GRADE:
+        want.update(det_lo=None, det_at_root=None, det_hi=None, det_root=None,
+                    ok_det_value=True, ok_det_root=True, passed=True)
+    else:
+        lo, at, hi = det_grid([max(lam - agree, 0.5 * lam), lam, lam + agree], params, 64)
+        zero = det_root(params, 64, (0.9 * lam, 1.1 * lam), tol=0.25 * agree)
+        want.update(det_lo=lo, det_at_root=at, det_hi=hi, det_root=zero,
+                    ok_det_value=min(lo, hi) <= 0.0 <= max(lo, hi),
+                    ok_det_root=abs(zero - lam) <= agree)
+        want["passed"] = want["ok_matrix"] and want["ok_det_value"] and want["ok_det_root"]
+    assert dataclasses.asdict(cert) == want
