@@ -39,8 +39,8 @@ from .eigensystem import _EIGVEC_MIN_WINDOW, build_w
 from .errors import InstabError
 from .lattice import LatticeVector, canonical_rep, classify, enumerate_classes, wedge
 from .models import FlowParams, ModelKind
-from .spectral import (_check_dense_cap, _check_window_cap, _dt_max, build_L, certify,
-                       det_grid, det_root, growth_rate)
+from .spectral import (_check_dense_cap, _check_window_cap, _dt_max, _growth_rate, build_L,
+                       certify, det_grid, det_root)
 
 __all__ = ["run", "main"]
 
@@ -303,11 +303,11 @@ def _cmd_det(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params = _params_from(args)
-    dt = args.dt
-    if dt is None:
-        _check_dense_cap(args.window)  # before build_L allocates the bands
-        dt = _dt_max(build_L(params, args.window))
-    slope = growth_rate(params, args.window, args.t_final, dt, seed=args.seed)
+    _check_dense_cap(args.window)  # before build_L allocates the bands
+    op = build_L(params, args.window)
+    dt_max = _dt_max(op)
+    dt = dt_max if args.dt is None else args.dt
+    slope = _growth_rate(op, dt_max, args.t_final, dt, args.seed)
     _emit(args, {**_flow_meta(params), "slope": slope, "N": args.window,
                  "t_final": args.t_final, "dt": dt, "seed": args.seed},
           ["slope", "n", "t_final", "dt", "seed"],

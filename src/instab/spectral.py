@@ -413,14 +413,17 @@ def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
     B = P^RENORM_EVERY are formed once.  log||w|| is sampled at t = 0, at the
     end of each block of RENORM_EVERY steps and at the last step.  The blocks
     run in chunks of k, with S = [B; B^2; ...; B^k] built once by doubling.
-    The start of each chunk is marched with B^k, the last n rows of S: one
+    The start of every chunk is marched with B^k, the last n rows of S: one
     n x n product, a norm and a log per chunk, which give the chunk's last
-    sample, and the march renormalizes by it.  The other k - 1 samples of a
-    group of up to _CHUNK_ELEMS // (k*n) chunks are one product of S's other
-    rows with the group's starts, so each result holds at most _CHUNK_ELEMS
-    elements (256 KB) whatever the step count.  The last full % k blocks are
-    one product with their rows of S, and the last steps % RENORM_EVERY steps
-    one product with their power of P.  k is at most _CHUNK_BLOCKS (512 steps,
+    sample, and the march renormalizes by it.  The fit reads only the final
+    half, so the chunks whose samples all precede it are marched only.  The
+    other k - 1 samples of each later chunk are taken in groups of up to
+    _CHUNK_ELEMS // (k*n) chunks, the first group starting at the first chunk
+    that reaches the final half: one product of S's other rows with the
+    group's starts, so each result holds at most _CHUNK_ELEMS elements
+    (256 KB) whatever the step count.  The last full % k blocks are one
+    product with their rows of S, and the last steps % RENORM_EVERY steps one
+    product with their power of P.  k is at most _CHUNK_BLOCKS (512 steps,
     which dt <= _dt_max keeps below e^512 in the inf-norm, so every product,
     which applies at most B^k to a unit vector, is finite) and keeps S within
     _CHUNK_ELEMS elements: 30 blocks at N = 16, one block from N = 64 on, where
@@ -430,7 +433,12 @@ def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
     """
     _check_dense_cap(N)
     op = build_L(params, N)
-    dt_max = _dt_max(op)
+    return _growth_rate(op, _dt_max(op), t_final, dt, seed)
+
+
+def _growth_rate(op: TruncatedOperator, dt_max: float, t_final: float, dt: float,
+                 seed: int) -> float:
+    """growth_rate on a built section whose step bound _dt_max(op) is dt_max."""
     _check_number("dt", dt)
     if not dt <= dt_max:
         raise ValueError(f"dt={dt:g} unstable for explicit stepping; need dt <= {dt_max:g}")
@@ -443,7 +451,7 @@ def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
     first = int(np.searchsorted(t, 0.5 * t_final))  # t is sorted: the final half is a suffix
     if t.size - first < 2:
         raise ValueError("not enough samples in the final half; lower dt or raise t_final")
-    n = 2 * N + 1
+    n = 2 * op.N + 1
     w = np.random.default_rng(seed).standard_normal(n)
     A = dt * op.dense()
     eye = np.eye(n)
@@ -464,21 +472,27 @@ def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
     y[0] = log_shift = math.log(nrm0)
     w = w / nrm0
     chunks, group = full // k, _CHUNK_ELEMS // (k * n)
-    Bk, starts = S[-n:], np.empty((min(chunks, group), n))
+    # chunk c fills y[c*k+1 .. (c+1)*k], so the chunks before skip end before y[first]
+    skip = min((first - 1) // k, chunks)
+    Bk, starts = S[-n:], np.empty((min(chunks - skip, group), n))
     products = np.empty((len(starts), (k - 1) * n))
-    for c0 in range(0, chunks, group):
-        m = min(group, chunks - c0)
-        for c in range(m):  # march the chunk starts with B^k: each chunk's last sample
-            starts[c] = w
+    # [0, skip) is marched only; the sampling groups start at skip
+    bounds = sorted({0, *range(skip, chunks, group), chunks})
+    for c0, c1 in zip(bounds, bounds[1:]):
+        sampled = k > 1 and c0 >= skip
+        for c in range(c0, c1):  # march the chunk starts with B^k: each chunk's last sample
+            if sampled:
+                starts[c - c0] = w
             w = np.dot(Bk, w)
             nrm = math.sqrt(np.dot(w, w))
             log_shift += math.log(nrm)
-            y[(c0 + c + 1) * k] = log_shift
+            y[(c + 1) * k] = log_shift
             w /= nrm
-        if k > 1:  # the other k-1 samples of the group's chunks in one product
+        if sampled:  # the other k-1 samples of the group's chunks in one product
+            m = c1 - c0
             W = np.matmul(starts[:m], S[:-n].T, out=products[:m]).reshape(m, k - 1, n)
-            Y = y[c0 * k + 1:(c0 + m) * k + 1].reshape(m, k)
-            Y[:, :-1] = (y[c0 * k:(c0 + m) * k:k, None]
+            Y = y[c0 * k + 1:c1 * k + 1].reshape(m, k)
+            Y[:, :-1] = (y[c0 * k:c1 * k:k, None]
                          + np.log(np.sqrt(np.einsum("ijk,ijk->ij", W, W))))
     if full % k:
         W = (S[:full % k * n] @ w).reshape(-1, n)

@@ -387,6 +387,21 @@ def test_simulate_rejects_unstable_dt(capsys):
     assert code == 2
 
 
+def test_simulate_builds_its_section_once(capsys, monkeypatch):
+    # the default step and the integration read the one section simulate builds
+    windows = []
+    for module in (instab.cli, instab.spectral):
+        monkeypatch.setattr(module, "build_L", lambda params, N, build=module.build_L:
+                            windows.append(N) or build(params, N))
+    bounds = [count_calls(monkeypatch, module, "_dt_max")
+              for module in (instab.cli, instab.spectral)]
+    got = run_json(capsys, ["simulate", *FIG, "--window", "16", "--t-final", "40"])
+    monkeypatch.undo()
+    assert windows == [16]
+    assert sum(map(len, bounds)) == 1
+    assert got["slope"] == instab.growth_rate(make_params(), 16, 40.0, got["dt"])
+
+
 def test_simulate_refuses_window_above_dense_cap(capsys, monkeypatch):
     # the default step reads the section, so the cap is checked before it is built
     built = count_calls(monkeypatch, instab.cli, "build_L")

@@ -857,18 +857,25 @@ def test_line_fit_of_constant_data_is_flat_and_exact(n, level):
     assert _line_fit(x, np.full(n, level)) == (0.0, 1.0)
 
 
-@pytest.mark.parametrize("model, alpha, nu, N, blocks, shape", [
+# (model, alpha, nu, N, full blocks, shape): shape is (blocks per chunk,
+# chunks per sampling group, full chunks, tail blocks).  At N=16, 70 full
+# blocks are two chunks of 30 and a 10-block tail, and the final half starts
+# in the second chunk; 1067 blocks are 35 chunks and a 17-block tail, the
+# first 17 chunks marched only and the other 18 one sampling group; 2107
+# blocks are 70 chunks and a 7-block tail, the first 35 chunks, more than a
+# group, marched only.  At N=64 a chunk is one block and the march is the
+# whole loop.  Each run ends in a 5-step partial block.
+CHUNK_SHAPES = pytest.mark.parametrize("model, alpha, nu, N, blocks, shape", [
     (ModelKind.NAVIER_STOKES, None, 0.06, 16, 70, (30, 33, 2, 10)),
     (ModelKind.NS_ALPHA, 1.0, 0.05, 16, 70, (30, 33, 2, 10)),
     (ModelKind.NAVIER_STOKES, None, 0.06, 16, 35 * 30 + 17, (30, 33, 35, 17)),
     (ModelKind.NAVIER_STOKES, None, 0.06, 64, 300, (1, 254, 300, 0)),
-], ids=["ns", "ns-alpha", "ns-groups", "ns-march"])
+    (ModelKind.NAVIER_STOKES, None, 0.06, 16, 70 * 30 + 7, (30, 33, 70, 7)),
+], ids=["ns", "ns-alpha", "ns-groups", "ns-march", "ns-long"])
+
+
+@CHUNK_SHAPES
 def test_growth_rate_matches_staged_rk4_across_chunks(model, alpha, nu, N, blocks, shape):
-    # shape is (blocks per chunk, chunks per sampling group, full chunks, tail
-    # blocks).  At N=16, 70 full blocks are two chunks of 30 and a 10-block
-    # tail, and 1067 are two sampling groups (33 chunks and 2) and a 17-block
-    # tail; at N=64 a chunk is one block and the march is the whole loop.
-    # Each run ends in a 5-step partial block.
     pr = make_params(model=model, alpha=alpha, nu=nu)
     n = 2 * N + 1
     chunk = min(_CHUNK_BLOCKS, _CHUNK_ELEMS // n ** 2)
@@ -877,6 +884,36 @@ def test_growth_rate_matches_staged_rk4_across_chunks(model, alpha, nu, N, block
     dt = stable_dt(pr, N)
     want = staged_rk4_slope(pr, N, steps, dt, RENORM_EVERY)
     assert growth_rate(pr, N, (steps - 0.5) * dt, dt) == pytest.approx(want, rel=1e-10)
+
+
+@CHUNK_SHAPES
+def test_growth_rate_samples_only_chunks_reaching_the_final_half(monkeypatch, model, alpha, nu, N,
+                                                                blocks, shape):
+    # the fit reads the samples from the first one at t >= t_final/2 on, so
+    # the sampling products take the starts of just the chunks whose samples
+    # reach it; the chunks before them are marched only
+    chunk, group, chunks, _ = shape
+    n = 2 * N + 1
+    rows = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        if b.shape == (n, (chunk - 1) * n):  # S's rows but the last n: a sampling product
+            rows.append(a.shape[0])
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    pr = make_params(model=model, alpha=alpha, nu=nu)
+    steps = RENORM_EVERY * blocks + 5
+    dt = stable_dt(pr, N)
+    growth_rate(pr, N, (steps - 0.5) * dt, dt)
+    monkeypatch.undo()
+    ends = np.minimum(np.arange(0, steps + RENORM_EVERY, RENORM_EVERY), steps)  # in steps
+    first = int(np.argmax(ends >= 0.5 * (steps - 0.5)))  # the first sample of the final half
+    # chunk c fills samples c*chunk+1 .. (c+1)*chunk; N=64 chunks have no other samples
+    reaching = sum((c + 1) * chunk >= first for c in range(chunks)) if chunk > 1 else 0
+    assert sum(rows) == reaching
+    assert all(0 < m <= group for m in rows)
 
 
 def test_growth_rate_memory_stays_within_its_chunks(fig_params):
