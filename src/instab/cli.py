@@ -16,9 +16,9 @@ lambda grid (--lambda-min/--lambda-max/--step), or --root-bracket (with its
 --tol); the --lam and grid modes evaluate through spectral.det_grid.
 verify renders spectral.certify and decides nothing itself: which legs run,
 their bounds and the verdict are certify's.  The CLI states no rule of the
-library again:
-find_root refuses nu = 0 (so root, verify and eigvec without --lam do), while
-det, eigvec --lam, simulate and curve --scan lambda run there.
+library again: the dispersion pass refuses lambda = nu = 0 (so root, verify,
+eigvec without --lam and a curve grid through that point do), while det,
+eigvec --lam, simulate and curve on lambda > 0 run at nu = 0.
 """
 
 from __future__ import annotations
@@ -328,9 +328,6 @@ def _cmd_curve(args) -> int:
         lo = 0.0 if args.lambda_min is None else args.lambda_min
         hi = 2.0 if args.lambda_max is None else args.lambda_max
         grid = _grid(lo, hi, args.step, "lambda")
-        if params.nu == 0 and grid[0] <= 0:
-            raise ValueError("nu=0 needs a strictly positive lambda grid "
-                             "(the recurrence degenerates at lambda=0)")
         v, a0 = value_grid(spec, grid, **opts)
         header, values = ["lambda", "minus_a0", "f_plus_g", "dispersion"], [-a0, v - a0, v]
     else:
@@ -338,8 +335,6 @@ def _cmd_curve(args) -> int:
             raise ValueError("--nu, --lambda-min and --lambda-max belong to --scan lambda, "
                              "not --scan nu")
         grid = _grid(args.nu_min, args.nu_max, args.step, "nu")
-        if grid[0] <= 0:
-            raise ValueError("the nu grid must be strictly positive")
         del meta["nu"]  # nu is the scan variable, not an input
         v, a0 = value_grid(spec, 0.0, grid, **opts)
         header, values = ["nu", "h", "rhs"], [v - a0, -a0]

@@ -129,6 +129,15 @@ def eval_trunc(coeffs: Sequence[float]) -> float:
                              np.zeros(1))[0])
 
 
+def _doubling(start, cap):
+    """start, 2*start, 4*start, ... strictly below ``cap``, then cap: exact, ints stay ints."""
+    x = start
+    while x < cap:
+        yield x
+        x *= 2
+    yield cap
+
+
 def _levels(tol: float, max_depth: int, start: int = 2):
     """The depths m of the adaptive (m, m + 1) pairs.
 
@@ -139,12 +148,7 @@ def _levels(tol: float, max_depth: int, start: int = 2):
     if max_depth < 2:
         raise ValueError("max_depth must be at least 2")
     cap = max_depth - max_depth % 2
-    m = min(max(2, start - start % 2), cap)
-    while True:
-        yield m
-        if m >= cap:
-            return
-        m = min(2 * m, cap)
+    yield from _doubling(min(max(2, start - start % 2), cap), cap)
 
 
 def _no_convergence(width: float, tol: float, m: int, bound) -> NoConvergence:

@@ -8,21 +8,24 @@ tails:
     I+:  a_0(lambda) + g(lambda) = 0           (forward tail undefined)
     I-:  a_0(lambda) + f(lambda) = 0           (backward tail undefined)
 
-Every value comes from one batched pass (_grid_info) over a grid of lambda
-or nu: value_grid() is that pass, and value() and the refinement points of
-both searches are passes of one point.  find_root() locates a positive root
-by a doubling scan in lambda from lambda = 0, plus a bracketed refinement;
-nu0_estimate() finds the smallest viscosity at which the lambda=0 value
-crosses zero, i.e. the threshold below which the sign-change premise of the
-root search holds, by a doubling scan in nu.  Each scan is one pass over a
-_doubling grid that reads only signs: a row stops once its bracket decides
-its point's sign, and only the two points around the first crossing run to
-tol.  The pass hands back the rows that fail at the depth cap as data;
-value_grid raises the first, find_root only one at or below its first
-crossing, and nu0_estimate skips them.  Both searches, with the determinant
-zero in spectral.det_root, share one refinement (_refine): ITP, which keeps
-the bracket of bisection and its worst case within one step, but converges
-superlinearly on smooth functions.
+Every value comes from one batched pass (_grid_info) over a grid of lambda or
+nu: value_grid() is that pass, and value() and the refinement points of both
+searches are passes of one point.  The pass states the domain once: it
+refuses a row with lambda = nu = 0, where every a_n = (lambda + nu*d_n)/rho_n
+vanishes, before any tail is fetched, so the root search refuses nu = 0 at
+its lambda = 0 row.  find_root() locates a positive root by a doubling scan
+in lambda from lambda = 0, plus a bracketed refinement; nu0_estimate() finds
+the smallest viscosity at which the lambda=0 value crosses zero, i.e. the
+threshold below which the sign-change premise of the root search holds, by a
+doubling scan in nu.  Each scan is one pass over a grid of
+contfrac._doubling, the tail depths' schedule, that reads only signs: a row
+stops once its bracket decides its point's sign, and only the two points
+around the first crossing run to tol.  The pass hands back the rows that fail
+at the depth cap as data; value_grid raises the first, find_root only one at
+or below its first crossing, and nu0_estimate skips them.  Both searches,
+with the determinant zero in spectral.det_root, share one refinement
+(_refine): ITP, which keeps the bracket of bisection and its worst case
+within one step, but converges superlinearly on smooth functions.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contfrac import DEFAULT_MAX_DEPTH, Direction, _adaptive_rows, _trunc_rows
+from .contfrac import DEFAULT_MAX_DEPTH, Direction, _adaptive_rows, _doubling, _trunc_rows
 from .errors import NoSignChange, ThresholdNotFound, _check_number
 from .lattice import PointClass
 from .models import CoefficientStream, FlowParams
@@ -113,9 +116,12 @@ def _grid_info(spec, lam, nu, tol, depth, max_depth, start_depth=2, *, scan=Fals
     # a ``scan`` reads only the signs up to the first crossing (below)
     nu = spec.params.nu if nu is None else nu
     _check_number("lambda", lam, "nonnegative")
-    _check_number("viscosity", nu, "nonnegative")
+    _check_number("nu", nu, "nonnegative")
     lams, nus = np.empty((2, *np.broadcast(np.atleast_1d(lam), nu).shape))
     lams[...], nus[...] = lam, nu  # broadcast, cheaper than np.broadcast_arrays
+    if not (lams.all() or nus.all() or (lams + nus).all()):  # the sum only when both hold a zero
+        raise ValueError("lambda = nu = 0 is outside the dispersion relation's "
+                         "domain: every recurrence coefficient vanishes")
     cs, signs, d0, rho0 = spec._stream
 
     def coeffs(live, lo, hi):
@@ -194,15 +200,6 @@ def default_lambda_cap(params: FlowParams) -> float:
     return 10.0 * (params.p_norm_sq + params.nu * c_max)
 
 
-def _doubling(start: float, cap: float):
-    """The scan points start, 2*start, 4*start, ... strictly below ``cap``, then cap."""
-    x = start
-    while x < cap:
-        yield x
-        x *= 2.0
-    yield cap
-
-
 def _refine(f, lo: float, hi: float, tol: float, f_lo: float, f_hi: float
             ) -> tuple[float, float]:
     """Shrink a bracket with f(lo) > 0 >= f(hi) until its width is <= tol.
@@ -271,8 +268,6 @@ def find_root(spec: DispersionSpec, tol: float = 1e-10,
     scan manually via value() when that matters.
     """
     _check_number("tol", tol)
-    if spec.params.nu == 0:
-        raise ValueError("root search requires nu > 0")
     if lambda_cap is None:
         lambda_cap = default_lambda_cap(spec.params)
     _check_number("lambda_cap", lambda_cap)

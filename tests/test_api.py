@@ -53,7 +53,7 @@ SPEC = DispersionSpec(FIG)
 # (parameter named in the message, call with the value x)
 NUMERIC_PARAMETERS = {
     "value": ("lambda", lambda x: instab.value(x, SPEC)),
-    "value_grid": ("viscosity", lambda x: instab.value_grid(SPEC, 0.0, [0.1, x])),
+    "value_grid": ("nu", lambda x: instab.value_grid(SPEC, 0.0, [0.1, x])),
     "find_root-tol": ("tol", lambda x: instab.find_root(SPEC, tol=x)),
     "find_root-lambda_cap": ("lambda_cap", lambda x: instab.find_root(SPEC, lambda_cap=x)),
     "nu0_estimate-tol": ("tol", lambda x: instab.nu0_estimate(FIG, tol=x)),

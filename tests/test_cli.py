@@ -815,11 +815,17 @@ def test_nu_zero_simulate_slope_is_the_section_top(capsys, model, alpha, q):
     assert abs(got["slope"] - top) <= 1e-3 * max(1.0, top)
 
 
+# the dispersion pass's one refusal of lambda = nu = 0
+ZERO_ROW = ("lambda = nu = 0 is outside the dispersion relation's domain: "
+            "every recurrence coefficient vanishes")
+
+
 @pytest.mark.parametrize("command", ["root", "verify", "eigvec"])
 def test_nu_zero_root_search_is_refused(capsys, command):
-    # find_root states the rule; eigvec refuses only when it must search
+    # the root scan's lambda = 0 row meets the pass's rule; eigvec refuses only
+    # when it must search
     assert run([command, "--p", "3,1", "--q=-1,2", "--nu", "0"]) == 2
-    assert capsys.readouterr() == ("", "usage error: root search requires nu > 0\n")
+    assert capsys.readouterr() == ("", f"usage error: {ZERO_ROW}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1087,7 +1093,8 @@ def test_bad_pair_is_usage_error(capsys):
     (["det", *FIG, "--root-bracket", "0.2"], "--root-bracket expects lo,hi"),
     (["root", "--p", "3,x", "--q=-1,2", "--nu", "0.06"], "expected integers in '3,x'"),
     (["curve", "--p", "3,1", "--q=-1,2", "--scan", "nu", "--nu-min", "0",
-      "--nu-max", "0.1", "--step", "0.05"], "the nu grid must be strictly positive"),
+      "--nu-max", "0.1", "--step", "0.05"], ZERO_ROW),
+    ([*INVISCID, "--lambda-min", "0", "--lambda-max", "0.02"], ZERO_ROW),
     (["curve", "--p", "3,1", "--q=-1,2", "--scan", "nu"],
      "nu grid needs --nu-min, --nu-max and --step"),
     (["classify", "--p", "3,1", "--radius", "1e6"],

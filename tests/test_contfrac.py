@@ -28,7 +28,7 @@ from instab import (
     value,
     value_grid,
 )
-from instab.contfrac import _FLOAT_WIDTH, _adaptive_rows, _trunc_rows
+from instab.contfrac import _FLOAT_WIDTH, _adaptive_rows, _levels, _trunc_rows
 from instab.models import UNBOUNDED
 from conftest import CLASS_I_ORBITS, MODELS, make_params, reference_adaptive
 
@@ -143,6 +143,26 @@ def test_adaptive_depth_cap_below_two_is_refused(fig_params):
         eval_adaptive(TailSpec(Direction.FORWARD, fig_params, 0.1), 1e-10, max_depth=1)
 
 
+def looped_levels(max_depth, start):
+    # the depth schedule as its own loop, as _levels ran it before it came to
+    # iterate _doubling, the schedule of the dispersion scans
+    cap = max_depth - max_depth % 2
+    m = min(max(2, start - start % 2), cap)
+    while True:
+        yield m
+        if m >= cap:
+            return
+        m = min(2 * m, cap)
+
+
+def test_levels_keep_the_looped_schedule():
+    for max_depth in [*range(2, 600), 2 ** 17, 100_000, 100_001, 2 ** 18]:
+        for start in range(700):
+            got = list(_levels(1e-10, max_depth, start))
+            assert got == list(looped_levels(max_depth, start)), (max_depth, start)
+            assert {type(m) for m in got} == {int}
+
+
 def test_adaptive_bracket_contains_deep_value(fig_params):
     tail = TailSpec(Direction.FORWARD, fig_params, 0.1)
     br = eval_adaptive(tail, tol=1e-10)
@@ -227,6 +247,10 @@ def test_adaptive_driver_equals_the_scalar_reference(model, orbit, lam, nu, tol,
         tail = TailSpec(direction, spec.params, lam)
         assert outcome(lambda: one_row(tail, tol, max_depth, start)) == outcome(
             lambda: reference_adaptive(tail.coeffs, tol, max_depth, start, tail.bound()))
+    if lam == nu == 0.0:  # every coefficient vanishes: the dispersion pass refuses the point
+        with pytest.raises(ValueError, match="every recurrence coefficient vanishes"):
+            value(lam, spec, tol, max_depth=max_depth)
+        return
     assert outcome(lambda: value(lam, spec, tol, max_depth=max_depth)) == outcome(
         lambda: reference_value(lam, spec, tol, max_depth))
 

@@ -11,11 +11,11 @@ from hypothesis import assume, given, settings, strategies as st
 import instab.dispersion
 from instab import (
     CoefficientStream,
-    DegenerateFraction,
     DispersionSpec,
     ModelKind,
     NoConvergence,
     ThresholdNotFound,
+    certify,
     default_lambda_cap,
     det_root,
     find_root,
@@ -124,7 +124,7 @@ def test_value_grid_rejects_what_value_rejects(fig_params):
     spec = spec_of(fig_params)
     with pytest.raises(ValueError, match="lambda must be nonnegative"):
         value_grid(spec, [0.1, -0.1])
-    with pytest.raises(ValueError, match="viscosity must be nonnegative"):
+    with pytest.raises(ValueError, match="nu must be nonnegative"):
         value_grid(spec, 0.0, [0.1, -0.1])
     with pytest.raises(ValueError, match="tol must be positive"):
         value_grid(spec, [0.1], tol=0.0)
@@ -138,16 +138,50 @@ def test_value_grid_rejects_what_value_rejects(fig_params):
     assert grid_err.value.depth == scalar_err.value.depth == 4
 
 
+ZERO_ROW = "every recurrence coefficient vanishes"
+
+
+def spy_tails(monkeypatch):
+    """Spy on the adaptive and the fixed-depth tail evaluators of the dispersion pass."""
+    return [count_calls(monkeypatch, instab.dispersion, name)
+            for name in ("_adaptive_rows", "_trunc_rows")]
+
+
 @pytest.mark.parametrize("depth", [None, 8])
-def test_value_grid_degenerates_as_value_at_zero(depth):
-    # lambda = nu = 0 makes every coefficient a_n zero, so the innermost
-    # denominator of the truncation vanishes in both evaluators
+def test_value_grid_degenerates_as_value_at_zero(monkeypatch, depth):
+    # lambda = nu = 0 makes every coefficient a_n zero: the pass refuses such
+    # a row, a scalar or one row of a lambda or nu grid, before any tail
     spec = spec_of(make_params(nu=0.0))
-    with pytest.raises(DegenerateFraction) as grid_err:
-        value_grid(spec, [0.0, 0.5], depth=depth)
-    with pytest.raises(DegenerateFraction) as scalar_err:
+    tails = spy_tails(monkeypatch)
+    with pytest.raises(ValueError, match=ZERO_ROW) as grid_err:
+        value_grid(spec, [0.5, 0.0, 1.0], depth=depth)
+    with pytest.raises(ValueError, match=ZERO_ROW) as scalar_err:
         value(0.0, spec, depth=depth)
-    assert str(grid_err.value) == str(scalar_err.value)
+    with pytest.raises(ValueError, match=ZERO_ROW) as nu_err:
+        value_grid(spec, 0.0, [0.1, 0.0], depth=depth)
+    assert str(grid_err.value) == str(scalar_err.value) == str(nu_err.value)
+    assert tails == [[], []]
+
+
+@pytest.mark.parametrize("depth", [None, 8])
+def test_zero_lambda_and_zero_nu_in_different_rows_run(depth):
+    # the rule is per row: lambda = 0 at nu > 0 and nu = 0 at lambda > 0 run
+    spec = spec_of(make_params(nu=0.0))
+    got, _ = value_grid(spec, [0.0, 0.5], [0.06, 0.0], depth=depth)
+    assert got.tolist() == [value(0.0, spec_of(make_params(nu=0.06)), depth=depth),
+                            value(0.5, spec, depth=depth)]
+
+
+@pytest.mark.parametrize("depth", [None, 8])
+def test_nu_zero_root_search_is_refused_by_the_pass(monkeypatch, depth):
+    # the scan's lambda = 0 row meets the pass's rule; certify searches first
+    params = make_params(nu=0.0)
+    tails = spy_tails(monkeypatch)
+    with pytest.raises(ValueError, match=ZERO_ROW):
+        find_root(spec_of(params), depth=depth)
+    with pytest.raises(ValueError, match=ZERO_ROW):
+        certify(params, 16, 1e-8)
+    assert tails == [[], []]
 
 
 # ---------------------------------------------------------------------------
