@@ -39,8 +39,8 @@ from .eigensystem import _EIGVEC_MIN_WINDOW, build_w
 from .errors import InstabError
 from .lattice import LatticeVector, canonical_rep, classify, enumerate_classes, wedge
 from .models import FlowParams, ModelKind
-from .spectral import (_check_dense_cap, _check_window_cap, _dt_max, _growth_rate, build_L,
-                       certify, det_grid, det_root)
+from .spectral import (_check_window_cap, _dt_max, _growth_rate, build_L, certify, det_grid,
+                       det_root)
 
 __all__ = ["run", "main"]
 
@@ -303,7 +303,7 @@ def _cmd_det(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params = _params_from(args)
-    _check_dense_cap(args.window)  # before build_L allocates the bands
+    _check_window_cap(args.window, dense=True)  # before build_L allocates the bands
     op = build_L(params, args.window)
     dt_max = _dt_max(op)
     dt = dt_max if args.dt is None else args.dt

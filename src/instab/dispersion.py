@@ -10,9 +10,10 @@ tails:
 
 Every value comes from one batched pass (_grid_info) over a grid of lambda or
 nu: value_grid() is that pass, and value() and the refinement points of both
-searches are passes of one point.  The pass states the domain once: it
-refuses a row with lambda = nu = 0, where every a_n = (lambda + nu*d_n)/rho_n
-vanishes, before any tail is fetched, so the root search refuses nu = 0 at
+searches are passes of one point.  The domain is stated once, in _domain,
+which the pass and eigensystem.build_w call before any tail is fetched:
+lambda and nu finite and >= 0, and no row with lambda = nu = 0, where every
+a_n = (lambda + nu*d_n)/rho_n vanishes, so the root search refuses nu = 0 at
 its lambda = 0 row.  find_root() locates a positive root by a doubling scan
 in lambda from lambda = 0, plus a bracketed refinement; nu0_estimate() finds
 the smallest viscosity at which the lambda=0 value crosses zero, i.e. the
@@ -109,12 +110,8 @@ def value_grid(spec: DispersionSpec, lam=0.0, nu=None, tol: float = 1e-10,
     return values, a0
 
 
-def _grid_info(spec, lam, nu, tol, depth, max_depth, start_depth=2, *, scan=False):
-    # value_grid's (values, a0), each row's deepest tail depth, and the rows
-    # that fail at the depth cap, in order, with what value() raises for them;
-    # a failed row's value is NaN.  Every tail starts at ``start_depth``, and
-    # a ``scan`` reads only the signs up to the first crossing (below)
-    nu = spec.params.nu if nu is None else nu
+def _domain(lam, nu):
+    # lambda and nu as one 1-D grid: finite, >= 0, and no row lambda = nu = 0
     _check_number("lambda", lam, "nonnegative")
     _check_number("nu", nu, "nonnegative")
     lams, nus = np.empty((2, *np.broadcast(np.atleast_1d(lam), nu).shape))
@@ -122,6 +119,16 @@ def _grid_info(spec, lam, nu, tol, depth, max_depth, start_depth=2, *, scan=Fals
     if not (lams.all() or nus.all() or (lams + nus).all()):  # the sum only when both hold a zero
         raise ValueError("lambda = nu = 0 is outside the dispersion relation's "
                          "domain: every recurrence coefficient vanishes")
+    return lams, nus
+
+
+def _grid_info(spec, lam, nu, tol, depth, max_depth, start_depth=2, *, scan=False):
+    # value_grid's (values, a0), each row's deepest tail depth, and the rows
+    # that fail at the depth cap, in order, with what value() raises for them;
+    # a failed row's value is NaN.  Every tail starts at ``start_depth``, and
+    # a ``scan`` reads only the signs up to the first crossing (below)
+    nu = spec.params.nu if nu is None else nu
+    lams, nus = _domain(lam, nu)
     cs, signs, d0, rho0 = spec._stream
 
     def coeffs(live, lo, hi):

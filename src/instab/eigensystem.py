@@ -11,11 +11,13 @@ from z_0 = 1
 
     z_{sk} = s^k / (d_1 ... d_k),
 
-and the eigenvector is w_n = z_n / rho_n.  Each step is the recurrence itself
+and the eigenvector is w_n = z_n / rho_n: one loop marches each side, adds its
+t^s_1 to the junction sum and forms its w.  Each step is the recurrence itself
 and contracts seed error, so the only defect of the assembled vector sits at
-the junction row, where it equals the dispersion residual: the junction check
-is |a_0 + sum_s t^s_1| for every class, over the tails that DispersionSpec
-gives the class.
+the junction row, where it equals the dispersion residual: the junction check,
+after the loop, is |a_0 + sum_s t^s_1| over the tails and stream that
+DispersionSpec gives the class.  lambda and nu meet the dispersion pass's
+domain rule (dispersion._domain) before the seed pass.
 
 The I+/I- classes have rho = 0 at one neighbour of the junction; there the
 one-sided vector ends with a single extra entry fixed by that row of the
@@ -31,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contfrac import DEFAULT_MAX_DEPTH, _adaptive_rows
-from .dispersion import DispersionSpec
-from .errors import MatchFailure, _check_number
-from .models import CoefficientStream, FlowParams
+from .dispersion import DispersionSpec, _domain
+from .errors import MatchFailure
+from .models import FlowParams
 from .spectral import TruncatedOperator, _check_window_cap, _line_fit, build_L
 
 __all__ = [
@@ -64,38 +66,6 @@ class EigenvectorResult:
     decay_rate: float
     sign_ok: bool
     decay_r2: float
-
-
-def _sides(lam, params, N, tol, match_tol, max_depth):
-    # each side's signs s, d_1..d_N as rows and seeds t_{N+1}, checked at the junction
-    _check_number("lambda", lam, "nonnegative")
-    cs, signs, _, _ = DispersionSpec(params)._stream
-    # every seed t_{N+1} = [a_{s(N+1)}; ...] in one pass, under the even/odd bracket
-    seeds, *_, failed = _adaptive_rows(
-        lambda rows, lo, hi: cs.coeff(np.arange(N + lo + 1, N + hi + 1)[:, None] * signs[rows],
-                                      lam),
-        len(signs), np.full((3, len(signs)), np.inf), tol, max_depth)
-    if failed:
-        raise next(iter(failed.values()))
-    if match_tol is None:  # after the pass, which refuses a non-finite tol
-        match_tol = 100.0 * tol
-    a = cs.coeff(np.arange(N + 1)[:, None] * signs, lam).T.tolist()
-    d, junction = [], a[0][0]  # a_0 + sum_s t^s_1, the dispersion value
-    for a_s, x in zip(a, seeds.tolist()):  # d_k = a_{sk} + t_{k+1}, t_k = 1/d_k, k = N..1
-        d_s = [0.0] * N
-        for k in range(N - 1, -1, -1):
-            d_s[k] = a_s[k + 1] + x
-            x = 1.0 / d_s[k]
-        d.append(d_s)
-        junction += x
-    mismatch = abs(junction)
-    if not mismatch <= match_tol:
-        raise MatchFailure(
-            f"u0 forward/backward mismatch {mismatch:.3e} exceeds {match_tol:.3e}; "
-            f"lambda={lam!r} is not certified as a root",
-            mismatch=mismatch, tol=match_tol,
-        )
-    return signs.tolist(), np.array(d), seeds
 
 
 def _fit_side(side, lo, hi):
@@ -165,20 +135,44 @@ def build_w(lam: float, params: FlowParams, N: int, *,
     junction is checked to ``match_tol`` (default 100*tol); MatchFailure says
     lambda is not a root, and match_tol=math.inf allows off-root diagnostics.
     """
-    _check_window_cap(N, minimum=_EIGVEC_MIN_WINDOW)  # before the sides march
-    signs, d, _ = _sides(lam, params, N, tol, match_tol, max_depth)
-    cs = CoefficientStream(params)
+    _check_window_cap(N, minimum=_EIGVEC_MIN_WINDOW)  # before the seed pass
+    _domain(lam, params.nu)
+    cs, signs, _, _ = DispersionSpec(params)._stream
+    # every seed t_{N+1} = [a_{s(N+1)}; ...] in one pass, under the even/odd bracket
+    seeds, *_, failed = _adaptive_rows(
+        lambda rows, lo, hi: cs.coeff(np.arange(N + lo + 1, N + hi + 1)[:, None] * signs[rows],
+                                      lam),
+        len(signs), np.full((3, len(signs)), np.inf), tol, max_depth)
+    if failed:
+        raise next(iter(failed.values()))
+    if match_tol is None:  # after the pass, which refuses a non-finite tol
+        match_tol = 100.0 * tol
+    a = cs.coeff(np.arange(N + 1)[:, None] * signs, lam).T.tolist()
+    junction = a[0][0]  # a_0 + sum_s t^s_1, the dispersion value
     w = np.zeros(2 * N + 1)  # the cut side of I+/I- stays 0.0
-    for s, d_s in zip(signs, d):
+    for s, a_s, x in zip(signs.tolist(), a, seeds.tolist()):
+        d = [0.0] * N  # d_k = a_{sk} + t_{k+1}, t_k = 1/d_k, k = N..1
+        for k in range(N - 1, -1, -1):
+            d[k] = a_s[k + 1] + x
+            x = 1.0 / d[k]
+        junction += x
+        d = np.array(d)
         # z_{sk} = s^k/(d_1...d_k) in log-magnitude and sign, z_0 = 1; w = z/rho
-        log_z = np.concatenate(([0.0], -np.cumsum(np.log(np.abs(d_s)))))
-        sign_z = np.concatenate(([1.0], np.cumprod(s * np.sign(d_s))))
+        log_z = np.concatenate(([0.0], -np.cumsum(np.log(np.abs(d)))))
+        sign_z = np.concatenate(([1.0], np.cumprod(s * np.sign(d))))
         n = s * np.arange(N + 1)
         rho = cs.rho(n)
         # libm exp, not np.exp: numpy's exp kernel depends on the CPU's SIMD
         # level, and a last-bit change in w shows in the junction residual
         w[N + n] = sign_z * np.copysign(1.0, rho) * [
             math.exp(m) if m > -745.0 else 0.0 for m in (log_z - np.log(np.abs(rho))).tolist()]
+    mismatch = abs(junction)
+    if not mismatch <= match_tol:
+        raise MatchFailure(
+            f"u0 forward/backward mismatch {mismatch:.3e} exceeds {match_tol:.3e}; "
+            f"lambda={lam!r} is not certified as a root",
+            mismatch=mismatch, tol=match_tol,
+        )
     L = build_L(params, N)
     if len(signs) == 1:  # section row c = -s fixes w_c; rho_c = 0 wipes everything beyond
         c = -signs[0]

@@ -1,8 +1,10 @@
 """Per-model coefficient families along an advection orbit.
 
 Four flow models share one computational skeleton: linearizing about a
-single-mode steady vorticity Gamma*cos(p.x) couples the Fourier amplitudes
-w_n at wavevectors q + n*p through a three-term recurrence
+single-mode steady flow whose vorticity Omega has (1 - a^2 Lap) Omega =
+Gamma*cos(p.x) (so Omega = Gamma/(1+a^2||p||^2)*cos(p.x), and Gamma*cos(p.x)
+for NavierStokes, a = 0) couples the Fourier amplitudes w_n at wavevectors
+q + n*p through a three-term recurrence
 
     rho_{n-1} w_{n-1} - rho_{n+1} w_{n+1} - (lambda + nu*d_n) w_n = 0,
 

@@ -96,14 +96,10 @@ class TruncatedOperator:
     sup: np.ndarray   # length 2N, sup[i] = entry (i, i+1)
 
     def dense(self) -> np.ndarray:
-        _check_dense_cap(self.N)
+        _check_window_cap(self.N, dense=True)
         return (np.diag(self.diag)
                 + np.diag(self.sub, -1)
                 + np.diag(self.sup, +1))
-
-
-def _check_dense_cap(N: int) -> None:
-    _check_window_cap(N, dense=True)
 
 
 def _check_window_cap(N: int, minimum: int = 1, *, dense: bool = False) -> None:
@@ -147,7 +143,7 @@ def max_real_eig(params: FlowParams, N: int) -> float:
     section the block away from n = 0 has only skew couplings, so its bound is
     max(-nu*d_n) < 0 and only the block holding n = 0 is solved.
     """
-    _check_dense_cap(N)
+    _check_window_cap(N, dense=True)
     L = build_L(params, N)
     cuts = (np.flatnonzero((L.sub == 0.0) | (L.sup == 0.0)) + 1).tolist()
     starts, ends = [0, *cuts], [*cuts, 2 * N + 1]
@@ -168,7 +164,7 @@ def max_real_eig(params: FlowParams, N: int) -> float:
 
 def dominant_mode(params: FlowParams, N: int) -> tuple[float, np.ndarray]:
     """Eigenpair with the largest real part; vector phase-aligned to real."""
-    _check_dense_cap(N)
+    _check_window_cap(N, dense=True)
     M = build_L(params, N).dense()
     vals, vecs = np.linalg.eig(M)
     i = int(np.argmax(vals.real))
@@ -368,7 +364,7 @@ def certify(params: FlowParams, N: int, agree_tol: float, *,
     they are skipped for the second-grade model.
     """
     spec = DispersionSpec(params)
-    _check_dense_cap(N)  # the dense solve waits for a root
+    _check_window_cap(N, dense=True)  # the dense solve waits for a root
     _check_number("agree_tol", agree_tol)
     lam_cf = _found_root(spec, tol=min(1e-10, 0.25 * agree_tol), max_depth=max_depth).lam
     lam_mx = max_real_eig(params, N)
@@ -431,7 +427,7 @@ def growth_rate(params: FlowParams, N: int, t_final: float, dt: float, *,
     samples over the final half.  A step count above MAX_RK4_STEPS, or a final
     half holding fewer than two samples, raises ValueError before any work.
     """
-    _check_dense_cap(N)
+    _check_window_cap(N, dense=True)
     op = build_L(params, N)
     return _growth_rate(op, _dt_max(op), t_final, dt, seed)
 

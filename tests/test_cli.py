@@ -820,11 +820,11 @@ ZERO_ROW = ("lambda = nu = 0 is outside the dispersion relation's domain: "
             "every recurrence coefficient vanishes")
 
 
-@pytest.mark.parametrize("command", ["root", "verify", "eigvec"])
+@pytest.mark.parametrize("command", ["root", "verify", "eigvec", "eigvec --lam 0"])
 def test_nu_zero_root_search_is_refused(capsys, command):
-    # the root scan's lambda = 0 row meets the pass's rule; eigvec refuses only
-    # when it must search
-    assert run([command, "--p", "3,1", "--q=-1,2", "--nu", "0"]) == 2
+    # the root scan's lambda = 0 row meets the pass's rule, and so does
+    # build_w when eigvec is given lambda = 0 instead of searching
+    assert run([*command.split(), "--p", "3,1", "--q=-1,2", "--nu", "0"]) == 2
     assert capsys.readouterr() == ("", f"usage error: {ZERO_ROW}\n")
 
 

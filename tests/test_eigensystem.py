@@ -22,7 +22,7 @@ from instab import (
     value,
 )
 from instab.contfrac import DEFAULT_MAX_DEPTH
-from instab.eigensystem import _fit_decay, _residual, _sides, _sign_pattern_ok
+from instab.eigensystem import _fit_decay, _residual, _sign_pattern_ok
 from conftest import CLASS_Q, MODELS, count_calls, make_params, reference_adaptive
 
 
@@ -34,18 +34,19 @@ def residual(res, pr):
 
 
 def ratios(lam, pr, N, match_tol=None):
-    """The tail ratios of both sides as {n: u_n}, the backward u_0 kept at the junction.
+    """Each side's ratios u_{sk} = z_{s(k-1)}/z_{sk}, k = 1..N, as {n: u_n}.
 
-    Forward u_0 = a_0 + t_1 and u_n = d_n; backward u_{-m} = -t_{m+1}.
+    z = w*rho is rebuilt from build_w's w and the stream's rho; u_{sk} is s*d_k.
+    Entries whose z has underflowed (|z| <= 1e-300) are left out.
     """
-    signs, d, seeds = _sides(lam, pr, N, 1e-12, match_tol, DEFAULT_MAX_DEPTH)
+    w = build_w(lam, pr, N, match_tol=match_tol).w
+    cs = CoefficientStream(pr)
     u = {}
-    for s, d_s, seed in zip(signs, d.tolist(), seeds.tolist()):
-        t_s = [1.0 / x for x in d_s] + [seed]  # t_k = 1/d_k, k = 1..N, and t_{N+1}
-        if s > 0:
-            u.update(enumerate([float(CoefficientStream(pr).coeff(0, lam)) + t_s[0], *d_s]))
-        else:
-            u.update(zip(range(0, -N - 1, -1), (-x for x in t_s)))
+    for s in (direction.value for direction in DispersionSpec(pr).tails):
+        n = s * np.arange(N + 1)
+        z = np.array([w[k] for k in n.tolist()]) * cs.rho(n)
+        live = np.abs(z[1:]) > 1e-300
+        u.update(zip(n[1:][live].tolist(), (z[:-1][live] / z[1:][live]).tolist()))
     return u
 
 
@@ -63,10 +64,11 @@ def fig():
 def test_u_window_and_positivity(fig):
     pr, lam = fig
     u = ratios(lam, pr, 8)
-    assert set(u) == set(range(-8, 9))
-    # away from the junction the ratios are dominated by their coefficient
+    assert set(u) == set(range(-8, 9)) - {0}
+    # away from the junction the ratios s*d_k are dominated by their coefficient
     for n in range(1, 9):
         assert u[n] > 1.0
+        assert u[-n] < -1.0
 
 
 def test_u_rejects_off_root_lambda(fig):
@@ -79,7 +81,7 @@ def test_u_rejects_off_root_lambda(fig):
 def test_u_match_tol_override_allows_diagnostics(fig):
     pr, lam = fig
     u = ratios(lam + 1e-3, pr, 8, match_tol=math.inf)
-    assert set(u) == set(range(-8, 9))
+    assert set(u) == set(range(-8, 9)) - {0}
 
 
 def test_negative_lambda_rejected(fig):
@@ -91,12 +93,24 @@ def test_negative_lambda_rejected(fig):
 
 
 def test_window_above_the_window_cap_rejected(fig, monkeypatch):
-    # refused before the sides march and before the section is built
+    # refused before the seed pass and before the section is built
     pr, lam = fig
-    seen = [count_calls(monkeypatch, instab.eigensystem, name) for name in ("_sides", "build_L")]
+    seen = [count_calls(monkeypatch, instab.eigensystem, name)
+            for name in ("_adaptive_rows", "build_L")]
     with pytest.raises(ValueError, match=r"window N=100001 above window cap 100000"):
         build_w(lam, pr, instab.spectral.WINDOW_CAP + 1)
     assert seen == [[], []]
+
+
+def test_lambda_nu_zero_meets_the_dispersion_domain(monkeypatch):
+    # the dispersion pass's domain rule, before any seed is evaluated
+    pr = make_params(nu=0.0)
+    passes = count_calls(monkeypatch, instab.eigensystem, "_adaptive_rows")
+    with pytest.raises(ValueError, match="^lambda = nu = 0 is outside the dispersion "
+                                         "relation's domain: every recurrence "
+                                         "coefficient vanishes$"):
+        build_w(0.0, pr, 8)
+    assert passes == []
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
@@ -122,10 +136,10 @@ def test_depth_capped_seed_raises(fig, monkeypatch):
 def test_u_one_sided_for_boundary_classes(plus_params, minus_params):
     lam_p = find_root(DispersionSpec(plus_params), tol=1e-12).lam
     u_p = ratios(lam_p, plus_params, 6)
-    assert set(u_p) == set(range(-6, 1))
+    assert set(u_p) == set(range(-6, 0))
     lam_m = find_root(DispersionSpec(minus_params), tol=1e-12).lam
     u_m = ratios(lam_m, minus_params, 6)
-    assert set(u_m) == set(range(0, 7))
+    assert set(u_m) == set(range(1, 7))
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +309,13 @@ def orbit_root(request):
 @pytest.mark.parametrize("N", [3, 64])
 @pytest.mark.parametrize("offset", [0.0, 1e-3])
 def test_u_matches_reference_loops(orbit_root, N, offset):
+    # the reference's backward u_n is z_{n-1}/z_n; ratios() gives z_{n+1}/z_n
     pr, lam = orbit_root
     lam += offset
-    assert ratios(lam, pr, N, match_tol=math.inf) == reference_u(lam, pr, N)
+    u, ref = ratios(lam, pr, N, match_tol=math.inf), reference_u(lam, pr, N)
+    assert len(u) == N * len(DispersionSpec(pr).tails)
+    assert u == pytest.approx({n: ref[n] if n > 0 else 1.0 / ref[n + 1] for n in u},
+                              rel=1e-12)
 
 
 @pytest.mark.parametrize("N", [3, 64])

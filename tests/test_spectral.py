@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import instab.eigensystem
+import instab.dispersion
 import instab.spectral
 from instab import (
     CoefficientStream,
@@ -164,7 +164,7 @@ def test_windows_must_be_integers(fig_params, monkeypatch, window, N):
     # a float window spans other indices than [-N, N] (2.5 would give -2..3),
     # so it is refused before any coefficient of the bands is computed
     streams = [count_calls(monkeypatch, module, "CoefficientStream")
-               for module in (instab.spectral, instab.eigensystem)]
+               for module in (instab.spectral, instab.dispersion)]
     with pytest.raises(ValueError, match="^window N must be an integer$"):
         window(fig_params, N)
     assert streams == [[], []]
